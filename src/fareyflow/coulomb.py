@@ -7,6 +7,9 @@ solves behind the div-curl system and the gauge-fixing iteration use sine /
 cosine bases, whose parities match the even/odd reflections of the normal
 trace condition: a Dirichlet sine solve for the curl potential, a Neumann
 cosine solve plus explicit harmonic corrections for the divergence potential.
+Both solvers treat trailing array axes as a batch of independent real solves,
+so matrix-valued complex data goes through one call (real and imaginary parts
+on one more trailing axis).
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+
+COMPAT_TOL = 1e-5    # relative flux-balance defect a Neumann solve accepts
+N_REFINE = 2         # Richardson corrections per Coulomb sweep
+_EDGES = ("left", "right", "bottom", "top")
 
 mm = lambda A, B: np.einsum("...ab,...bc->...ac", A, B)
 
@@ -240,87 +247,94 @@ def _cos_coeffs(f: np.ndarray) -> np.ndarray:
     return c
 
 def _cos_synth(c: np.ndarray) -> np.ndarray:
-    N = c.shape[0] - 1
     c = c.copy()
     c[0] *= 2
     c[-1] *= 2
     return scipy.fft.dct(c, type=1, axis=0) / 2.0
 
 
+def _split(z: np.ndarray) -> np.ndarray:
+    """Complex data -> real entries along a new trailing axis (re, im)."""
+    return np.stack([z.real, z.imag], -1)
+
+
+def _join(f: np.ndarray) -> np.ndarray:
+    return f[..., 0] + 1j * f[..., 1]
+
+
 def dirichlet_poisson(rhs: np.ndarray) -> np.ndarray:
     """Solve Lap(b) = rhs, b = 0 on the boundary (sine Galerkin).
 
-    rhs is given on the full (N+1)^2 node grid; the interior values drive the
-    sine expansion and the returned b carries exact zero boundary values.
+    rhs[x, y, ...] is given on the full (N+1)^2 node grid; trailing axes are
+    a batch of independent real solves.  The interior values drive the sine
+    expansion and the returned b carries exact zero boundary values.
     """
-    N = rhs.shape[0] - 1
-    interior = rhs[1:-1, 1:-1]
-    S = _sin_coeffs(_sin_coeffs(interior.swapaxes(0, 1)).swapaxes(0, 1))
-    m = np.arange(1, N)
+    M = rhs.shape[0]
+    f = rhs.reshape(M, M, -1)
+    S = _sin_coeffs(_sin_coeffs(f[1:-1, 1:-1].swapaxes(0, 1)).swapaxes(0, 1))
+    m = np.arange(1, M - 1)
     lam = -(np.pi ** 2) * (m[:, None] ** 2 + m[None, :] ** 2)
-    S = S / lam
-    b = np.zeros_like(rhs)
+    S = S / lam[..., None]
+    b = np.zeros_like(f)
     b[1:-1, 1:-1] = _sin_synth(_sin_synth(S.swapaxes(0, 1)).swapaxes(0, 1))
-    return b
+    return b.reshape(rhs.shape)
 
 
-def _edge_cos_pair_correction(wl: np.ndarray, wr: np.ndarray, X: np.ndarray,
-                              Y: np.ndarray) -> np.ndarray:
+def _edge_cos_pair_correction(wl: np.ndarray, wr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Harmonic h with d_nu h = wl, wr (cosine modes m >= 1) on x = 0, 1 and
-    zero normal derivative on the other two edges."""
-    N = len(wl) - 1
-    cl = _cos_coeffs(wl)
-    cr = _cos_coeffs(wr)
-    out = np.zeros_like(X)
-    for m in range(1, N + 1):
-        if not (abs(cl[m]) > 0 or abs(cr[m]) > 0):
-            continue
-        k = m * np.pi
-        denom = k * (1 - np.exp(-2 * k))
-        # cosh(k x)/sinh(k) and cosh(k (1-x))/sinh(k), overflow-safe
-        grow = (np.exp(k * (X - 1)) + np.exp(-k * (X + 1))) / denom * k
-        decay = (np.exp(-k * X) + np.exp(k * (X - 2))) / denom * k
-        out += (cr[m] * grow + cl[m] * decay) / k * np.cos(k * Y)
-    return out
+    zero normal derivative on the other two edges.  wl, wr are (s, batch) and
+    h is (x, y, batch)."""
+    k = np.pi * np.arange(1, len(x))
+    kx = np.outer(x, k)
+    denom = k * (1 - np.exp(-2 * k))
+    # (x, m) profiles cosh(k x)/(k sinh(k)) and cosh(k (1-x))/(k sinh(k)), overflow-safe
+    grow = (np.exp(kx - k) + np.exp(-kx - k)) / denom
+    decay = (np.exp(-kx) + np.exp(kx - 2 * k)) / denom
+    modes = grow[..., None] * _cos_coeffs(wr)[1:] + decay[..., None] * _cos_coeffs(wl)[1:]
+    return np.tensordot(modes, np.cos(kx.T), (1, 0)).swapaxes(1, 2)
 
 
-def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid,
-                    compat_tol: float = 1e-5) -> np.ndarray:
+def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid) -> np.ndarray:
     """Solve Lap(a) = rhs with d_nu a = w on the boundary, mean(a) = 0.
 
-    Compatibility (integral of rhs equals boundary flux) is enforced up to
-    compat_tol; the measured defect is spread as a constant so the expansion
-    is exactly solvable, and larger defects raise.
+    rhs[x, y, ...] and the edge data w[e][s, ...] share their trailing axes,
+    a batch of independent real solves.  Compatibility (integral of rhs
+    equals boundary flux) is checked per entry up to COMPAT_TOL times that
+    entry's scale; the measured defect is spread as a constant so the
+    expansion is exactly solvable, and larger defects raise.
     """
-    X, Y = grid.X, grid.Y
-    flux = (np.sum(w["left"] * grid.w1) + np.sum(w["right"] * grid.w1)
-            + np.sum(w["bottom"] * grid.w1) + np.sum(w["top"] * grid.w1))
-    vol = float(np.sum(rhs * grid.w2))
-    defect = vol - flux
-    scale = max(1.0, np.abs(rhs).max(), *(np.abs(v).max() for v in w.values()))
-    if abs(defect) > compat_tol * scale:
-        raise ValueError("incompatible div-curl data: volume minus flux = %.3e" % defect)
+    M = grid.N + 1
+    rhs_shape = rhs.shape
+    rhs = rhs.reshape(M, M, -1)
+    w = {e: w[e].reshape(M, -1) for e in _EDGES}
+    X, Y = grid.X[..., None], grid.Y[..., None]
+    flux = sum(grid.w1 @ w[e] for e in _EDGES)
+    defect = np.tensordot(grid.w2, rhs, 2) - flux
+    entries = np.concatenate([rhs.reshape(M * M, -1), *w.values()])
+    scale = np.maximum(1.0, np.abs(entries).max(axis=0))
+    worst = np.argmax(np.abs(defect) / scale)
+    if abs(defect[worst]) > COMPAT_TOL * scale[worst]:
+        raise ValueError("incompatible div-curl data: volume minus flux = %.3e" % defect[worst])
     rhs = rhs - defect            # restore exact compatibility
 
     # quadratic particular solution absorbing the mean of rhs
     c0 = flux
     a = c0 * (X ** 2 + Y ** 2) / 4.0
-    w = {"left": w["left"].copy(), "right": w["right"] - c0 / 2,
-         "bottom": w["bottom"].copy(), "top": w["top"] - c0 / 2}
+    w = {"left": w["left"], "right": w["right"] - c0 / 2,
+         "bottom": w["bottom"], "top": w["top"] - c0 / 2}
     rhs = rhs - c0
 
     # cosine solve with homogeneous Neumann data
     C = _cos_coeffs(_cos_coeffs(rhs.swapaxes(0, 1)).swapaxes(0, 1))
-    N = grid.N
-    m = np.arange(N + 1)
+    m = np.arange(M)
     lam = -(np.pi ** 2) * (m[:, None] ** 2 + m[None, :] ** 2)
     lam[0, 0] = 1.0
-    C = C / lam
+    C = C / lam[..., None]
     C[0, 0] = 0.0
     a = a + _cos_synth(_cos_synth(C.swapaxes(0, 1)).swapaxes(0, 1))
 
     # edge means: three independent harmonic polynomials span the zero-sum data
-    means = np.array([np.sum(w[e] * grid.w1) for e in ("left", "right", "bottom", "top")])
+    means = np.array([grid.w1 @ w[e] for e in _EDGES])
     basis = np.array([[-1.0, 1.0, 0.0, 0.0],
                       [0.0, 0.0, -1.0, 1.0],
                       [0.5, 0.5, -0.5, -0.5]])
@@ -333,9 +347,9 @@ def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid,
            "top": w["top"] - (coef[1] - coef[2] * 0.5)}
 
     # oscillatory edge data via harmonic extensions (no cross-edge pollution)
-    a = a + _edge_cos_pair_correction(rem["left"], rem["right"], X, Y)
-    a = a + _edge_cos_pair_correction(rem["bottom"], rem["top"], Y, X)
-    return a - np.sum(a * grid.w2)
+    a = a + _edge_cos_pair_correction(rem["left"], rem["right"], grid.x)
+    a = a + _edge_cos_pair_correction(rem["bottom"], rem["top"], grid.x).swapaxes(0, 1)
+    return (a - np.tensordot(grid.w2, a, 2)).reshape(rhs_shape)
 
 
 def hodge_solve(phi: np.ndarray, psi: np.ndarray, w: dict[str, np.ndarray] | None,
@@ -345,36 +359,18 @@ def hodge_solve(phi: np.ndarray, psi: np.ndarray, w: dict[str, np.ndarray] | Non
     Split u = grad(a) + rot(b) with rot(b) = (-d_y b, d_x b): the divergence
     potential a solves a Neumann problem with data (psi, w), the curl
     potential b a Dirichlet problem for phi.  Data may be scalar fields or
-    matrix-valued; the solve is entrywise (the system is linear).
+    matrix-valued, real or complex; the system is linear, so every real and
+    imaginary part of every entry is one member of a single batched solve.
     """
     M = grid.N + 1
     if phi.shape[:2] != (M, M) or psi.shape[:2] != (M, M):
         raise ValueError("data must live on the full node grid")
-    squeeze = phi.ndim == 2
-    if squeeze:
-        phi = phi[..., None, None]
-        psi = psi[..., None, None]
-    r = phi.shape[-1]
-    if w is None:
-        w = {}
-    wfull = {}
-    for e in ("left", "right", "bottom", "top"):
-        v = np.asarray(w.get(e, np.zeros((M, r, r))))
-        wfull[e] = v[..., None, None] if v.ndim == 1 else v
-
-    ux = np.zeros((M, M, r, r), complex)
-    uy = np.zeros((M, M, r, r), complex)
-    for i in range(r):
-        for j in range(r):
-            for part, sel in ((np.real, 1.0), (np.imag, 1j)):
-                b = dirichlet_poisson(part(phi[..., i, j]))
-                wd = {e: part(wfull[e][..., i, j]) for e in wfull}
-                a = neumann_poisson(part(psi[..., i, j]), wd, grid)
-                ux[..., i, j] += sel * (diff4(a, 0, grid.h) - diff4(b, 1, grid.h))
-                uy[..., i, j] += sel * (diff4(a, 1, grid.h) + diff4(b, 0, grid.h))
-    if squeeze:
-        return ux[..., 0, 0], uy[..., 0, 0]
-    return ux, uy
+    w = w or {}
+    wd = {e: _split(np.asarray(w.get(e, np.zeros((M,) + psi.shape[2:])))) for e in _EDGES}
+    b = dirichlet_poisson(_split(phi))
+    a = neumann_poisson(_split(psi), wd, grid)
+    return (_join(diff4(a, 0, grid.h) - diff4(b, 1, grid.h)),
+            _join(diff4(a, 1, grid.h) + diff4(b, 0, grid.h)))
 
 
 # ----------------------------------------------------------------------------
@@ -426,25 +422,24 @@ def _expm_skew(chi: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...b,...cb->...ac", P, np.exp(1j * lam), P.conj())
 
 
-def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid,
-                     n_refine: int) -> np.ndarray:
+def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid) -> np.ndarray:
     """Neumann solve, then Richardson-correct against the composed 4th-order
     difference operators so the update cancels the residual as the gauge
     sweep will actually measure it."""
-    chi = neumann_poisson(rho, w, grid, compat_tol=np.inf)
+    chi = neumann_poisson(rho, w, grid)
     h = grid.h
-    for _ in range(n_refine):
+    for _ in range(N_REFINE):
         gx = diff4(chi, 0, h)
         gy = diff4(chi, 1, h)
         lap = diff4(gx, 0, h) + diff4(gy, 1, h)
         rb = {"left": w["left"] + gx[0], "right": w["right"] - gx[-1],
               "bottom": w["bottom"] + gy[:, 0], "top": w["top"] - gy[:, -1]}
-        chi = chi + neumann_poisson(rho - lap, rb, grid, compat_tol=np.inf)
+        chi = chi + neumann_poisson(rho - lap, rb, grid)
     return chi
 
 
 def coulomb_fix(A: GaugeField, tol: float = 1e-6, max_iter: int = 25,
-                eps0: float = 0.1, n_refine: int = 2):
+                eps0: float = 0.1):
     """Gauge transform A into a Coulomb gauge: d*A = 0, iota_nu A = 0.
 
     Refuses when the curvature is above the smallness threshold eps0 in the
@@ -474,14 +469,8 @@ def coulomb_fix(A: GaugeField, tol: float = 1e-6, max_iter: int = 25,
         if it == max_iter:
             break
         dstar = diff4(A_cur.ax, 0, g.h) + diff4(A_cur.ay, 1, g.h)
-        wdata = A_cur.normal_trace()
-        chi = np.zeros((M, M, r, r), complex)
-        for i in range(r):
-            for j in range(r):
-                for part, sel in ((np.real, 1.0), (np.imag, 1j)):
-                    wd = {e: part(wdata[e][..., i, j]) for e in wdata}
-                    chi[..., i, j] += sel * _neumann_refined(
-                        part(dstar[..., i, j]), wd, g, n_refine)
+        wdata = {e: _split(v) for e, v in A_cur.normal_trace().items()}
+        chi = _join(_neumann_refined(_split(dstar), wdata, g))
         chi = 0.5 * (chi - dagger(chi))
         u_total = mm(_expm_skew(chi), u_total)
         A_cur = gauge_act(u_total, A)

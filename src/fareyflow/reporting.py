@@ -69,9 +69,6 @@ class ReportRecord:
             "identity": self.identity,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def write_report(record: ReportRecord, sink) -> dict:
     """Append one JSON line; returns the written dict."""

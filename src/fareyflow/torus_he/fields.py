@@ -136,10 +136,6 @@ class ConnectionField:
     def seam_x(self) -> complex:
         return 2j * np.pi * self.twist.degree / self.twist.rank
 
-    @property
-    def seam_y(self) -> complex:
-        return self.seam_x * self.grid.tau.real
-
     def a_z(self) -> np.ndarray:
         c = self.grid.cz
         return c[0] * self.ax + c[1] * self.ay

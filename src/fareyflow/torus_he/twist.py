@@ -173,14 +173,6 @@ def d4_section(F: np.ndarray, twist: TwistData, grid, axis: int, h: float) -> np
     return _d4([shift_section(F, twist, grid, axis, s) for s in (-2, -1, 1, 2)], h)
 
 
-def seam_residual_endo(F: np.ndarray, twist: TwistData) -> float:
-    """Round-trip error of the twisted periodicity (exact wrap vs stored data)."""
-    N = F.shape[0]
-    rx = np.abs(shift_endo(F, twist, 0, N) - F).max()
-    ry = np.abs(shift_endo(F, twist, 1, N) - F).max()
-    return float(max(rx, ry))
-
-
 # ----------------------------------------------------------------------------
 # Weyl components: for clock/shift twists every endomorphism field expands as
 # sum_{j,k} sigma_jk(x, y) C^j S^k where the scalar components obey Bloch

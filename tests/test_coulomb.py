@@ -120,6 +120,22 @@ def test_holder_seminorm_linear_field(grid):
     assert rep.value == pytest.approx(2.5, rel=0.05)
 
 
+def _neumann_case(g, n):
+    """Mean-zero u = cos(pi x) cos(n pi y) plus, from each edge, the harmonic
+    extension of one cosine mode; returns (u, Lap u, outward d_nu u).  Both
+    the volume and the trapezoid flux integrals vanish exactly."""
+    X, Y, x = g.X, g.Y, g.x
+    kl, kr, kb, kt = np.pi * np.array([n + 1, n - 1, n, n - 2])
+    ch = np.cosh
+    u = (np.cos(np.pi * X) * np.cos(n * np.pi * Y)
+         + ch(kl * (1 - X)) * np.cos(kl * Y) / ch(kl) + ch(kr * X) * np.cos(kr * Y) / ch(kr)
+         + ch(kb * (1 - Y)) * np.cos(kb * X) / ch(kb) + ch(kt * Y) * np.cos(kt * X) / ch(kt))
+    rhs = -(1 + n ** 2) * np.pi ** 2 * np.cos(np.pi * X) * np.cos(n * np.pi * Y)
+    w = {e: k * np.tanh(k) * np.cos(k * x)
+         for e, k in zip(("left", "right", "bottom", "top"), (kl, kr, kb, kt))}
+    return u - np.sum(u * g.w2), rhs, w
+
+
 def test_dirichlet_neumann_solvers(grid):
     b_true = np.sin(2 * np.pi * grid.X) * np.sin(np.pi * grid.Y)
     b = dirichlet_poisson(-(4 * np.pi ** 2 + np.pi ** 2) * b_true)
@@ -131,6 +147,26 @@ def test_dirichlet_neumann_solvers(grid):
     assert np.abs(a - (a_true - np.sum(a_true * grid.w2))).max() < 1e-12
     with pytest.raises(ValueError, match="incompatible"):
         neumann_poisson(np.ones((grid.N + 1, grid.N + 1)), zero_w, grid)
+    # oscillatory Neumann data on all four edges, reproduced to rounding
+    for N in (32, 64, 128):
+        g = SquareGrid(N)
+        u, rhs, w = _neumann_case(g, 3)
+        assert np.abs(neumann_poisson(rhs, w, g) - u).max() < 1e-12
+    # trailing axes are a batch: equal to column-by-column solves
+    cases = [_neumann_case(grid, n) for n in (3, 4, 5, 6)]
+    M = grid.N + 1
+    rhs = np.stack([c[1] for c in cases], -1).reshape(M, M, 2, 2)
+    w = {e: np.stack([c[2][e] for c in cases], -1).reshape(M, 2, 2) for e in zero_w}
+    a = neumann_poisson(rhs, w, grid).reshape(M, M, 4)
+    b = dirichlet_poisson(rhs).reshape(M, M, 4)
+    for k, (u, rk, wk) in enumerate(cases):
+        assert np.abs(a[..., k] - neumann_poisson(rk, wk, grid)).max() < 1e-13
+        assert np.abs(a[..., k] - u).max() < 1e-12
+        assert np.abs(b[..., k] - dirichlet_poisson(rk)).max() < 1e-13
+    # the compatibility check is per entry: one bad column raises
+    rhs[..., 1, 0] += 1.0
+    with pytest.raises(ValueError, match=r"incompatible.* = 1\.000e\+00"):
+        neumann_poisson(rhs, w, grid)
 
 
 def test_hodge_zero_data(grid):
@@ -167,6 +203,16 @@ def test_hodge_linearity(grid):
     u12 = hodge_solve(phi1 + phi2, psi1 + psi2, None, grid)
     assert np.abs(u12[0] - u1[0] - u2[0]).max() < 1e-10
     assert np.abs(u12[1] - u1[1] - u2[1]).max() < 1e-10
+    # complex matrix data: every entry equals the scalar solves of its parts
+    phi = np.stack([phi1, phi2 + 0.5j * phi1, 1j * phi2, phi1 - 2j * phi2], -1)
+    psi = np.stack([psi1 - 1j * psi2, 2 * psi2, 0.3j * psi1, psi1 + psi2], -1)
+    u = hodge_solve(phi.reshape(M, M, 2, 2), psi.reshape(M, M, 2, 2), None, grid)
+    for k in range(4):
+        re = hodge_solve(phi[..., k].real, psi[..., k].real, None, grid)
+        im = hodge_solve(phi[..., k].imag, psi[..., k].imag, None, grid)
+        for c in range(2):
+            entry = u[c].reshape(M, M, 4)[..., k]
+            assert np.abs(entry - (re[c] + 1j * im[c])).max() < 1e-12
 
 
 def test_hodge_stability_constant():
