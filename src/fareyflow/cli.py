@@ -2,7 +2,8 @@
 append-only JSON-lines journal.
 
 Exit codes: 0 when the run's numerical verdict passes, 2 on a numerical
-fail, 1 on usage errors.  All randomness is seeded; records are bit-stable
+fail or a numerical error (which still appends a record with verdict
+"error"), 1 on usage errors.  All randomness is seeded; records are bit-stable
 for a fixed configuration apart from timestamps and timings.
 """
 
@@ -350,9 +351,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(subcommand: str, params: dict, out_path) -> tuple[dict, int]:
-    """Dispatch one run, append its record, and return (record, exit code)."""
+    """Dispatch one run, append its record, and return (record, exit code).
+
+    A run that raises ValueError/RuntimeError still appends a record, with
+    verdict "error" and the exception message, before the exception goes on.
+    """
     t0 = time.perf_counter()
-    outputs, residuals, verdict, identity = RUNNERS[subcommand](params)
+    try:
+        outputs, residuals, verdict, identity = RUNNERS[subcommand](params)
+    except (ValueError, RuntimeError) as exc:
+        write_report(ReportRecord(op=subcommand, params=params,
+                                  outputs={"error": "%s: %s" % (type(exc).__name__, exc)},
+                                  residuals={}, verdict="error",
+                                  identity="the run raised before reaching its check",
+                                  elapsed_s=time.perf_counter() - t0), out_path)
+        raise
     record = ReportRecord(op=subcommand, params=params, outputs=outputs,
                           residuals=residuals, verdict=verdict,
                           identity=identity, elapsed_s=time.perf_counter() - t0)

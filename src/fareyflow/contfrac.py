@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .surd import QuadraticSurd, RatInterval
 
 _MAX_PERIOD_SEARCH = 200_000
@@ -496,6 +498,138 @@ def gauss_kuzmin_density(digit: int) -> float:
     return math.log2((d + 1) ** 2 / (d * (d + 2)))
 
 
+# Samples per Lehmer batch: 4096 lanes keep two live 768-bit integers and a
+# (9, 4096) int64 state each, about 2 MB, however many samples are drawn.
+_LANES = 4096
+# Leading bits per operand in a Lehmer round.  Every sum and product of a
+# round stays below 2**63: a cofactor times its remainder is at most the
+# round's leading word of q.
+_WORD_BITS = 62
+
+
+def _lehmer_round(x, y, k, depth, digit, burn_in, odd):
+    """Single-word Euclid steps for every lane at once (Knuth's Algorithm L).
+
+    `x`, `y` hold each lane's leading words of (q, p), both shifted by the
+    same amount, and `k` the quotients it has taken so far.  A lane accepts
+    the quotient of (x + a)/(y + c) while it equals that of (x + b)/(y + d):
+    the true q'/p' lies between the two, so it has the same floor.  A lane
+    that fails once is frozen (quotient 0) and left in place until fewer than
+    half the columns still run.
+
+    The state has one column per lane.  Rows 0, 2, 4 hold the triple
+    (x, a, b) with x = a x0 + b y0, rows 1, 3, 5 the triple (y, c, d); a step
+    subtracts quotient times the second triple from the first, and the two
+    swap roles.  Rows 6-8 hold k, the hits and the counted positions of the
+    round.  The returned state has every lane's first triple in rows 0, 2, 4,
+    so the new pair is (a q + b p, c q + d p) with (a, c, b, d) in rows 2-5.
+    """
+    full = np.zeros((9, x.size), np.int64)
+    full[0], full[1], full[2], full[5], full[6] = x, y, 1, 1, k
+    S, cols, ok, f = full, None, True, 0
+    while True:
+        s = 1 - f
+        den = S[s] + S[2 + s:6:2]
+        ok = ok & (den[0] > 0) & (den[1] > 0) & (S[6] < depth)
+        quot = (S[f] + S[2 + f:6:2]) // np.where(ok, den, 1)
+        ok &= quot[0] == quot[1]
+        running = np.count_nonzero(ok)
+        if not running:
+            break
+        if 2 * running < ok.size:
+            keep = np.flatnonzero(ok)
+            if cols is not None:
+                full[:, cols] = S
+            cols = keep if cols is None else cols[keep]
+            S, ok, quot = S.take(keep, axis=1), ok[keep], quot[:, keep]
+        quot = quot[0] * ok
+        S[f:6:2] -= quot * S[s:6:2]
+        f = s
+        S[6] += ok
+        tally = ok & (S[6] > burn_in) & ((S[6] & 1) == odd)
+        S[8] += tally
+        S[7] += tally & (quot == digit)
+    if cols is not None:
+        full[:, cols] = S
+    # a lane's triples swapped roles once per quotient it took
+    flipped = np.flatnonzero((full[6] - k) & 1)
+    full[2:6, flipped] = full[np.ix_([3, 2, 5, 4], flipped)]
+    return full
+
+
+def _leading_words(qs, ps):
+    """Top `_WORD_BITS` bits of each q, and p shifted by the same amount."""
+    shift = [t if t > 0 else 0 for t in [q.bit_length() - _WORD_BITS for q in qs]]
+    return (np.array([q >> t for q, t in zip(qs, shift)], np.int64),
+            np.array([p >> t for p, t in zip(ps, shift)], np.int64))
+
+
+def _euclid_tally(qs, ps, depth, digit, burn_in, want_odd):
+    """Euclid's algorithm on each pair (q, p), q > p >= 0, by Lehmer rounds.
+
+    A pair stops after `depth` quotients or when p reaches 0.  The quotient
+    at position k (from 1) is counted when k > burn_in and k has the wanted
+    parity, and hits when it also equals `digit`.  Each round takes as many
+    quotients as the leading words decide (`_lehmer_round`) and applies the
+    lane's cofactor matrix to its big integers once; a lane that accepts none
+    (a quotient too large or ambiguous for one word, or p shorter than the
+    shift) takes one exact `divmod` step instead, so each round advances
+    every live pair.  Returns lists (hits, cnt, steps, qs, ps) with the final
+    pairs; the input lists are left as they are.
+    """
+    n = len(qs)
+    steps = np.zeros(n, np.int64)
+    hits = np.zeros(n, np.int64)
+    cnt = np.zeros(n, np.int64)
+    odd = int(want_odd)
+    idle = [not p or depth < 1 for p in ps]
+    live = np.flatnonzero(np.logical_not(idle))
+    lq = [qs[i] for i in live.tolist()]
+    lp = [ps[i] for i in live.tolist()]
+    # fresh output lists, so that the caller's inputs can go while pairs run
+    qs = [q if i else None for q, i in zip(qs, idle)]
+    ps = [p if i else None for p, i in zip(ps, idle)]
+    for _ in range(depth):          # every round advances each live pair
+        if not live.size:
+            break
+        k0 = steps[live]
+        out = _lehmer_round(*_leading_words(lq, lp), k0, depth, digit, burn_in, odd)
+        # in place, so that old and new remainders never coexist in full, and
+        # a slice at a time, so that few cofactors exist as Python ints at once
+        for lo in range(0, len(lq), 512):
+            for j, a, c, b, d in zip(range(lo, len(lq)), *out[2:6, lo:lo + 512].tolist()):
+                q, p = lq[j], lp[j]
+                lq[j] = a * q + b * p
+                lp[j] = c * q + d * p
+        steps[live] = out[6]
+        hits[live] += out[7]
+        cnt[live] += out[8]
+        slow = np.flatnonzero(out[6] == k0)
+        del out                     # before the next round allocates its own
+        if slow.size:
+            hit = []
+            for j in slow.tolist():
+                quot, rem = divmod(lq[j], lp[j])
+                lq[j], lp[j] = lp[j], rem
+                hit.append(quot == digit)
+            lanes = live[slow]
+            steps[lanes] += 1
+            tally = (steps[lanes] > burn_in) & ((steps[lanes] & 1) == odd)
+            cnt[lanes] += tally
+            hits[lanes] += tally & np.array(hit)
+        going = steps[live] < depth
+        if 0 in lp:
+            going &= np.array([p != 0 for p in lp])
+        if not going.all():
+            for j in np.flatnonzero(~going).tolist():
+                qs[live[j]], ps[live[j]] = lq[j], lp[j]
+            keep = np.flatnonzero(going)
+            live = live[keep]
+            lq = [lq[j] for j in keep.tolist()]
+            lp = [lp[j] for j in keep.tolist()]
+    return hits.tolist(), cnt.tolist(), steps.tolist(), qs, ps
+
+
 def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
                         seed: int, burn_in: int = 32, bits: int = 768) -> DigitDensity:
     """Empirical frequency of a digit at positions of one parity.
@@ -507,6 +641,16 @@ def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
     Lebesgue law, so they are excluded from the tally).  The standard error is
     taken across samples, which is the honest scale given that digits within
     one expansion are correlated.
+
+    The expansions run as Lehmer rounds (Lehmer 1938; Knuth, TAOCP vol. 2,
+    4.5.2, Algorithm L) over batches of `_LANES` samples in draw order: numpy
+    takes the quotients that the leading 62 bits of both remainders decide,
+    and each sample's big integers are updated once per round.  A quotient is
+    taken only when Knuth's two-quotient test proves it equal to the exact
+    one, and a round that decides none falls back to one exact `divmod`, so
+    the quotients, hit counts, short expansions and the per-sample float sums
+    (added in sample order) are those of plain Euclid steps, bit for bit.  A
+    batch holds a few MB (see `_LANES`) whatever the sample count.
     """
     if digit < 1:
         raise ValueError("digit must be >= 1")
@@ -527,22 +671,17 @@ def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
     fractions_sqsum = 0.0
     short = 0
     positions = sum(1 for k in range(burn_in + 1, depth + 1) if (k % 2 == 1) == want_odd)
-    for _ in range(samples):
-        p = rng.getrandbits(bits) | 1
-        q = den0
-        hits = cnt = 0
-        for k in range(1, depth + 1):
-            if not p:
-                short += 1
-                break
-            a, rem = divmod(q, p)
-            q, p = p, rem
-            if k > burn_in and (k % 2 == 1) == want_odd:
-                cnt += 1
-                hits += a == digit
-        f = hits / cnt if cnt else 0.0
-        fractions_sum += f
-        fractions_sqsum += f * f
+    for start in range(0, samples, _LANES):
+        n = min(_LANES, samples - start)
+        hits, cnt, steps, _, ps = _euclid_tally(
+            [den0] * n, [rng.getrandbits(bits) | 1 for _ in range(n)], depth, digit,
+            burn_in, want_odd)
+        short += sum(1 for k, p in zip(steps, ps) if not p and k < depth)
+        for h, c in zip(hits, cnt):
+            f = h / c if c else 0.0
+            fractions_sum += f
+            fractions_sqsum += f * f
+        del _, ps                   # the batch's remainders, before the next draws
     mean = fractions_sum / samples
     var = max(fractions_sqsum / samples - mean * mean, 0.0)
     stderr = math.sqrt(var / samples) if samples > 1 else None

@@ -49,7 +49,7 @@ class ReportRecord:
     params: dict
     outputs: dict
     residuals: dict
-    verdict: str                   # "pass" | "fail"
+    verdict: str                   # "pass" | "fail" | "error"
     identity: str                  # plain-language statement of what was checked
     timestamp: str = ""
     elapsed_s: float = 0.0

@@ -50,6 +50,22 @@ def test_exit_codes(tmp_path):
     assert main([]) == 1
 
 
+def test_failed_run_appends_error_record(tmp_path):
+    argv = ["density", "--samples", "10", "--depth", "5"]
+    views = []
+    for name in ("a.jsonl", "b.jsonl"):
+        j = str(tmp_path / name)
+        assert main(["--out", j] + argv) == 2
+        recs = read_journal(j)
+        assert len(recs) == 1
+        rec = recs[0]
+        assert rec["verdict"] == "error" and rec["op"] == "density"
+        assert rec["outputs"] == {"error": "ValueError: depth must be >= 10"}
+        assert rec["config"]["depth"] == 5
+        views.append(stable_view(rec))
+    assert views[0] == views[1]
+
+
 def test_journal_records_same_hash(tmp_path):
     j = str(tmp_path / "j.jsonl")
     assert main(["--out", j, "convergents", "--theta", "periodic:1|2", "--depth", "6"]) == 0

@@ -1,14 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fareyflow.contfrac import (ContinuedFraction, Convergent, cf_expand,
-                                convergents, gauss_digit_density,
-                                gauss_kuzmin_density, lagrange_estimate,
-                                semiconvergents, tail_value)
+from fareyflow.contfrac import (_LANES, ContinuedFraction, Convergent, DigitDensity,
+                                _euclid_tally, cf_expand, convergents,
+                                gauss_digit_density, gauss_kuzmin_density,
+                                lagrange_estimate, semiconvergents, tail_value)
 from fareyflow.surd import QuadraticSurd
 
 GOLDEN = QuadraticSurd(1, 1, 5, 2)
@@ -309,3 +310,101 @@ def test_density_validation():
         gauss_digit_density(10, 5, 1, "odd", seed=1)
     with pytest.raises(ValueError):
         gauss_digit_density(10, 100, 0, "odd", seed=1)
+
+
+def scalar_digit_density(samples, depth, digit, parity, seed, burn_in, bits):
+    """The sampler as plain Euclid steps, one big-integer divmod per digit."""
+    reference = gauss_kuzmin_density(digit)
+    want_odd = parity == "odd"
+    rng = random.Random(seed)
+    den0 = 1 << bits
+    fractions_sum = 0.0
+    fractions_sqsum = 0.0
+    short = 0
+    positions = sum(1 for k in range(burn_in + 1, depth + 1) if (k % 2 == 1) == want_odd)
+    for _ in range(samples):
+        p = rng.getrandbits(bits) | 1
+        q = den0
+        hits = cnt = 0
+        for k in range(1, depth + 1):
+            if not p:
+                short += 1
+                break
+            a, rem = divmod(q, p)
+            q, p = p, rem
+            if k > burn_in and (k % 2 == 1) == want_odd:
+                cnt += 1
+                hits += a == digit
+        f = hits / cnt if cnt else 0.0
+        fractions_sum += f
+        fractions_sqsum += f * f
+    mean = fractions_sum / samples
+    var = max(fractions_sqsum / samples - mean * mean, 0.0)
+    stderr = math.sqrt(var / samples) if samples > 1 else None
+    return DigitDensity(digit, parity, mean, reference, stderr, positions, samples, short)
+
+
+@settings(deadline=None, max_examples=20)
+@given(bits=st.sampled_from([8, 40, 61, 62, 63, 64, 200, 768]),
+       digit=st.sampled_from([1, 2, 3, 7]), parity=st.sampled_from(["odd", "even"]),
+       burn_in=st.integers(0, 6), extra=st.integers(0, 50), seed=st.integers(0, 2 ** 32))
+@example(bits=8, digit=1, parity="odd", burn_in=0, extra=0, seed=1)
+@example(bits=64, digit=2, parity="even", burn_in=3, extra=40, seed=2)
+@example(bits=768, digit=1, parity="odd", burn_in=5, extra=50, seed=3)
+def test_density_matches_scalar_euclid(bits, digit, parity, burn_in, extra, seed):
+    # one lane more than a batch, so the second batch holds a single sample;
+    # depth above the expansion length for bits <= 64 gives short expansions
+    depth = max(10, burn_in + 1) + extra
+    args = (_LANES + 1, depth, digit, parity, seed)
+    got = gauss_digit_density(*args, burn_in=burn_in, bits=bits)
+    assert got == scalar_digit_density(*args, burn_in, bits)
+
+
+def divmod_tally(qs, ps, depth, digit, burn_in, want_odd):
+    hits, cnt, steps, q_out, p_out = [], [], [], [], []
+    for q, p in zip(qs, ps):
+        h = c = k = 0
+        while k < depth and p:
+            a, rem = divmod(q, p)
+            q, p = p, rem
+            k += 1
+            if k > burn_in and (k % 2 == 1) == want_odd:
+                c += 1
+                h += a == digit
+        hits.append(h)
+        cnt.append(c)
+        steps.append(k)
+        q_out.append(q)
+        p_out.append(p)
+    return hits, cnt, steps, q_out, p_out
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+HARD_PAIRS = [
+    (2 ** 768, 1), (2 ** 768, 3),                 # first quotient beyond int64
+    (2 ** 768, 2 ** 767 + 1),                      # 1, then a quotient near 2**767
+    (fibonacci(1001), fibonacci(1000)),           # 1000 quotients of 1
+    (fibonacci(91), fibonacci(90)),               # all ones, about one word
+    (fibonacci(60), fibonacci(59)),               # all ones, below one word
+    (1000, 7), (2 ** 61 + 1, 5), (2 ** 62 - 1, 2 ** 61), (255, 254),
+    (12345, 0), (3 ** 400, 2 ** 600 + 1),
+]
+
+
+@pytest.mark.parametrize("depth", [1, 7, 60, 2000])
+@pytest.mark.parametrize("digit, want_odd, burn_in", [(1, True, 0), (1, False, 3),
+                                                      (2, True, 1), (3, False, 0)])
+def test_euclid_tally_hard_pairs(depth, digit, want_odd, burn_in):
+    qs = [q for q, _ in HARD_PAIRS]
+    ps = [p for _, p in HARD_PAIRS]
+    want = divmod_tally(qs, ps, depth, digit, burn_in, want_odd)
+    assert _euclid_tally(qs, ps, depth, digit, burn_in, want_odd) == want
+    for q, p in HARD_PAIRS:          # each pair alone in its batch too
+        assert _euclid_tally([q], [p], depth, digit, burn_in, want_odd) == \
+            divmod_tally([q], [p], depth, digit, burn_in, want_odd)
