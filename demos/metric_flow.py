@@ -6,8 +6,7 @@ norm 1/2 and flows back, printing the residual and functional trajectory.
 
 from fractions import Fraction
 
-import numpy as np
-
+from fareyflow import fiber
 from fareyflow.torus_he import (MetricField, TorusGrid, build_model_bundle,
                                 donaldson_flow, he_residual,
                                 random_twisted_hermitian)
@@ -15,9 +14,7 @@ from fareyflow.torus_he import (MetricField, TorusGrid, build_model_bundle,
 grid = TorusGrid(1j, 64)
 twist, conn, H0 = build_model_bundle(2, 1, grid)
 s = random_twisted_hermitian(grid, twist, seed=7, amplitude=0.5)
-lam, P = np.linalg.eigh(s.data)
-K = MetricField(grid, twist,
-                np.einsum("...ab,...b,...cb->...ac", P, np.exp(lam), P.conj()))
+K = MetricField(grid, twist, fiber.herm_apply(fiber.exp(), s.data))
 print("initial residual:", he_residual(conn, K, Fraction(1, 2)))
 
 result = donaldson_flow(K, Fraction(1, 2), conn, tol=1e-6, max_iter=2000)

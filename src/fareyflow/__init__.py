@@ -3,7 +3,7 @@ arithmetic, Hermitian-Einstein numerics on flat tori, and Coulomb gauge
 fixing on the unit square.
 """
 
-from . import contfrac, coulomb, farey, stability, surd
+from . import contfrac, coulomb, farey, fiber, stability, surd
 
 __version__ = "0.1.0"
-__all__ = ["contfrac", "coulomb", "farey", "stability", "surd", "__version__"]
+__all__ = ["contfrac", "coulomb", "farey", "fiber", "stability", "surd", "__version__"]

@@ -203,25 +203,29 @@ def _run_chern_weil(p):
 
 
 def _run_donaldson(p):
-    import numpy as np
+    from . import fiber
     from .torus_he import MetricField, donaldson_flow, random_twisted_hermitian
+    t0 = time.perf_counter()
     grid, (twist, conn, H0) = _torus_setup(p)
     s = random_twisted_hermitian(grid, twist, int(p["seed"]),
                                  amplitude=float(p["amplitude"]))
-    lam, P = np.linalg.eigh(s.data)
-    K = MetricField(grid, twist,
-                    np.einsum("...ab,...b,...cb->...ac", P, np.exp(lam), P.conj()))
+    K = MetricField(grid, twist, fiber.herm_apply(fiber.exp(), s.data))
+    t1 = time.perf_counter()
     fr = donaldson_flow(K, twist.mu, conn, tol=float(p["tol"]),
                         max_iter=int(p["max_iter"]))
+    t2 = time.perf_counter()
     out = {"rank": twist.rank, "degree": twist.degree, "N": grid.N,
            "seed": int(p["seed"]), "iterations": fr.iterations,
            "converged": fr.converged,
            "functional_start": fr.functional[1] if len(fr.functional) > 1 else 0.0,
            "functional_end": fr.functional[-1]}
     verdict = "pass" if fr.converged and fr.monotone_defect() <= 1e-10 else "fail"
+    extra = {"trace": {"residuals": fr.residuals, "functional": fr.functional,
+                       "steps": fr.steps},
+             "timings": {"setup_s": round(t1 - t0, 4), "flow_s": round(t2 - t1, 4)}}
     return out, {"final_residual": fr.final_residual,
                  "monotone_defect": fr.monotone_defect()}, verdict, \
-        "descent on the metric energy reaches the constant-curvature equation"
+        "descent on the metric energy reaches the constant-curvature equation", extra
 
 
 def _run_coulomb(p):
@@ -355,10 +359,11 @@ def run(subcommand: str, params: dict, out_path) -> tuple[dict, int]:
 
     A run that raises ValueError/RuntimeError still appends a record, with
     verdict "error" and the exception message, before the exception goes on.
+    A runner may return a fifth item, the volatile `trace`/`timings` fields.
     """
     t0 = time.perf_counter()
     try:
-        outputs, residuals, verdict, identity = RUNNERS[subcommand](params)
+        outputs, residuals, verdict, identity, *extra = RUNNERS[subcommand](params)
     except (ValueError, RuntimeError) as exc:
         write_report(ReportRecord(op=subcommand, params=params,
                                   outputs={"error": "%s: %s" % (type(exc).__name__, exc)},
@@ -368,7 +373,8 @@ def run(subcommand: str, params: dict, out_path) -> tuple[dict, int]:
         raise
     record = ReportRecord(op=subcommand, params=params, outputs=outputs,
                           residuals=residuals, verdict=verdict,
-                          identity=identity, elapsed_s=time.perf_counter() - t0)
+                          identity=identity, elapsed_s=time.perf_counter() - t0,
+                          **(extra[0] if extra else {}))
     written = write_report(record, out_path)
     return written, 0 if verdict == "pass" else 2
 

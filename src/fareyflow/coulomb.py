@@ -20,15 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
+from . import fiber
+from .fiber import dagger, mm
+
 COMPAT_TOL = 1e-5    # relative flux-balance defect a Neumann solve accepts
 N_REFINE = 2         # Richardson corrections per Coulomb sweep
+SKEW_TOL = 1e-12     # relative skew-Hermitian defect the rho norm of a gauge field accepts
 _EDGES = ("left", "right", "bottom", "top")
-
-mm = lambda A, B: np.einsum("...ab,...bc->...ac", A, B)
-
-
-def dagger(A: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(A, -1, -2))
 
 
 class SquareGrid:
@@ -133,23 +131,52 @@ def gauge_act(u: np.ndarray, A: GaugeField, unitary_tol: float = 1e-8) -> GaugeF
 
 
 def rho_field(F: np.ndarray) -> np.ndarray:
+    """Largest singular value per node, for any matrix field."""
     if F.shape[-1] == 1:
         return np.abs(F[..., 0, 0])
     return np.linalg.svd(F, compute_uv=False)[..., 0]
+
+
+def _rho_skew(F: np.ndarray) -> np.ndarray:
+    """rho_field of a skew-Hermitian field: the spectral radius max |eig(i F)|.
+
+    Gauge potentials, their derivatives and curvatures are skew-Hermitian by
+    construction; a field that is not (relative defect max|F + F^dag| /
+    max|F| above SKEW_TOL) raises ValueError naming the defect instead of
+    getting a wrong norm.
+    """
+    defect = float(np.abs(F + dagger(F)).max(initial=0.0))
+    if defect > SKEW_TOL * float(np.abs(F).max(initial=0.0)):
+        raise ValueError("field is not skew-Hermitian (defect %.3e), so its spectral "
+                         "radius is not its rho norm" % defect)
+    return np.abs(fiber.eigvalsh(1j * F)).max(axis=-1)
 
 
 def fro_field(F: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ab,...ab->...", F, F.conj()).real)
 
 
+def _components(field) -> list[np.ndarray]:
+    if isinstance(field, GaugeField):
+        return [field.ax, field.ay]
+    if isinstance(field, CurvatureField):
+        return [field.fxy]
+    return [field]
+
+
+def _fiber_norm(field, which: str):
+    """Per-node norm of one component: rho is the spectral radius for the
+    skew-Hermitian components of gauge and curvature fields and the largest
+    singular value for a plain array."""
+    if which != "rho":
+        return fro_field
+    return _rho_skew if isinstance(field, (GaugeField, CurvatureField)) else rho_field
+
+
 def _node_norm(field, which: str) -> np.ndarray:
     """Per-node scalar: one-forms aggregate components by summing."""
-    f = rho_field if which == "rho" else fro_field
-    if isinstance(field, GaugeField):
-        return f(field.ax) + f(field.ay)
-    if isinstance(field, CurvatureField):
-        return f(field.fxy)
-    return f(field)
+    f = _fiber_norm(field, which)
+    return sum(f(c) for c in _components(field))
 
 
 @dataclass
@@ -187,9 +214,8 @@ def grid_norms(field, which: str, space: str, p=2, alpha: float = 0.5,
     if space == "W^{1,p}":
         if p not in (1, 2, 4):
             raise ValueError("unsupported exponent %r" % (p,))
-        comps = [field.ax, field.ay] if isinstance(field, GaugeField) else \
-            [field.fxy] if isinstance(field, CurvatureField) else [field]
-        f = rho_field if which == "rho" else fro_field
+        comps = _components(field)
+        f = _fiber_norm(field, which)
         total = np.zeros_like(grid.w2)
         for c in comps:
             total += f(c) ** p
@@ -199,9 +225,7 @@ def grid_norms(field, which: str, space: str, p=2, alpha: float = 0.5,
     if space == "C^alpha":
         if not 0 < alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        vals = _node_norm(field, which)       # scalar surrogate per node
-        comps = [field.ax, field.ay] if isinstance(field, GaugeField) else \
-            [field.fxy] if isinstance(field, CurvatureField) else [field]
+        comps = _components(field)
         M = grid.N + 1
         stride = max(1, int(math.ceil(M / math.sqrt(holder_nodes))))
         sub = np.ix_(range(0, M, stride), range(0, M, stride))
@@ -409,17 +433,17 @@ def div_residuals(A: GaugeField) -> tuple[float, float]:
     """
     g = A.grid
     dstar = diff4(A.ax, 0, g.h) + diff4(A.ay, 1, g.h)
-    interior = rho_field(dstar)
+    interior = _rho_skew(dstar)
     l2 = float(np.sqrt(np.sum(interior ** 2 * g.w2)))
-    bdry = max(float(rho_field(v[1:-1]).max()) for v in A.normal_trace().values())
+    bdry = max(float(_rho_skew(v[1:-1]).max()) for v in A.normal_trace().values())
     return l2, bdry
 
 
 def _expm_skew(chi: np.ndarray) -> np.ndarray:
-    """Exact unitary exponential of a skew-Hermitian field via eigh of -i chi."""
+    """Exact unitary exponential exp(chi) = exp(i herm) of a skew-Hermitian
+    field, herm = -i chi (closed form at rank 2, eigh at rank >= 3)."""
     herm = -1j * 0.5 * (chi - dagger(chi))
-    lam, P = np.linalg.eigh(herm)
-    return np.einsum("...ab,...b,...cb->...ac", P, np.exp(1j * lam), P.conj())
+    return fiber.herm_apply(fiber.exp(1j), herm)
 
 
 def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid) -> np.ndarray:

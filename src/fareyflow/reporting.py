@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
-VOLATILE_KEYS = ("timestamp", "elapsed_s")
+VOLATILE_KEYS = ("timestamp", "elapsed_s", "trace", "timings")
 
 
 def _plain(value):
@@ -54,8 +54,12 @@ class ReportRecord:
     timestamp: str = ""
     elapsed_s: float = 0.0
     schema: int = SCHEMA_VERSION
+    trace: dict | None = None      # per-iteration trajectories (volatile)
+    timings: dict | None = None    # phase -> seconds (volatile)
 
     def to_dict(self) -> dict:
+        volatile = {k: _plain(v) for k, v in (("trace", self.trace),
+                                             ("timings", self.timings)) if v is not None}
         return {
             "schema": self.schema,
             "timestamp": self.timestamp or time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -67,6 +71,7 @@ class ReportRecord:
             "residuals": _plain(self.residuals),
             "verdict": self.verdict,
             "identity": self.identity,
+            **volatile,
         }
 
 

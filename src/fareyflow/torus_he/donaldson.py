@@ -16,12 +16,15 @@ shifted Laplacian applied in the Bloch-spectral representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .fields import EndoField, MetricField, comm, dagger, mm
+from .. import fiber
+from ..fiber import comm, dagger, mm
+from .fields import EndoField, MetricField
 from .hermitian import i_lambda_F_metric
 from .twist import WeylTransform
 
@@ -31,12 +34,19 @@ def _hermitize(A: np.ndarray) -> np.ndarray:
 
 
 def phi_multiplier(lam: np.ndarray) -> np.ndarray:
-    """phi(l_i, l_j) matrix per node; series fallback near coinciding pairs."""
+    """phi(l_i, l_j) matrix per node.
+
+    phi(x) = (e^x - x - 1)/x^2 = sum_k x^k/(k + 2)!.  For |x| >= 0.1 it is
+    the quotient with expm1 (cancellation costs at most a factor 20 on the
+    rounding error); below, ten terms of the series (truncation < 1e-19).
+    """
     x = lam[..., :, None] - lam[..., None, :]
-    small = np.abs(x) < 1e-8
+    small = np.abs(x) < 0.1
     safe = np.where(small, 1.0, x)
-    exact = (np.exp(safe) - safe - 1.0) / (safe * safe)
-    series = 0.5 + x / 6.0 + x * x / 24.0
+    exact = (np.expm1(safe) - safe) / (safe * safe)
+    series = np.zeros_like(x)
+    for k in range(9, -1, -1):
+        series = series * x + 1.0 / math.factorial(k + 2)
     return np.where(small, series, exact)
 
 
@@ -49,28 +59,53 @@ def _check_selfadjoint(K: MetricField, s: np.ndarray, tol: float = 1e-8):
                          "(defect %.3e)" % defect)
 
 
-def donaldson_functional(K: MetricField, s: EndoField | np.ndarray, conn, mu) -> float:
-    """M(K, exp(s) K) for a K-self-adjoint endomorphism field s."""
-    sdata = s.data if isinstance(s, EndoField) else s
+@dataclass(frozen=True)
+class _Reference:
+    """What M(K, .) needs of K and the connection; `donaldson_flow` builds
+    one for its fixed K0, `donaldson_functional` one per call."""
+
+    K: MetricField
+    half: np.ndarray        # K^(1/2)
+    inv_half: np.ndarray    # K^(-1/2)
+    source: np.ndarray      # i Lambda F_K - 2 pi mu Id
+    azb: np.ndarray         # A_zbar of the background connection
+
+    @classmethod
+    def of(cls, K: MetricField, conn, mu) -> _Reference:
+        source = i_lambda_F_metric(K, conn) \
+            - 2 * np.pi * float(Fraction(mu)) * np.eye(K.twist.rank)
+        return cls(K, *K.sqrt_pair(), source, conn.a_zbar())
+
+
+def _functional(ref: _Reference, sdata: np.ndarray) -> float:
+    K = ref.K
     _check_selfadjoint(K, sdata)
-    grid, twist = K.grid, K.twist
-    mu = float(Fraction(mu))
+    dbar = EndoField(K.grid, K.twist, sdata).d_zbar() + comm(ref.azb, sdata)
 
-    s_field = EndoField(grid, twist, sdata)
-    dbar = s_field.d_zbar() + comm(conn.a_zbar(), sdata)
-
-    half, inv_half = K.sqrt_pair()
-    s_hat = _hermitize(mm(half, mm(sdata, inv_half)))
+    s_hat = _hermitize(mm(ref.half, mm(sdata, ref.inv_half)))
     lam, P = np.linalg.eigh(s_hat)
-    dbar_hat = mm(half, mm(dbar, inv_half))
-    B = np.einsum("...ba,...bc,...cd->...ad", P.conj(), dbar_hat, P)
-    quad = 2 * grid.v * np.einsum("...ij,...ij->...",
-                                  phi_multiplier(lam), np.abs(B) ** 2)
-
-    ilf = i_lambda_F_metric(K, conn)
-    lin = np.einsum("...ab,...ba->...",
-                    ilf - 2 * np.pi * mu * np.eye(twist.rank), sdata).real
+    dbar_hat = mm(ref.half, mm(dbar, ref.inv_half))
+    B = mm(dagger(P), mm(dbar_hat, P))
+    quad = 2 * K.grid.v * np.einsum("...ij,...ij->...",
+                                    phi_multiplier(lam), np.abs(B) ** 2)
+    lin = np.einsum("...ab,...ba->...", ref.source, sdata).real
     return float((quad + lin).mean())
+
+
+def _log(half: np.ndarray, inv_half: np.ndarray, H: MetricField) -> EndoField:
+    h_hat = _hermitize(mm(inv_half, mm(H.data, inv_half)))
+    log_hat = fiber.herm_apply(fiber.LOG, h_hat)
+    return EndoField(H.grid, H.twist, mm(inv_half, mm(log_hat, half)))
+
+
+def donaldson_functional(K: MetricField, s: EndoField | np.ndarray, conn, mu) -> float:
+    """M(K, exp(s) K) for a K-self-adjoint endomorphism field s.
+
+    Computes K's square-root pair, i Lambda F_K and A_zbar afresh on every
+    call; `donaldson_flow` computes them once per flow.
+    """
+    sdata = s.data if isinstance(s, EndoField) else s
+    return _functional(_Reference.of(K, conn, mu), sdata)
 
 
 def metric_log(H: MetricField, K: MetricField) -> EndoField:
@@ -78,15 +113,10 @@ def metric_log(H: MetricField, K: MetricField) -> EndoField:
 
     In the K-orthonormal frame s becomes the plain Hermitian logarithm of
     K^(-1/2) H K^(-1/2); transforming back uses K^(-1/2) (.) K^(1/2), which
-    is what keeps K s Hermitian.
+    is what keeps K s Hermitian.  K's square-root pair is computed on every
+    call; `donaldson_flow` computes the pair of its K0 once per flow.
     """
-    half, inv_half = K.sqrt_pair()
-    h_hat = _hermitize(mm(inv_half, mm(H.data, inv_half)))
-    lam, P = np.linalg.eigh(h_hat)
-    if lam.min() <= 0:
-        raise ValueError("metric ratio not positive (min eigenvalue %.3e)" % lam.min())
-    log_hat = np.einsum("...ab,...b,...cb->...ac", P, np.log(lam), P.conj())
-    return EndoField(H.grid, H.twist, mm(inv_half, mm(log_hat, half)))
+    return _log(*K.sqrt_pair(), H)
 
 
 @dataclass
@@ -121,10 +151,17 @@ def donaldson_flow(K0: MetricField, mu, conn, step: float | None = None,
     "inverse_laplacian"/"auto" filters the gradient through 1/(c + Lap/2)
     in the Bloch-spectral representation, which removes the grid-scale
     stiffness while keeping the same fixed points and descent property.
+
+    What depends only on K0 and `conn` (K0's square-root pair,
+    i Lambda F_K0 - 2 pi mu Id and A_zbar) is computed once per flow; each
+    iteration computes the square-root pair and i Lambda F of the current H
+    once, and each trial step evaluates exp, log and the functional against
+    those.
     """
     grid, twist = K0.grid, K0.twist
     muf = float(Fraction(mu))
     K0.require_positive()
+    ref = _Reference.of(K0, conn, mu)
 
     wt = None
     if preconditioner in ("auto", "inverse_laplacian"):
@@ -151,7 +188,7 @@ def donaldson_flow(K0: MetricField, mu, conn, step: float | None = None,
         half, inv_half = H.sqrt_pair()
         G = i_lambda_F_metric(H, conn) - 2 * np.pi * muf * eye
         G_hat = _hermitize(mm(half, mm(G, inv_half)))
-        res = float(np.abs(np.linalg.eigvalsh(G_hat)).max())
+        res = float(np.abs(fiber.eigvalsh(G_hat)).max())
         residuals.append(res)
         functional.append(m_cur)
         if res < tol:
@@ -162,15 +199,14 @@ def donaldson_flow(K0: MetricField, mu, conn, step: float | None = None,
         direction = G_hat if symbol is None else _hermitize(wt.apply_symbol(G_hat, symbol))
         accepted = False
         for _ in range(60):
-            lam, P = np.linalg.eigh(direction)
-            expd = np.einsum("...ab,...b,...cb->...ac", P, np.exp(-step * lam), P.conj())
+            expd = fiber.herm_apply(fiber.exp(-step), direction)
             H_new = MetricField(grid, twist, _hermitize(mm(half, mm(expd, half))))
             try:
-                s_new = metric_log(H_new, K0)
+                s_new = _log(ref.half, ref.inv_half, H_new)
             except ValueError:
                 step *= 0.5
                 continue
-            m_new = donaldson_functional(K0, s_new, conn, mu)
+            m_new = _functional(ref, s_new.data)
             if m_new <= m_cur + 1e-12 * max(1.0, abs(m_cur)):
                 accepted = True
                 break
@@ -207,6 +243,6 @@ def random_twisted_hermitian(grid, twist, seed: int, amplitude: float = 0.5,
             sig[..., j, k] = poly
     sig *= np.conj(wt.debloch)
     raw = _hermitize(wt.assemble(sig))
-    sup = float(np.abs(np.linalg.eigvalsh(raw)).max())
+    sup = float(np.abs(fiber.eigvalsh(raw)).max())
     data = raw * (amplitude / sup) if sup else raw
     return EndoField(grid, twist, data)

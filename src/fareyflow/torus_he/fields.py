@@ -14,18 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import fiber
+from ..fiber import comm, dagger, mm
 from .grid import TorusGrid
 from .twist import (TwistData, d4_connection, d4_endo, shift_endo, shift_section)
-
-mm = lambda A, B: np.einsum("...ab,...bc->...ac", A, B)
-
-
-def dagger(A: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(A, -1, -2))
-
-
-def comm(A, B):
-    return mm(A, B) - mm(B, A)
 
 
 @dataclass
@@ -88,7 +80,7 @@ class MetricField(EndoField):
             raise ValueError("metric field is not Hermitian (defect %.2e)" % herm)
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.data).min())
+        return float(fiber.eigvalsh(self.data).min())
 
     def require_positive(self):
         m = self.min_eigenvalue()
@@ -97,14 +89,12 @@ class MetricField(EndoField):
         return self
 
     def sqrt_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H^(1/2), H^(-1/2)) per node."""
-        w, P = np.linalg.eigh(self.data)
-        if w.min() <= 0:
-            raise ValueError("metric lost positivity (min eigenvalue %.3e)" % w.min())
-        s = np.sqrt(w)
-        half = np.einsum("...ab,...b,...cb->...ac", P, s, P.conj())
-        inv_half = np.einsum("...ab,...b,...cb->...ac", P, 1.0 / s, P.conj())
-        return half, inv_half
+        """(H^(1/2), H^(-1/2)) per node, from the current `data`.
+
+        Nothing is cached on the instance (`data` is a mutable array);
+        `donaldson_flow` computes the pair of its fixed K0 once per flow.
+        """
+        return fiber.herm_apply(fiber.SQRT_PAIR, self.data)
 
 
 def identity_metric(grid: TorusGrid, twist: TwistData) -> MetricField:
@@ -273,7 +263,7 @@ def field_norms(s: EndoField, H: MetricField, qs=(1, 2, np.inf),
     rho = {q: lq_norm(rho_f, q, w) for q in qs}
     fro = {q: lq_norm(fro_f, q, w) for q in qs}
     half, inv_half = H.sqrt_pair()
-    lam = np.linalg.eigvalsh(mm(half, mm(s.data, inv_half)))
+    lam = fiber.eigvalsh(mm(half, mm(s.data, inv_half)))
     u_p = {}
     for p in u_powers:
         m = lam.max(axis=-1, keepdims=True)

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..fiber import comm, mm
 from .fields import (ConnectionField, EndoField, FormField, MetricField,
-                     SectionField, comm, mm, rho_norm_field)
+                     SectionField, rho_norm_field)
 
 
 def metric_gamma(H: MetricField, conn: ConnectionField) -> np.ndarray:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..fiber import dagger, mm
 
 def clock_matrix(r: int) -> np.ndarray:
     zeta = np.exp(2j * np.pi / r)
@@ -88,7 +89,8 @@ class TwistData:
 
 
 def _conj(block: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,...bc,dc->...ad", M, block, M.conj())
+    """M block M^dag for a constant matrix M."""
+    return mm(mm(M, block), dagger(M))
 
 
 def _strip(ndim: int, axis: int, sl: slice) -> tuple:

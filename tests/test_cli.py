@@ -140,3 +140,25 @@ def test_coulomb_subcommand(tmp_path):
     assert len(rows) == 2
     assert {"seed", "rank", "eps", "iterations", "d_star_residual",
             "boundary_residual", "ratio"} <= set(rows[0])
+
+
+def test_donaldson_record_trace_and_timings(tmp_path):
+    argv = ["donaldson", "--N", "32", "--seed", "3", "--tol", "1e-5"]
+    recs = []
+    for name in ("a.jsonl", "b.jsonl"):
+        j = str(tmp_path / name)
+        assert main(["--out", j] + argv) == 0
+        recs += read_journal(j)
+    a, b = recs
+    trace = a["trace"]
+    n = a["outputs"]["iterations"]
+    assert len(trace["residuals"]) == len(trace["functional"]) == n + 1
+    assert len(trace["steps"]) == n
+    assert trace["residuals"][-1] == a["residuals"]["final_residual"] < 1e-5
+    assert trace["functional"][-1] == a["outputs"]["functional_end"]
+    assert set(a["timings"]) == {"setup_s", "flow_s"}
+    assert all(v >= 0 for v in a["timings"].values())
+    assert trace == b["trace"]
+    for key in ("trace", "timings"):
+        assert key not in stable_view(a)
+    assert stable_view(a) == stable_view(b)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fareyflow.coulomb import (CoulombReport, GaugeField, SquareGrid, coulomb_fix,
-                               curvature, diff4, dirichlet_poisson, div_residuals,
+from fareyflow.coulomb import (CoulombReport, CurvatureField, GaugeField, SquareGrid,
+                               coulomb_fix, curvature, diff4, dirichlet_poisson, div_residuals,
                                gauge_act, grid_norms, hodge_solve, neumann_poisson,
                                random_gauge_field, rho_field)
-from fareyflow.coulomb import _expm_skew
+from fareyflow.coulomb import _expm_skew, _rho_skew
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +107,36 @@ def test_rho_le_frobenius_nodewise(grid):
     f = rng.normal(size=(M, M, 3, 3)) + 1j * rng.normal(size=(M, M, 3, 3))
     from fareyflow.coulomb import fro_field
     assert np.all(rho_field(f) <= fro_field(f) + 1e-12)
+
+
+def test_skew_rho_is_the_largest_singular_value(grid):
+    """Gauge-field components, their derivatives and curvatures are
+    skew-Hermitian, where the spectral radius is the rho norm."""
+    for rank in (1, 2, 4):
+        A = random_gauge_field(grid, rank, seed=11 + rank)
+        F = curvature(A)
+        for comp in (A.ax, A.ay, F.fxy, diff4(A.ax, 0, grid.h) + diff4(A.ay, 1, grid.h)):
+            defect = np.abs(comp + np.conj(np.swapaxes(comp, -1, -2))).max()
+            assert defect <= 1e-15 * np.abs(comp).max()
+            svd = np.linalg.svd(comp, compute_uv=False)[..., 0]
+            assert np.abs(_rho_skew(comp) - svd).max() <= 1e-14 * svd.max()
+        assert grid_norms(A, "rho", "W^{1,p}", p=2).value == pytest.approx(
+            np.sqrt(np.sum(sum(rho_field(c) ** 2 for c in (
+                A.ax, A.ay, diff4(A.ax, 0, grid.h), diff4(A.ax, 1, grid.h),
+                diff4(A.ay, 0, grid.h), diff4(A.ay, 1, grid.h))) * grid.w2)), rel=1e-13)
+
+
+def test_skew_rho_rejects_non_skew_fields(grid):
+    A = random_gauge_field(grid, 2, seed=3)
+    M = grid.N + 1
+    shift = 1e-3 * np.broadcast_to(np.eye(2), (M, M, 2, 2))
+    with pytest.raises(ValueError, match=r"not skew-Hermitian \(defect 2\.000e-03\)"):
+        grid_norms(CurvatureField(grid, curvature(A).fxy + shift), "rho", "L^p", p=2)
+    A.ax = A.ax + shift          # the arrays are public; construction checked them
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        div_residuals(A)
+    # a plain array keeps the singular-value norm, skew or not
+    assert grid_norms(shift, "rho", "L^p", p="inf", grid=grid).value == pytest.approx(1e-3)
 
 
 def test_holder_seminorm_linear_field(grid):

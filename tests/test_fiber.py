@@ -1,0 +1,200 @@
+"""fareyflow.fiber against numpy's einsum and eigh, at every rank branch.
+
+Spectra are built as U diag(lam) U^dag from a random unitary U, so the
+eigenvalues are chosen: well separated, near-degenerate (gap g from 0 to
+1e-3 |m|, across the rank-2 series switch at 1e-4), or ill-conditioned
+(condition number up to 1e8).
+"""
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fareyflow import fiber
+from fareyflow.torus_he import phi_multiplier
+
+RANKS = (1, 2, 3, 4, 8)
+BATCHES = ((), (3,), (2, 3), (4, 1, 2))
+EPS = np.finfo(float).eps
+
+
+def _unitary(rng, batch, r):
+    z = rng.normal(size=batch + (r, r)) + 1j * rng.normal(size=batch + (r, r))
+    return np.linalg.qr(z)[0]
+
+
+def _hermitian(lam, U):
+    H = np.einsum("...ab,...b,...cb->...ac", U, lam, U.conj())
+    return 0.5 * (H + fiber.dagger(H))
+
+
+def _spectrum(rng, batch, r, kind):
+    """Eigenvalues (batch + (r,)) of the given kind; positive unless 'signed'."""
+    if kind == "signed":
+        return rng.uniform(-3.0, 3.0, size=batch + (r,))
+    if kind == "separated":
+        return np.exp(rng.uniform(-2.0, 2.0, size=batch + (r,)))
+    if kind == "degenerate":
+        m = np.exp(rng.uniform(-1.0, 1.0, size=batch + (1,)))
+        rel = 10.0 ** rng.uniform(-16.0, -3.0, size=batch + (1,))
+        rel[rng.random(size=rel.shape) < 0.2] = 0.0
+        return m * (1.0 + rel * np.linspace(-1.0, 1.0, r))
+    if kind == "ill":
+        cond = 10.0 ** rng.uniform(0.0, 8.0, size=batch + (1,))
+        return np.exp(rng.uniform(-1.0, 1.0, size=batch + (1,))) \
+            * cond ** -np.linspace(0.0, 1.0, r)
+    raise ValueError(kind)
+
+
+def _oracle(values, H):
+    lam, P = np.linalg.eigh(H)
+    return np.einsum("...ab,...b,...cb->...ac", P, values(lam), P.conj())
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+def _cond(lam):
+    return float((lam.max(axis=-1) / lam.min(axis=-1)).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from(RANKS),
+       batches=st.sampled_from([((), ()), ((3,), (3,)), ((2, 1), (3,)),
+                                ((4, 1, 2), (1, 2)), ((), (2, 3))]),
+       real=st.booleans())
+@example(seed=0, r=2, batches=((2, 1), (3,)), real=False)
+def test_products_match_einsum(seed, r, batches, real):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=batches[0] + (r, r))
+    B = rng.normal(size=batches[1] + (r, r)) + 1j * rng.normal(size=batches[1] + (r, r))
+    if not real:
+        A = A + 1j * rng.normal(size=A.shape)
+    tol = 1e-14 * r
+    ab = np.einsum("...ab,...bc->...ac", A, B)
+    ba = np.einsum("...ab,...bc->...ac", B, A)
+    got = fiber.mm(A, B)
+    assert got.shape == ab.shape and got.dtype == ab.dtype
+    assert np.abs(got - ab).max() <= tol * np.abs(A).max() * np.abs(B).max()
+    assert np.abs(fiber.comm(A, B) - (ab - ba)).max() <= \
+        2 * tol * np.abs(A).max() * np.abs(B).max()
+    assert np.array_equal(fiber.dagger(B), np.conj(np.swapaxes(B, -1, -2)))
+
+
+def test_constant_matrix_conjugation():
+    """M block M^dag with a constant M, the ghost-node rule of twisted stencils."""
+    rng = np.random.default_rng(5)
+    for r in RANKS:
+        M = _unitary(rng, (), r)
+        block = rng.normal(size=(4, 3, r, r)) + 1j * rng.normal(size=(4, 3, r, r))
+        want = np.einsum("ab,...bc,dc->...ad", M, block, M.conj())
+        got = fiber.mm(fiber.mm(M, block), fiber.dagger(M))
+        assert np.abs(got - want).max() < 1e-13
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from(RANKS),
+       batch=st.sampled_from(BATCHES),
+       kind=st.sampled_from(["signed", "separated", "degenerate", "ill"]))
+@example(seed=1, r=2, batch=(3,), kind="degenerate")
+def test_eigvalsh_matches_numpy(seed, r, batch, kind):
+    rng = np.random.default_rng(seed)
+    lam = _spectrum(rng, batch, r, kind)
+    H = _hermitian(lam, _unitary(rng, batch, r))
+    got = fiber.eigvalsh(H)
+    want = np.linalg.eigvalsh(H)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 20 * r * EPS * np.abs(want).max()
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from(RANKS),
+       batch=st.sampled_from(BATCHES),
+       kind=st.sampled_from(["signed", "separated", "degenerate"]),
+       t=st.sampled_from([1.0, -1.0, 0.37, -2.5, 1j, -0.5j]))
+@example(seed=2, r=2, batch=(2, 3), kind="degenerate", t=-2.5)
+@example(seed=3, r=2, batch=(2, 3), kind="degenerate", t=1j)
+def test_exp_matches_eigh(seed, r, batch, kind, t):
+    rng = np.random.default_rng(seed)
+    lam = _spectrum(rng, batch, r, kind)
+    H = _hermitian(lam, _unitary(rng, batch, r))
+    got = fiber.herm_apply(fiber.exp(t), H)
+    want = _oracle(lambda x: np.exp(t * x), H)
+    assert _rel_err(got, want) < 1e-13
+
+
+def test_exp_of_scalar_fields_is_exact_at_rank_two():
+    """g = 0 exactly: the series branch alone decides the off-diagonal."""
+    m = np.array([-1.5, 0.0, 0.25, 2.0])
+    H = m[:, None, None] * np.eye(2, dtype=complex)
+    for t in (1.0, -0.7, 1j):
+        got = fiber.herm_apply(fiber.exp(t), H)
+        want = np.exp(t * m)[:, None, None] * np.eye(2)
+        assert np.abs(got - want).max() < 1e-15
+    assert np.abs(fiber.herm_apply(fiber.LOG, H[2:]) - np.log(m[2:])[:, None, None]
+                  * np.eye(2)).max() < 1e-15
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from(RANKS),
+       batch=st.sampled_from(BATCHES),
+       kind=st.sampled_from(["separated", "degenerate", "ill"]))
+@example(seed=4, r=2, batch=(2, 3), kind="degenerate")
+@example(seed=5, r=2, batch=(4, 1, 2), kind="ill")
+def test_log_and_sqrt_pair_match_eigh(seed, r, batch, kind):
+    rng = np.random.default_rng(seed)
+    lam = _spectrum(rng, batch, r, kind)
+    H = _hermitian(lam, _unitary(rng, batch, r))
+    # both sides see H only through its rounded entries: the small eigenvalues
+    # move by eps |H|, i.e. by eps * cond relative
+    tol = 1e-13 + 50 * EPS * _cond(lam)
+    log = fiber.herm_apply(fiber.LOG, H)
+    assert np.abs(log - _oracle(np.log, H)).max() <= tol * max(1.0, np.abs(log).max())
+    half, inv_half = fiber.herm_apply(fiber.SQRT_PAIR, H)
+    assert _rel_err(half, _oracle(np.sqrt, H)) <= tol
+    assert _rel_err(inv_half, _oracle(lambda x: 1.0 / np.sqrt(x), H)) <= tol
+    assert np.array_equal(half, fiber.herm_apply(fiber.SQRT, H))
+    eye = np.eye(r)
+    assert np.abs(fiber.mm(half, inv_half) - eye).max() <= tol * np.sqrt(_cond(lam))
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_positive_functions_reject_with_measured_eigenvalue(r):
+    rng = np.random.default_rng(r)
+    lam = np.linspace(1.0, 2.0, r)
+    lam[0] = -0.5
+    H = _hermitian(lam, _unitary(rng, (3,), r))
+    for f in (fiber.LOG, fiber.SQRT_PAIR, fiber.INV_SQRT):
+        with pytest.raises(ValueError, match=r"min eigenvalue -5\.000e-01"):
+            fiber.herm_apply(f, H)
+    fiber.herm_apply(fiber.exp(1.0), H)     # exp has no domain restriction
+    lam[0] = 0.0
+    with pytest.raises(ValueError, match="not positive definite"):
+        fiber.herm_apply(fiber.SQRT_PAIR, np.diag(lam).astype(complex))
+
+
+def _phi_exact(x):
+    with mpmath.workdps(60):
+        x = mpmath.mpf(float(x))
+        if x == 0:
+            return 0.5
+        return float((mpmath.exp(x) - x - 1) / x ** 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.floats(-3.0, 3.0), e=st.floats(-16.0, -3.0), zero=st.booleans(),
+       sign=st.sampled_from([-1.0, 1.0]))
+@example(m=1.0, e=-8.0, sign=1.0, zero=False)
+@example(m=0.5, e=-7.7, sign=-1.0, zero=False)
+def test_phi_multiplier_across_its_switches(m, e, zero, sign):
+    """Near-degenerate pairs, gaps from 0 up to 1e-3 |m| and beyond."""
+    gaps = [0.0 if zero else sign * 10.0 ** e * max(abs(m), 1.0), 0.0999, 0.1, 0.1001, 2.0]
+    for gap in gaps:
+        lam = np.array([m + gap, m])
+        x = lam[0] - lam[1]
+        out = phi_multiplier(lam)
+        assert out[0, 0] == out[1, 1] == 0.5
+        assert out[0, 1] == pytest.approx(_phi_exact(x), rel=4e-15)
+        assert out[1, 0] == pytest.approx(_phi_exact(-x), rel=4e-15)
