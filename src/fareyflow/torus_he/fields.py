@@ -17,7 +17,7 @@ import numpy as np
 from .. import fiber
 from ..fiber import comm, dagger, mm
 from .grid import TorusGrid
-from .twist import (TwistData, d4_connection, d4_endo, shift_endo, shift_section)
+from .twist import TwistData, d4, endo_seam, ghost_pad, stencil
 
 
 @dataclass
@@ -34,13 +34,12 @@ class EndoField:
             raise ValueError("expected shape %r, got %r" % ((N, N, r, r), self.data.shape))
 
     def seam_roundtrip(self) -> float:
-        """Shift across each seam and back; nonzero only if the clutching
-        conjugation is not implemented unitarily."""
-        out = 0.0
+        """Carry the first row across each seam and back through the ghost
+        rule; nonzero only if the clutching conjugation is not unitary."""
+        seam, F, out = endo_seam(self.twist, 0), self.data, 0.0
         for axis in (0, 1):
-            back = shift_endo(shift_endo(self.data, self.twist, axis, 1),
-                              self.twist, axis, -1)
-            out = max(out, float(np.abs(back - self.data).max()))
+            back = np.take(ghost_pad(ghost_pad(F, axis, 1, seam), axis, 1, seam), 0, axis)
+            out = max(out, float(np.abs(back - np.take(F, 0, axis)).max()))
         return out
 
     def seam_jump(self) -> float:
@@ -49,25 +48,21 @@ class EndoField:
         O(h^6) for data that continues smoothly through the seams, O(1) if
         the twisted periodicity is violated."""
         w = {-3: 1 / 20, -2: -6 / 20, -1: 15 / 20, 1: 15 / 20, 2: -6 / 20, 3: 1 / 20}
-        out = 0.0
-        for axis in (0, 1):
-            acc = np.zeros_like(self.data)
-            for s, c in w.items():
-                acc += c * shift_endo(self.data, self.twist, axis, s)
-            out = max(out, float(np.abs(acc - self.data).max()))
-        return out
+        seam = endo_seam(self.twist, 0)
+        return max(float(np.abs(stencil(self.data, axis, w, seam) - self.data).max())
+                   for axis in (0, 1))
+
+    def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d_z, d_zbar) from one pair of 4th-order stencils (d_x, d_y)."""
+        g, seam = self.grid, endo_seam(self.twist, 0)
+        dx, dy = (d4(self.data, axis, g.h, seam) for axis in (0, 1))
+        return g.cz[0] * dx + g.cz[1] * dy, g.czb[0] * dx + g.czb[1] * dy
 
     def d_z(self) -> np.ndarray:
-        g = self.grid
-        dx = d4_endo(self.data, self.twist, 0, g.h)
-        dy = d4_endo(self.data, self.twist, 1, g.h)
-        return g.cz[0] * dx + g.cz[1] * dy
+        return self.wirtinger()[0]
 
     def d_zbar(self) -> np.ndarray:
-        g = self.grid
-        dx = d4_endo(self.data, self.twist, 0, g.h)
-        dy = d4_endo(self.data, self.twist, 1, g.h)
-        return g.czb[0] * dx + g.czb[1] * dy
+        return self.wirtinger()[1]
 
 
 class MetricField(EndoField):
@@ -136,9 +131,9 @@ class ConnectionField:
 
     def curvature_xy(self) -> np.ndarray:
         """F_xy = d_x A_y - d_y A_x + [A_x, A_y]."""
-        h = self.grid.h
-        dxAy = d4_connection(self.ay, self.twist, 0, h, 0.0)
-        dyAx = d4_connection(self.ax, self.twist, 1, h, self.seam_x)
+        h, seam = self.grid.h, endo_seam(self.twist, self.seam_x)
+        dxAy = d4(self.ay, 0, h, seam)
+        dyAx = d4(self.ax, 1, h, seam)
         return dxAy - dyAx + comm(self.ax, self.ay)
 
     def i_lambda_F(self) -> np.ndarray:
@@ -180,27 +175,6 @@ class SectionField:
     @property
     def columns(self) -> np.ndarray:
         return self.data[..., None] if self.data.ndim == 3 else self.data
-
-    def seam_roundtrip(self) -> float:
-        out = 0.0
-        for axis in (0, 1):
-            back = shift_section(shift_section(self.data, self.twist, self.grid, axis, 1),
-                                 self.twist, self.grid, axis, -1)
-            out = max(out, float(np.abs(back - self.data).max()))
-        scale = np.abs(self.data).max() or 1.0
-        return out / scale
-
-    def seam_jump(self) -> float:
-        """Cross-seam smoothness probe (see EndoField.seam_jump)."""
-        w = {-3: 1 / 20, -2: -6 / 20, -1: 15 / 20, 1: 15 / 20, 2: -6 / 20, 3: 1 / 20}
-        out = 0.0
-        for axis in (0, 1):
-            acc = np.zeros_like(self.data)
-            for s, c in w.items():
-                acc += c * shift_section(self.data, self.twist, self.grid, axis, s)
-            out = max(out, float(np.abs(acc - self.data).max()))
-        scale = np.abs(self.data).max() or 1.0
-        return out / scale
 
     def min_singular_value(self) -> float:
         return float(np.linalg.svd(self.columns, compute_uv=False)[..., -1].min())

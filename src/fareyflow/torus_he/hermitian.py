@@ -81,8 +81,8 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
 
     az, azb = conn.a_z(), conn.a_zbar()
     gamma = metric_gamma(H, conn)
-    dz_pi = pi_field.d_z() + comm(az + gamma, pi)
-    dzb_pi = pi_field.d_zbar() + comm(azb, pi)
+    dz, dzb = pi_field.wirtinger()
+    dz_pi, dzb_pi = dz + comm(az + gamma, pi), dzb + comm(azb, pi)
     one_minus = np.eye(H.twist.rank) - pi
     b = mm(one_minus, dz_pi)
     holo = float(np.abs(mm(one_minus, dzb_pi)).max())
@@ -167,7 +167,7 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
     if defect > mean_tol * max(1.0, float(np.abs(rhs).max())):
         raise ValueError("conformal equation not solvable: right side has mean %.3e"
                          % rhs.mean())
-    phi = grid.poisson_solve(rhs - rhs.mean(), mean_tol=np.inf)
+    phi = grid.poisson_solve(rhs - rhs.mean())
     scaled = MetricField(grid, H_restricted.twist,
                          np.exp(phi)[..., None, None] * H_restricted.data)
     ratio = mm(scaled.data, np.linalg.inv(H0.data))

@@ -3,20 +3,23 @@
 A rank-r bundle of degree d is realized with constant clutching unitaries:
 U = clock (diagonal of r-th roots of unity) across the x-seam and
 V = shift^(-d) across the y-seam, which satisfy V U = exp(2 pi i d/r) U V.
-Endomorphism-valued fields wrap seams by conjugation, connection components
-pick up an additive constant across the y-seam, and section values pick up
-the scalar automorphy phase.  Stencil shifts build ghost nodes with exactly
-these rules, so 4th-order centered differences see globally smooth data.
+Both are monomial (one unit-modulus entry per row), so crossing a seam is a
+gather times phases.  Endomorphism-valued fields wrap seams by conjugation,
+connection components pick up an additive constant across the y-seam, and
+section values pick up the scalar automorphy phase.  `ghost_pad` pads a
+field once along an axis with ghost layers filled by its kind's rule, and a
+stencil is one weighted sum of slices of the padded array, so 4th-order
+centered differences see globally smooth data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from ..fiber import dagger, mm
 
 def clock_matrix(r: int) -> np.ndarray:
     zeta = np.exp(2j * np.pi / r)
@@ -82,97 +85,79 @@ class TwistData:
         rez = grid.X + grid.tau.real * (grid.Y + y_offset)
         return np.exp(-1j * np.pi * c * (2 * rez + grid.tau.real))
 
-
-# ----------------------------------------------------------------------------
-# ghost-node shifts.  shift_*(F, s) returns the array whose node (j, k) holds
-# the field value s grid steps away along the axis, using the seam rules.
-
-
-def _conj(block: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """M block M^dag for a constant matrix M."""
-    return mm(mm(M, block), dagger(M))
-
-
-def _strip(ndim: int, axis: int, sl: slice) -> tuple:
-    idx = [slice(None)] * ndim
-    idx[axis] = sl
-    return tuple(idx)
-
-
-def shift_endo(F: np.ndarray, twist: TwistData, axis: int, s: int) -> np.ndarray:
-    N = F.shape[axis]
-    G = np.roll(F, -s, axis=axis)
-    M = twist.U if axis == 0 else twist.V
-    if s > 0:
-        idx = _strip(F.ndim, axis, slice(N - s, N))
-        G[idx] = _conj(G[idx], M)
-    elif s < 0:
-        idx = _strip(F.ndim, axis, slice(0, -s))
-        G[idx] = _conj(G[idx], M.conj().T)
-    return G
-
-
-def shift_connection(F: np.ndarray, twist: TwistData, axis: int, s: int,
-                     seam_const: complex) -> np.ndarray:
-    """Like shift_endo but adds seam_const * Id per upward y-seam crossing."""
-    N = F.shape[axis]
-    G = shift_endo(F, twist, axis, s)
-    if axis == 1 and seam_const != 0 and s != 0:
-        eye = np.eye(twist.rank)
-        if s > 0:
-            idx = _strip(F.ndim, axis, slice(N - s, N))
-            G[idx] = G[idx] + seam_const * eye
-        else:
-            idx = _strip(F.ndim, axis, slice(0, -s))
-            G[idx] = G[idx] - seam_const * eye
-    return G
-
-
-def shift_section(F: np.ndarray, twist: TwistData, grid, axis: int, s: int) -> np.ndarray:
-    """Seam rule for section values (N, N, r) or stacked columns (N, N, r, m)."""
-    N = F.shape[axis]
-    G = np.roll(F, -s, axis=axis)
-    vec = "...a" if F.ndim == 3 else "...am"
-    if s == 0:
-        return G
-    if axis == 0:
-        M = twist.U if s > 0 else twist.U.conj().T
-        idx = _strip(F.ndim, axis, slice(N - s, N) if s > 0 else slice(0, -s))
-        G[idx] = np.einsum("ab,%s->%s" % (vec.replace("a", "b"), vec), M, G[idx])
-        return G
-    if s > 0:
-        idx = _strip(F.ndim, axis, slice(N - s, N))
-        ph = twist.section_phase(grid)[_strip(2, axis, slice(0, s))]
-        blk = np.einsum("ab,%s->%s" % (vec.replace("a", "b"), vec), twist.V, G[idx])
-        G[idx] = ph[..., None] * blk if F.ndim == 3 else ph[..., None, None] * blk
-    else:
-        idx = _strip(F.ndim, axis, slice(0, -s))
-        ph = twist.section_phase(grid, y_offset=-1)[_strip(2, axis, slice(N + s, N))]
-        blk = np.einsum("ba,%s->%s" % (vec.replace("a", "b"), vec), twist.V.conj(), G[idx])
-        G[idx] = np.conj(ph)[..., None] * blk if F.ndim == 3 else np.conj(ph)[..., None, None] * blk
-    return G
+    @cached_property
+    def gathers(self) -> dict:
+        """(perm, phase) of U, U^dag, V, V^dag keyed by (axis, upward): the
+        matrix a value crosses a seam with.  Clutching must be monomial, so
+        M B M^dag is a gather times phases; else ValueError."""
+        return {(axis, up): _monomial(M if up else M.conj().T)
+                for axis, M in ((0, self.U), (1, self.V)) for up in (True, False)}
 
 
 # ----------------------------------------------------------------------------
-# 4th-order centered differences built on the ghost shifts
+# ghost layers.  A seam rule(strip, axis, up) maps the w rows a stencil reads
+# across a seam (0..w-1 if up, else N-w..N-1) to nodes N..N+w-1 (or -w..-1).
 
 
-def _d4(shifts, h: float):
-    m2, m1, p1, p2 = shifts
-    return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
+def _monomial(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) with M[a, perm[a]] = phase[a] and every other entry 0."""
+    perm = np.abs(M).argmax(axis=1)
+    mass = float(np.abs(M[perm[:, None] != np.arange(len(M))]).sum())
+    if mass > 0:
+        raise ValueError("clutching matrix is not monomial (off-pattern mass %.3e)" % mass)
+    return perm, M[np.arange(len(M)), perm]
 
 
-def d4_endo(F: np.ndarray, twist: TwistData, axis: int, h: float) -> np.ndarray:
-    return _d4([shift_endo(F, twist, axis, s) for s in (-2, -1, 1, 2)], h)
+def _rows(F: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
+    return F[(slice(None),) * axis + (slice(start, stop),)]
 
 
-def d4_connection(F: np.ndarray, twist: TwistData, axis: int, h: float,
-                  seam_const: complex) -> np.ndarray:
-    return _d4([shift_connection(F, twist, axis, s, seam_const) for s in (-2, -1, 1, 2)], h)
+def endo_seam(twist: TwistData, y_jump: complex):
+    """Seam rule of endomorphism-type values: B -> M B M^dag, with M = U
+    across the x-seam and V across the y-seam.  Connection components also
+    gain y_jump Id per upward y-crossing (y_jump = 0 for endomorphisms)."""
+    def rule(strip, axis, up):
+        perm, phase = twist.gathers[axis, up]
+        out = phase[:, None] * strip[..., perm[:, None], perm] * phase.conj()
+        if axis == 1 and y_jump != 0:
+            out += (y_jump if up else -y_jump) * np.eye(twist.rank)
+        return out
+    return rule
 
 
-def d4_section(F: np.ndarray, twist: TwistData, grid, axis: int, h: float) -> np.ndarray:
-    return _d4([shift_section(F, twist, grid, axis, s) for s in (-2, -1, 1, 2)], h)
+def section_seam(twist: TwistData, grid):
+    """Seam rule of section values (N, N, r) or columns (N, N, r, m): v -> U v
+    across the x-seam, v -> exp(i theta) V v across the y-seam (theta from
+    `TwistData.section_phase`)."""
+    def rule(strip, axis, up):
+        perm, phase = twist.gathers[axis, up]
+        out = phase.reshape((-1,) + (1,) * (strip.ndim - 3)) * strip[:, :, perm]
+        if axis == 1:
+            w = strip.shape[1]
+            ph = twist.section_phase(grid)[:, :w] if up else \
+                np.conj(twist.section_phase(grid, y_offset=-1)[:, grid.N - w:])
+            out = ph.reshape(ph.shape + (1,) * (strip.ndim - 2)) * out
+        return out
+    return rule
+
+
+def ghost_pad(F: np.ndarray, axis: int, w: int, seam) -> np.ndarray:
+    """F with w ghost layers on both sides of `axis`, filled by the seam rule."""
+    N = F.shape[axis]
+    return np.concatenate([seam(_rows(F, axis, N - w, N), axis, False), F,
+                           seam(_rows(F, axis, 0, w), axis, True)], axis=axis)
+
+
+def stencil(F: np.ndarray, axis: int, weights: dict, seam) -> np.ndarray:
+    """sum_s weights[s] F(node + s) along `axis`, reading ghosts past the seams."""
+    w, N = max(abs(s) for s in weights), F.shape[axis]
+    P = ghost_pad(F, axis, w, seam)
+    return sum(c * _rows(P, axis, w + s, w + s + N) for s, c in weights.items())
+
+
+def d4(F: np.ndarray, axis: int, h: float, seam) -> np.ndarray:
+    """4th-order centered d/dx (axis 0) or d/dy (axis 1)."""
+    return stencil(F, axis, {-2: 1, -1: -8, 1: 8, 2: -1}, seam) / (12 * h)
 
 
 # ----------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_products_match_einsum(seed, r, batches, real):
 
 
 def test_constant_matrix_conjugation():
-    """M block M^dag with a constant M, the ghost-node rule of twisted stencils."""
+    """M block M^dag with a constant unitary M through fiber.mm, against einsum."""
     rng = np.random.default_rng(5)
     for r in RANKS:
         M = _unitary(rng, (), r)

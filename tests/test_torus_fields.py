@@ -6,7 +6,7 @@ from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
                                 build_model_bundle, dump_grid_csv, field_norms,
                                 identity_metric, load_grid_csv,
                                 normalize_det_at_point, theta_section)
-from fareyflow.torus_he.twist import clock_matrix, shift_matrix
+from fareyflow.torus_he.twist import clock_matrix, d4, endo_seam, shift_matrix
 
 
 def test_twist_commutation():
@@ -37,12 +37,12 @@ def test_poisson_solver_plane_wave():
 
 
 def _random_twisted(grid, twist, seed, modes=2):
-    """Twisted endo field from Bloch scalars with known analytic derivative."""
+    """Twisted endo field from Bloch scalars with known analytic derivatives."""
     rng = np.random.default_rng(seed)
     wt = WeylTransform(twist, grid)
     r = twist.rank
     sig = np.zeros((grid.N, grid.N, r, r), complex)
-    dsig_x = np.zeros_like(sig)
+    dsig_x, dsig_y = np.zeros_like(sig), np.zeros_like(sig)
     for j in range(r):
         for k in range(r):
             alpha = wt.alpha[0, k]
@@ -53,23 +53,29 @@ def _random_twisted(grid, twist, seed, modes=2):
                     ph = np.exp(2j * np.pi * ((m + alpha) * grid.X + (n + beta) * grid.Y))
                     sig[..., j, k] += c * ph
                     dsig_x[..., j, k] += c * 2j * np.pi * (m + alpha) * ph
-    return wt.assemble(sig), wt.assemble(dsig_x), wt
+                    dsig_y[..., j, k] += c * 2j * np.pi * (n + beta) * ph
+    return wt.assemble(sig), (wt.assemble(dsig_x), wt.assemble(dsig_y)), wt
 
 
 def test_twisted_fd4_derivative_and_spectral_oracle():
     tw = TwistData.clock_shift(3, 2)
-    errs = []
+    seam = endo_seam(tw, 0)
+    errs = {0: [], 1: []}
     for N in (32, 64):
         g = TorusGrid(1j, N)
-        F, dF_exact, wt = _random_twisted(g, tw, seed=5)
-        fd = EndoField(g, tw, F).d_z() * 0  # placeholder shape
-        from fareyflow.torus_he.twist import d4_endo
-        fd = d4_endo(F, tw, 0, g.h)
-        errs.append(np.abs(fd - dF_exact).max())
-        spectral = wt.derivative(F, 0)
-        assert np.abs(spectral - dF_exact).max() < 1e-9
-    order = np.log2(errs[0] / errs[1])
-    assert 3.5 < order < 4.5
+        F, exact, wt = _random_twisted(g, tw, seed=5)
+        for axis in (0, 1):
+            errs[axis].append(np.abs(d4(F, axis, g.h, seam) - exact[axis]).max())
+            assert np.abs(wt.derivative(F, axis) - exact[axis]).max() < 1e-9
+    for axis in (0, 1):
+        order = np.log2(errs[axis][0] / errs[axis][1])
+        assert 3.5 < order < 4.5
+    # clutching that is not monomial is rejected with its measured off-pattern mass
+    cs, sn = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[cs, -sn, 0], [sn, cs, 0], [0, 0, 1]], complex)
+    bad = TwistData(3, 0, rot, np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match=r"off-pattern mass %.3e" % (2 * sn)):
+        d4(F, 0, g.h, endo_seam(bad, 0))
 
 
 def test_seam_roundtrip_and_jump():

@@ -133,9 +133,9 @@ def test_theta_r3_d2_two_sections():
 def test_theta_twisted_cauchy_riemann(model21):
     g, tw, conn, H0 = model21
     sec = theta_section(tw, g, (0, 0))
-    from fareyflow.torus_he.twist import d4_section
-    dzb = (g.czb[0] * d4_section(sec.data, tw, g, 0, g.h)
-           + g.czb[1] * d4_section(sec.data, tw, g, 1, g.h))
+    from fareyflow.torus_he.twist import d4, section_seam
+    seam = section_seam(tw, g)
+    dzb = g.czb[0] * d4(sec.data, 0, g.h, seam) + g.czb[1] * d4(sec.data, 1, g.h, seam)
     cr = dzb + np.einsum("xyab,xyb->xya", conn.a_zbar(), sec.data)
     assert np.abs(cr).max() < 5e-6        # 4th-order differences at N = 64
 
