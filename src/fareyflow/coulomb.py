@@ -132,9 +132,7 @@ def gauge_act(u: np.ndarray, A: GaugeField, unitary_tol: float = 1e-8) -> GaugeF
 
 def rho_field(F: np.ndarray) -> np.ndarray:
     """Largest singular value per node, for any matrix field."""
-    if F.shape[-1] == 1:
-        return np.abs(F[..., 0, 0])
-    return np.linalg.svd(F, compute_uv=False)[..., 0]
+    return fiber.op_norm(F)
 
 
 def _rho_skew(F: np.ndarray) -> np.ndarray:
@@ -237,7 +235,7 @@ def grid_norms(field, which: str, space: str, p=2, alpha: float = 0.5,
             r = comps[0].shape[-1]
             nmats = len(comps)
             d = diff.reshape(len(pts_x), len(pts_x), nmats, r, r)
-            num = np.linalg.svd(d, compute_uv=False)[..., 0].sum(axis=-1)
+            num = rho_field(d).sum(axis=-1)
         else:
             num = np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
         dx = pts_x[:, None] - pts_x[None, :]
@@ -472,6 +470,11 @@ def coulomb_fix(A: GaugeField, tol: float = 1e-6, max_iter: int = 25,
     operators) and applies u = exp(chi); the total transform is reapplied to
     the original field every sweep so errors do not accumulate.  Returns
     (u, A_coulomb, CoulombReport).
+
+    The worse of the two residuals must keep shrinking fast enough: once its
+    last per-sweep factor, held for the sweeps left, cannot bring it below
+    tol, the fix raises RuntimeError with that measured factor instead of
+    spending the rest of max_iter.
     """
     g = A.grid
     f_l2 = grid_norms(curvature(A), "rho", "L^p", p=2).value
@@ -492,6 +495,14 @@ def coulomb_fix(A: GaugeField, tol: float = 1e-6, max_iter: int = 25,
                                                  history)
         if it == max_iter:
             break
+        worse = max(div_l2, bdry)
+        rate = worse / max(history[-2]) if it else 0.0
+        if worse * rate ** (max_iter - it) >= tol:
+            raise RuntimeError("Coulomb iteration stalls: the residual %.2e shrinks by "
+                               "a factor %.4f per sweep at sweep %d, too slow to reach "
+                               "%.1e in the %d sweeps left; residual history: %s"
+                               % (worse, rate, it, tol, max_iter - it,
+                                  ["(%.2e, %.2e)" % hb for hb in history]))
         dstar = diff4(A_cur.ax, 0, g.h) + diff4(A_cur.ay, 1, g.h)
         wdata = {e: _split(v) for e, v in A_cur.normal_trace().items()}
         chi = _join(_neumann_refined(_split(dstar), wdata, g))

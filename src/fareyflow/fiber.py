@@ -4,10 +4,15 @@ Fields are arrays (..., r, r) with the matrix axes last; the leading axes
 broadcast.  The rank is read from the shape:
 
 - r = 1: every operation is elementwise;
-- r = 2: products are written out entry by entry, and Hermitian matrix
-  functions use the closed form below instead of an eigensolver;
-- r >= 3: products go through `np.matmul`, matrix functions through
-  `np.linalg.eigh`.
+- r = 2: products are written out entry by entry, inverses are the
+  adjugate over the determinant, and Hermitian matrix functions use the
+  closed form below instead of an eigensolver;
+- r >= 3: products go through `np.matmul`, inverses through
+  `np.linalg.inv`, matrix functions through `np.linalg.eigh`.
+
+`op_norm` is the largest singular value, the square root of the top
+eigenvalue of A^dag A; it needs no self-adjointness of A, so it is the
+operator norm of any field (at rank 2 in closed form).
 
 Rank-2 matrix functions.  For Hermitian H = [[a, b], [conj b, d]] put
 m = (a + d)/2 and T = H - m I, so T^2 = g^2 I with g = sqrt(((a - d)/2)^2 +
@@ -33,6 +38,9 @@ import numpy as np
 # below this |t g| (exp) or g/m (log) the divided difference is a series;
 # the first omitted term is below 1e-16 relative there
 _SERIES = 1e-4
+# smallest reciprocal condition |det A| / |A|_F^2 a rank-2 inverse accepts;
+# below it the adjugate formula (like any inverse) keeps fewer than 2 digits
+INV_RCOND = 1e-14
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
@@ -61,6 +69,33 @@ def mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return mm(A, B) - mm(B, A)
+
+
+def inv(A: np.ndarray) -> np.ndarray:
+    """Fiberwise inverse of a square field.
+
+    At rank 2 a field whose reciprocal condition |det| / |A|_F^2 falls below
+    INV_RCOND anywhere raises ValueError naming the smallest measured value.
+    """
+    r = A.shape[-1]
+    if r == 1:
+        return 1.0 / A
+    if r != 2:
+        return np.linalg.inv(A)
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    det = a * d - b * c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rcond = np.abs(det) / np.sum(np.abs(A) ** 2, axis=(-2, -1))
+    worst = float(np.min(rcond, initial=np.inf))
+    if not worst >= INV_RCOND:
+        raise ValueError("field is singular to working precision (min reciprocal "
+                         "condition %.3e)" % worst)
+    out = np.empty(A.shape, np.result_type(A, 1.0))
+    out[..., 0, 0] = d / det
+    out[..., 0, 1] = -b / det
+    out[..., 1, 0] = -c / det
+    out[..., 1, 1] = a / det
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -146,6 +181,14 @@ def eigvalsh(H: np.ndarray) -> np.ndarray:
         m, g, _, _ = _rank2_parts(H)
         return np.stack([m - g, m + g], axis=-1)
     return np.linalg.eigvalsh(H)
+
+
+def op_norm(A: np.ndarray) -> np.ndarray:
+    """Largest singular value per node of a square field, shape (...)."""
+    if A.shape[-1] == 1:
+        return np.abs(A[..., 0, 0])
+    top = eigvalsh(mm(dagger(A), A))[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def _require_positive(lam_min: np.ndarray):

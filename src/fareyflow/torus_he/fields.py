@@ -152,8 +152,7 @@ class FormField:
     def norm_sq_field(self, H: MetricField) -> np.ndarray:
         """Pointwise |.|_H^2 = 2 v tr(H^-1 b^dag H b) (nonnegative)."""
         b = self.coeff
-        val = np.einsum("...ab,...bc,...cd,...da->...",
-                        np.linalg.inv(H.data), dagger(b), H.data, b)
+        val = _trace_of_product(mm(fiber.inv(H.data), dagger(b)), mm(H.data, b))
         return 2 * self.grid.v * val.real
 
 
@@ -176,8 +175,16 @@ class SectionField:
     def columns(self) -> np.ndarray:
         return self.data[..., None] if self.data.ndim == 3 else self.data
 
+    def sigma_min_field(self) -> np.ndarray:
+        """Smallest singular value of the column block per node: the vector
+        norm of a single column, the SVD of a block of m >= 2 columns."""
+        cols = self.columns
+        if cols.shape[-1] == 1:
+            return np.linalg.norm(cols[..., 0], axis=-1)
+        return np.linalg.svd(cols, compute_uv=False)[..., -1]
+
     def min_singular_value(self) -> float:
-        return float(np.linalg.svd(self.columns, compute_uv=False)[..., -1].min())
+        return float(self.sigma_min_field().min())
 
     def gram(self, H: MetricField | None = None) -> np.ndarray:
         """L^2 Gram matrix of the columns."""
@@ -193,17 +200,20 @@ class SectionField:
 # fiberwise norms and the u_p diagnostic
 
 
+def _trace_of_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """tr(A B) per node without forming the product."""
+    return np.sum(A * np.swapaxes(B, -1, -2), axis=(-2, -1))
+
+
 def rho_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
     """Fiberwise operator norm of s with respect to the metric H."""
     half, inv_half = H.sqrt_pair()
-    m = mm(half, mm(s, inv_half))
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
+    return fiber.op_norm(mm(half, mm(s, inv_half)))
 
 
 def frobenius_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
     """Fiberwise |s|_2 with s^dag taken relative to H: tr(s H^-1 s^dag H)."""
-    val = np.einsum("...ab,...bc,...cd,...da->...",
-                    s, np.linalg.inv(H.data), dagger(s), H.data)
+    val = _trace_of_product(mm(s, fiber.inv(H.data)), mm(dagger(s), H.data))
     return np.sqrt(np.maximum(val.real, 0.0))
 
 

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..fiber import comm, mm
+from .. import fiber
+from ..fiber import comm, dagger, mm
 from .fields import (ConnectionField, EndoField, FormField, MetricField,
                      SectionField, rho_norm_field)
 
@@ -27,7 +28,7 @@ from .fields import (ConnectionField, EndoField, FormField, MetricField,
 def metric_gamma(H: MetricField, conn: ConnectionField) -> np.ndarray:
     """(1,0)-coefficient of the Chern-connection correction of H."""
     az = conn.a_z()
-    return mm(np.linalg.inv(H.data), H.d_z() + comm(az, H.data))
+    return mm(fiber.inv(H.data), H.d_z() + comm(az, H.data))
 
 
 def i_lambda_F_metric(H: MetricField, conn: ConnectionField) -> np.ndarray:
@@ -39,7 +40,14 @@ def i_lambda_F_metric(H: MetricField, conn: ConnectionField) -> np.ndarray:
 
 
 def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
-    """sup over nodes of |i Lambda F_H - 2 pi mu Id| in the H-operator norm."""
+    """sup over nodes of |i Lambda F_H - 2 pi mu Id| in the H-operator norm.
+
+    The norm is the largest singular value of H^(1/2) S H^(-1/2), not a
+    spectral radius: the discrete S = i Lambda F_H - 2 pi mu Id is not
+    H-self-adjoint.  On amplitude-0.5 random metrics its relative H-adjoint
+    defect is 9e-6 to 6e-5 at N = 64 (ranks 1-8, tau = i) and shrinks under
+    refinement; on a model bundle, where S is rounding noise, it is O(1).
+    """
     mu = float(Fraction(mu)) if not isinstance(mu, float) else mu
     r = H.twist.rank
     field = i_lambda_F_metric(H, conn) - 2 * np.pi * mu * np.eye(r)
@@ -68,15 +76,14 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     norm field |beta|^2 = 2 v tr(H^-1 b^dag H b).
     """
     cols = incl.columns
-    svals = np.linalg.svd(cols, compute_uv=False)[..., -1]
+    svals = incl.sigma_min_field()
     worst = np.unravel_index(np.argmin(svals), svals.shape)
     if svals[worst] < sv_floor:
         raise ValueError("inclusion nearly singular at node %r (sigma_min = %.3e)"
                          % (tuple(int(i) for i in worst), svals[worst]))
-    Hd = H.data
-    gram = np.einsum("xyam,xyab,xybn->xymn", cols.conj(), Hd, cols)
-    gram_inv = np.linalg.inv(gram)
-    pi = np.einsum("xyam,xymn,xybn,xybc->xyac", cols, gram_inv, cols.conj(), Hd)
+    cols_h = np.matmul(dagger(cols), H.data)                  # C^dag H, (m, r)
+    gram_inv = fiber.inv(np.matmul(cols_h, cols))
+    pi = np.matmul(np.matmul(cols, gram_inv), cols_h)
     pi_field = EndoField(H.grid, H.twist, pi)
 
     az, azb = conn.a_z(), conn.a_zbar()
@@ -170,7 +177,7 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
     phi = grid.poisson_solve(rhs - rhs.mean())
     scaled = MetricField(grid, H_restricted.twist,
                          np.exp(phi)[..., None, None] * H_restricted.data)
-    ratio = mm(scaled.data, np.linalg.inv(H0.data))
+    ratio = mm(scaled.data, fiber.inv(H0.data))
     det = np.linalg.det(ratio)
     return ConformalResult(phi, scaled, float(abs(phi.mean())), defect,
                            float(np.abs(det - 1).max()))

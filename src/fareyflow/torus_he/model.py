@@ -48,31 +48,31 @@ def build_model_bundle(r: int, d: int, grid: TorusGrid) -> ModelBundle:
 
 
 def _theta_raw(twist: TwistData, grid: TorusGrid, j: int, b: float,
-               X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Mode sum in the unitary frame at arbitrary coordinate arrays."""
+               x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mode sum in the unitary frame on the product of coordinate vectors x, y.
+
+    A mode exp(i pi tau nu^2 r/d + 2 pi i nu (x + tau y + b)) is exp(2 pi i nu
+    x) times a factor of y alone (which takes the frame Gaussian), so each
+    component is one (len x, modes) @ (modes, len y) product.
+    """
     r, d = twist.rank, twist.degree
     tau, v = grid.tau, grid.v
     c = d / r
-    Z = X + tau * Y
-    out = np.zeros(X.shape + (r,), complex)
     # Gaussian in nu centred near -(d/r) y; generous half-width for < 1e-16 tails
     width = math.sqrt(38.0 * d / (math.pi * r * v)) + d / r + 2
+    t_span = int(math.ceil(width / d)) + 1
+    nus = []
     for k in range(r):
-        if d == 1:
-            m0 = k
-        else:
-            s0 = ((j - k) * pow(r, -1, d)) % d
-            m0 = k + r * s0
+        m0 = k if d == 1 else k + r * (((j - k) * pow(r, -1, d)) % d)
         nu0 = m0 / r
-        t_mid = round((-c * (float(Y.mean()) + 0.5) - nu0) / d)
-        t_span = int(math.ceil(width / d)) + 1
-        acc = np.zeros(X.shape, complex)
-        for t in range(t_mid - t_span, t_mid + t_span + 1):
-            nu = nu0 + d * t
-            acc += np.exp(1j * np.pi * tau * nu * nu * r / d
-                          + 2j * np.pi * nu * (Z + b))
-        out[..., k] = acc
-    return out * np.exp(-np.pi * c * v * Y ** 2)[..., None]
+        t_mid = round((-c * (float(y.mean()) + 0.5) - nu0) / d)
+        nus.append(nu0 + d * np.arange(t_mid - t_span, t_mid + t_span + 1))
+    nu = np.array(nus)[..., None]                         # (r, modes, 1)
+    along_x = np.exp(2j * np.pi * nu * x)                 # (r, modes, len x)
+    along_y = np.exp(1j * np.pi * tau * nu * nu * r / d
+                     + 2j * np.pi * nu * (tau * y + b) - np.pi * c * v * y ** 2)
+    out = np.matmul(along_x.transpose(0, 2, 1), along_y)  # (r, len x, len y)
+    return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
 def theta_section(twist: TwistData, grid: TorusGrid,
@@ -99,13 +99,14 @@ def theta_section(twist: TwistData, grid: TorusGrid,
     j = int(a) % d
     bf = float(b)
 
-    data = _theta_raw(twist, grid, j, bf, grid.X, grid.Y)
+    x, y = grid.X[:, 0], grid.Y[0]
+    data = _theta_raw(twist, grid, j, bf, x, y)
     scale = np.abs(data).max()
-    x_shift = _theta_raw(twist, grid, j, bf, grid.X + 1, grid.Y)
-    res_x = np.abs(x_shift - np.einsum("ab,xyb->xya", twist.U, data)).max()
-    y_shift = _theta_raw(twist, grid, j, bf, grid.X, grid.Y + 1)
+    x_shift = _theta_raw(twist, grid, j, bf, x + 1, y)
+    res_x = np.abs(x_shift - data @ twist.U.T).max()
+    y_shift = _theta_raw(twist, grid, j, bf, x, y + 1)
     phase = twist.section_phase(grid)
-    res_y = np.abs(y_shift - phase[..., None] * np.einsum("ab,xyb->xya", twist.V, data)).max()
+    res_y = np.abs(y_shift - phase[..., None] * (data @ twist.V.T)).max()
     residual = float(max(res_x, res_y) / scale)
     if residual > 1e-10:
         raise AssertionError("theta series violates the clutching rule "

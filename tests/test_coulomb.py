@@ -295,6 +295,18 @@ def test_coulomb_refuses_large_curvature(grid):
         coulomb_fix(A, tol=1e-6, eps0=0.1)
 
 
+def test_coulomb_stagnation_fails_fast():
+    """At N = 32 this field's residual levels off near 5e-6, the 4th-order
+    discretisation floor, falling by about 9% per sweep from sweep 5 on: the
+    fix stops at sweep 6, where that rate held over the 19 sweeps left cannot
+    reach tol, and names the rate (it used to spend all 25 sweeps)."""
+    A = random_gauge_field(SquareGrid(32), 1, seed=6)
+    with pytest.raises(RuntimeError, match=r"stalls: .* factor 0\.9\d+ per sweep at "
+                                           r"sweep 6, .* in the 19 sweeps left") as exc:
+        coulomb_fix(A, tol=1e-6)
+    assert str(exc.value).split("history: ")[1].count("(") == 7    # sweeps 0..6
+
+
 def test_coulomb_samples_converge_and_reproduce(grid):
     ratios = []
     for k, rank in enumerate((1, 2, 4) * 2):

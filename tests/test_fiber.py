@@ -1,10 +1,12 @@
-"""fareyflow.fiber against numpy's einsum and eigh, at every rank branch.
+"""fareyflow.fiber against numpy's einsum, eigh, inv and svd, at every rank branch.
 
 Spectra are built as U diag(lam) U^dag from a random unitary U, so the
 eigenvalues are chosen: well separated, near-degenerate (gap g from 0 to
 1e-3 |m|, across the rank-2 series switch at 1e-4), or ill-conditioned
 (condition number up to 1e8).
 """
+
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -198,3 +200,87 @@ def test_phi_multiplier_across_its_switches(m, e, zero, sign):
         assert out[0, 0] == out[1, 1] == 0.5
         assert out[0, 1] == pytest.approx(_phi_exact(x), rel=4e-15)
         assert out[1, 0] == pytest.approx(_phi_exact(-x), rel=4e-15)
+
+
+def _general(rng, batch, r, kind):
+    """Non-normal field (batch + (r, r)): Gaussian entries, complex or real,
+    or U diag(s) W^dag with independent unitaries and condition number up
+    to 1e8 ('ill')."""
+    if kind == "real":
+        return rng.normal(size=batch + (r, r))
+    if kind == "complex":
+        return rng.normal(size=batch + (r, r)) + 1j * rng.normal(size=batch + (r, r))
+    s = _spectrum(rng, batch, r, "ill")
+    return np.einsum("...ab,...b,...cb->...ac", _unitary(rng, batch, r), s,
+                     _unitary(rng, batch, r).conj())
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from(RANKS),
+       batch=st.sampled_from(BATCHES), kind=st.sampled_from(["real", "complex", "ill"]))
+@example(seed=6, r=2, batch=(4, 1, 2), kind="ill")
+def test_inv_matches_numpy(seed, r, batch, kind):
+    rng = np.random.default_rng(seed)
+    A = _general(rng, batch, r, kind)
+    want = np.linalg.inv(A)
+    got = fiber.inv(A)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # both inverses are backward stable: each is off by about eps * cond
+    tol = 1e-13 + 50 * EPS * float(np.linalg.cond(A).max())
+    assert _rel_err(got, want) <= tol
+    assert np.abs(fiber.mm(got, A) - np.eye(r)).max() <= tol
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from(RANKS),
+       batch=st.sampled_from(BATCHES), kind=st.sampled_from(["real", "complex", "ill"]))
+@example(seed=7, r=2, batch=(2, 3), kind="ill")
+def test_op_norm_matches_svd(seed, r, batch, kind):
+    rng = np.random.default_rng(seed)
+    A = _general(rng, batch, r, kind)
+    want = np.linalg.svd(A, compute_uv=False)[..., 0]
+    got = fiber.op_norm(A)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 20 * r * EPS * np.abs(want).max()
+    assert np.all(np.abs(got - want) <= 20 * r * EPS * want)
+
+
+def test_inv_rank2_rejects_with_measured_condition():
+    ok = np.array([[2.0, 1.0], [1.0, 1.0]])
+    for bad, measured in ((np.diag([1.0, 1e-16]), r"1\.000e-16"),
+                          (np.array([[1.0, 2.0], [2.0, 4.0]]), r"0\.000e\+00"),
+                          (np.zeros((2, 2)), "nan")):
+        field = np.stack([ok, bad, ok]).astype(complex)
+        with pytest.raises(ValueError, match="min reciprocal condition " + measured):
+            fiber.inv(field)
+    assert fiber.INV_RCOND == 1e-14
+    fiber.inv(np.diag([1.0, 2e-14]))        # reciprocal condition 2e-14 passes
+
+
+@pytest.mark.parametrize("r", (2, 3))
+def test_operator_norm_is_not_a_spectral_radius(r):
+    """On non-self-adjoint fields the operator norm is the largest singular
+    value, which a spectral radius undercuts: a random field, and the
+    Hermitian-Einstein residual of a random metric, whose H-adjoint defect is
+    a discretisation error."""
+    from fareyflow.torus_he import (MetricField, TorusGrid, build_model_bundle, he_residual,
+                                    random_twisted_hermitian)
+    from fareyflow.torus_he.hermitian import i_lambda_F_metric
+
+    rng = np.random.default_rng(r)
+    A = _general(rng, (16, 16), r, "complex")
+    norm = fiber.op_norm(A)
+    assert np.abs(norm - np.linalg.svd(A, compute_uv=False)[..., 0]).max() <= 1e-14 * norm.max()
+    radius = np.abs(np.linalg.eigvals(A)).max(axis=-1)
+    assert float(((norm - radius) / norm).max()) > 0.1
+
+    grid = TorusGrid(1j, 32)
+    tw, conn, _ = build_model_bundle(r, 1, grid)
+    s = random_twisted_hermitian(grid, tw, seed=r, amplitude=0.5)
+    H = MetricField(grid, tw, fiber.herm_apply(fiber.exp(1.0), s.data))
+    half, inv_half = H.sqrt_pair()
+    S = i_lambda_F_metric(H, conn) - 2 * np.pi / r * np.eye(r)
+    M = fiber.mm(half, fiber.mm(S, inv_half))
+    assert np.abs(M - fiber.dagger(M)).max() > 1e-6 * np.abs(M).max()
+    svd = float(np.linalg.svd(M, compute_uv=False)[..., 0].max())
+    assert he_residual(conn, H, Fraction(1, r)) == pytest.approx(svd, rel=1e-14)

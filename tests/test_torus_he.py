@@ -5,12 +5,14 @@ import mpmath
 import numpy as np
 import pytest
 
+import theta_reference
 from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
                                 TorusGrid, TwistData, build_model_bundle,
                                 chern_weil_check, conformal_normalize,
                                 he_residual, identity_metric, second_fundamental_form,
                                 section_basis, theta_section, threshold_probe)
 from fareyflow.torus_he.fields import FormField, mm
+from fareyflow.torus_he.model import _theta_raw
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,25 @@ def test_theta_automorphy_residuals():
         tw, conn, H0 = build_model_bundle(r, d, g)
         sec = theta_section(tw, g, (0, 0))
         assert sec.automorphy_residual < 1e-12
+
+
+@pytest.mark.parametrize("tau", (1j, 0.3 + 1.1j, -0.45 + 0.8j))
+@pytest.mark.parametrize("r, d", ((1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (5, 3), (4, 7)))
+@pytest.mark.parametrize("N", (16, 64))
+def test_theta_sum_matches_term_by_term_reference(tau, r, d, N):
+    """The separable mode sum against the full-grid one, at the grid and at
+    the z + 1 and z + tau re-evaluations the clutching check makes."""
+    g = TorusGrid(tau, N)
+    tw = build_model_bundle(r, d, g).twist
+    chars = [(0, 0)] if d == 1 else [(0, 0), (d - 1, Fraction(r, d))]
+    for a, b in chars:
+        sec = theta_section(tw, g, (a, b))
+        want = theta_reference.theta_raw(tw, g, a % d, float(b), g.X, g.Y)
+        assert np.abs(sec.data - want).max() <= 1e-13 * np.abs(want).max()
+        for X, Y in ((g.X + 1, g.Y), (g.X, g.Y + 1)):
+            want = theta_reference.theta_raw(tw, g, a % d, float(b), X, Y)
+            got = _theta_raw(tw, g, a % d, float(b), X[:, 0], Y[0])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_theta_section_errors():
@@ -176,6 +197,18 @@ def test_sff_near_singular_inclusion_names_node():
     from fareyflow.torus_he import SectionField
     with pytest.raises(ValueError, match=r"\(3, 5\)"):
         second_fundamental_form(SectionField(g, tw, bad), H0, conn)
+
+
+def test_sigma_min_matches_svd():
+    """One column takes its vector norm, a block of m >= 2 columns the SVD."""
+    g = TorusGrid(0.3 + 1.1j, 16)
+    for r, d in ((2, 1), (1, 3), (2, 3)):
+        tw = build_model_bundle(r, d, g).twist
+        for sec in (theta_section(tw, g, (0, 0)), section_basis(tw, g)):
+            want = np.linalg.svd(sec.columns, compute_uv=False)[..., -1]
+            got = sec.sigma_min_field()
+            assert np.abs(got - want).max() <= 1e-14 * want.max()
+            assert sec.min_singular_value() == pytest.approx(want.min(), rel=1e-14)
 
 
 def test_chern_weil_line_subbundle(model21):
