@@ -20,9 +20,6 @@ from .contfrac import ContinuedFraction, cf_expand, convergents, lagrange_estima
 from .reporting import ReportRecord, write_report
 from .surd import QuadraticSurd
 
-SUBCOMMANDS = ("lagrange", "convergents", "farey", "stability", "sequence",
-               "torus-he", "chern-weil", "donaldson", "coulomb", "density")
-
 DEFAULTS = {
     "lagrange": {"theta": "periodic:1|1", "parity": "even", "depth": 20,
                  "tail_depth": 40, "L": None},
@@ -231,22 +228,26 @@ def _run_donaldson(p):
 def _run_coulomb(p):
     import numpy as np
     grid = coulomb.SquareGrid(int(p["N"]))
-    rows, ratios = [], []
+    rows, ratios, histories, fix_s = [], [], [], []
     ok = True
     for k in range(int(p["samples"])):
         seed = int(p["seed"]) + k
         A = coulomb.random_gauge_field(grid, int(p["rank"]), seed,
                                        curvature_target=float(p["curvature"]))
+        t0 = time.perf_counter()
         try:
             _, _, rep = coulomb.coulomb_fix(A, tol=float(p["tol"]),
                                             eps0=float(p["eps0"]))
-            if p.get("dump_trajectory"):
-                rep.dump_trajectory_csv(p["dump_trajectory"], seed=seed,
-                                        rank=int(p["rank"]))
         except (RuntimeError, ValueError) as exc:
+            rep = None
             rows.append({"seed": seed, "rank": int(p["rank"]), "error": str(exc)})
             ok = False
+        fix_s.append(round(time.perf_counter() - t0, 4))
+        histories.append(None if rep is None else rep.history)
+        if rep is None:
             continue
+        if p.get("dump_trajectory"):
+            rep.dump_trajectory_csv(p["dump_trajectory"], seed=seed, rank=int(p["rank"]))
         rows.append({"seed": seed, "rank": int(p["rank"]),
                      "eps": rep.curvature_l2, "iterations": rep.iterations,
                      "d_star_residual": rep.div_residual,
@@ -257,9 +258,10 @@ def _run_coulomb(p):
     out = {"N": grid.N, "rank": int(p["rank"]), "samples": rows,
            "ratio_max_over_median": spread}
     verdict = "pass" if ok and spread < 5 else "fail"
+    extra = {"trace": {"history": histories}, "timings": {"fix_s": fix_s}}
     return out, {"ratio_spread": spread}, verdict, \
         "gauge-fixed field obeys the divergence-free and normal-trace conditions " \
-        "with a sample-stable norm ratio"
+        "with a sample-stable norm ratio", extra
 
 
 def _run_density(p):
@@ -326,31 +328,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="journal path (JSON lines, appended)")
     ap.add_argument("--config", default=None, help="ini-style config file")
     sub = ap.add_subparsers(dest="subcommand")
-    specs = {
-        "lagrange": [("--theta", str), ("--parity", str), ("--depth", int),
-                     ("--tail-depth", int), ("--L", str)],
-        "convergents": [("--theta", str), ("--depth", int)],
-        "farey": [("--triangle", str)],
-        "stability": [("--theta", str), ("--L", str), ("--genus", int),
-                      ("--S", str), ("--S0", str)],
-        "sequence": [("--theta", str), ("--L", str), ("--count", int)],
-        "torus-he": [("--rank", int), ("--degree", int), ("--N", int),
-                     ("--tau", str), ("--tol", float)],
-        "chern-weil": [("--rank", int), ("--degree", int), ("--N", int),
-                       ("--tau", str), ("--tol", float), ("--dump-grid", str)],
-        "donaldson": [("--rank", int), ("--degree", int), ("--N", int),
-                      ("--tau", str), ("--tol", float), ("--seed", int),
-                      ("--amplitude", float), ("--max-iter", int)],
-        "coulomb": [("--rank", int), ("--N", int), ("--samples", int),
-                    ("--seed", int), ("--tol", float), ("--eps0", float),
-                    ("--curvature", float), ("--dump-trajectory", str)],
-        "density": [("--samples", int), ("--depth", int), ("--digit", int),
-                    ("--parity", str), ("--seed", int), ("--burn-in", int)],
-    }
-    for name, flags in specs.items():
+    for name, defaults in DEFAULTS.items():
         p = sub.add_parser(name, exit_on_error=False)
-        for flag, typ in flags:
-            p.add_argument(flag, type=typ, default=None)
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), default=None,
+                           type=str if default is None else type(default))
     return ap
 
 

@@ -506,7 +506,6 @@ def coulomb_fix(A: GaugeField, tol: float = 1e-6, max_iter: int = 25,
         dstar = diff4(A_cur.ax, 0, g.h) + diff4(A_cur.ay, 1, g.h)
         wdata = {e: _split(v) for e, v in A_cur.normal_trace().items()}
         chi = _join(_neumann_refined(_split(dstar), wdata, g))
-        chi = 0.5 * (chi - dagger(chi))
         u_total = mm(_expm_skew(chi), u_total)
         A_cur = gauge_act(u_total, A)
     raise RuntimeError("Coulomb iteration did not reach %.1e in %d sweeps; "

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .. import fiber
-from ..fiber import comm, dagger, mm
+from ..fiber import dagger, mm
 from .fields import EndoField, MetricField
 from .hermitian import i_lambda_F_metric
 from .twist import WeylTransform
@@ -62,25 +62,26 @@ def _check_selfadjoint(K: MetricField, s: np.ndarray, tol: float = 1e-8):
 @dataclass(frozen=True)
 class _Reference:
     """What M(K, .) needs of K and the connection; `donaldson_flow` builds
-    one for its fixed K0, `donaldson_functional` one per call."""
+    one for its fixed K0, `donaldson_functional` one per call.  The central
+    connection enters only through i Lambda F_K: it commutes with s, so
+    dbar_A s = dbar s."""
 
     K: MetricField
     half: np.ndarray        # K^(1/2)
     inv_half: np.ndarray    # K^(-1/2)
     source: np.ndarray      # i Lambda F_K - 2 pi mu Id
-    azb: np.ndarray         # A_zbar of the background connection
 
     @classmethod
     def of(cls, K: MetricField, conn, mu) -> _Reference:
         source = i_lambda_F_metric(K, conn) \
             - 2 * np.pi * float(Fraction(mu)) * np.eye(K.twist.rank)
-        return cls(K, *K.sqrt_pair(), source, conn.a_zbar())
+        return cls(K, *K.sqrt_pair(), source)
 
 
 def _functional(ref: _Reference, sdata: np.ndarray) -> float:
     K = ref.K
     _check_selfadjoint(K, sdata)
-    dbar = EndoField(K.grid, K.twist, sdata).d_zbar() + comm(ref.azb, sdata)
+    dbar = EndoField(K.grid, K.twist, sdata).d_zbar()
 
     s_hat = _hermitize(mm(ref.half, mm(sdata, ref.inv_half)))
     lam, P = np.linalg.eigh(s_hat)
@@ -101,8 +102,8 @@ def _log(half: np.ndarray, inv_half: np.ndarray, H: MetricField) -> EndoField:
 def donaldson_functional(K: MetricField, s: EndoField | np.ndarray, conn, mu) -> float:
     """M(K, exp(s) K) for a K-self-adjoint endomorphism field s.
 
-    Computes K's square-root pair, i Lambda F_K and A_zbar afresh on every
-    call; `donaldson_flow` computes them once per flow.
+    Computes K's square-root pair and i Lambda F_K afresh on every call;
+    `donaldson_flow` computes them once per flow.
     """
     sdata = s.data if isinstance(s, EndoField) else s
     return _functional(_Reference.of(K, conn, mu), sdata)
@@ -152,8 +153,8 @@ def donaldson_flow(K0: MetricField, mu, conn, step: float | None = None,
     in the Bloch-spectral representation, which removes the grid-scale
     stiffness while keeping the same fixed points and descent property.
 
-    What depends only on K0 and `conn` (K0's square-root pair,
-    i Lambda F_K0 - 2 pi mu Id and A_zbar) is computed once per flow; each
+    What depends only on K0 and `conn` (K0's square-root pair and
+    i Lambda F_K0 - 2 pi mu Id) is computed once per flow; each
     iteration computes the square-root pair and i Lambda F of the current H
     once, and each trial step evaluates exp, log and the functional against
     those.

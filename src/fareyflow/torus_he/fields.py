@@ -3,8 +3,9 @@
 
 Arrays are indexed [ix, iy, ...] with matrix axes last.  Seam behaviour is
 the only thing distinguishing the kinds: endomorphism-type data wraps by
-conjugation, connection components add the curvature seam constant, and
-section values carry the scalar automorphy phase.
+conjugation, the scalar components of the central connection add the
+curvature seam constant, and section values carry the scalar automorphy
+phase.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import fiber
-from ..fiber import comm, dagger, mm
+from ..fiber import dagger, mm
 from .grid import TorusGrid
-from .twist import TwistData, d4, endo_seam, ghost_pad, stencil
+from .twist import TwistData, connection_seam, d4, endo_seam, ghost_pad, stencil
 
 
 @dataclass
@@ -36,7 +37,7 @@ class EndoField:
     def seam_roundtrip(self) -> float:
         """Carry the first row across each seam and back through the ghost
         rule; nonzero only if the clutching conjugation is not unitary."""
-        seam, F, out = endo_seam(self.twist, 0), self.data, 0.0
+        seam, F, out = endo_seam(self.twist), self.data, 0.0
         for axis in (0, 1):
             back = np.take(ghost_pad(ghost_pad(F, axis, 1, seam), axis, 1, seam), 0, axis)
             out = max(out, float(np.abs(back - np.take(F, 0, axis)).max()))
@@ -48,13 +49,13 @@ class EndoField:
         O(h^6) for data that continues smoothly through the seams, O(1) if
         the twisted periodicity is violated."""
         w = {-3: 1 / 20, -2: -6 / 20, -1: 15 / 20, 1: 15 / 20, 2: -6 / 20, 3: 1 / 20}
-        seam = endo_seam(self.twist, 0)
+        seam = endo_seam(self.twist)
         return max(float(np.abs(stencil(self.data, axis, w, seam) - self.data).max())
                    for axis in (0, 1))
 
     def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
         """(d_z, d_zbar) from one pair of 4th-order stencils (d_x, d_y)."""
-        g, seam = self.grid, endo_seam(self.twist, 0)
+        g, seam = self.grid, endo_seam(self.twist)
         dx, dy = (d4(self.data, axis, g.h, seam) for axis in (0, 1))
         return g.cz[0] * dx + g.cz[1] * dy, g.czb[0] * dx + g.czb[1] * dy
 
@@ -100,10 +101,13 @@ def identity_metric(grid: TorusGrid, twist: TwistData) -> MetricField:
 
 @dataclass
 class ConnectionField:
-    """Unitary connection one-form A = A_x dx + A_y dy on the twisted bundle.
+    """Central unitary connection A = (a_x dx + a_y dy) Id on the twisted bundle.
 
-    Across the y-seam the components jump by the constant 2 pi i (d/r) (dx +
-    Re tau dy); the x-seam is a plain conjugation.
+    On a curve a Hermitian-Einstein connection is projectively flat, so the
+    background is a scalar one-form times the identity: `ax` and `ay` have
+    shape (N, N), and A commutes with every endomorphism.  The x-seam leaves
+    both unchanged; across the y-seam a_x jumps by the constant `seam_x` =
+    2 pi i d/r (a_y is only ever differentiated along x).
     """
 
     grid: TorusGrid
@@ -112,10 +116,11 @@ class ConnectionField:
     ay: np.ndarray
 
     def __post_init__(self):
-        N, r = self.grid.N, self.twist.rank
+        N = self.grid.N
         for comp in (self.ax, self.ay):
-            if comp.shape != (N, N, r, r):
-                raise ValueError("connection component has shape %r" % (comp.shape,))
+            if comp.shape != (N, N):
+                raise ValueError("connection component has shape %r, expected %r"
+                                 % (comp.shape, (N, N)))
 
     @property
     def seam_x(self) -> complex:
@@ -130,15 +135,14 @@ class ConnectionField:
         return c[0] * self.ax + c[1] * self.ay
 
     def curvature_xy(self) -> np.ndarray:
-        """F_xy = d_x A_y - d_y A_x + [A_x, A_y]."""
-        h, seam = self.grid.h, endo_seam(self.twist, self.seam_x)
-        dxAy = d4(self.ay, 0, h, seam)
-        dyAx = d4(self.ax, 1, h, seam)
-        return dxAy - dyAx + comm(self.ax, self.ay)
+        """F_xy = d_x a_y - d_y a_x, a scalar field ([A_x, A_y] = 0)."""
+        h, seam = self.grid.h, connection_seam(self.seam_x)
+        return d4(self.ay, 0, h, seam) - d4(self.ax, 1, h, seam)
 
     def i_lambda_F(self) -> np.ndarray:
-        """i Lambda F of the background connection (unit-volume form)."""
-        return 1j * self.curvature_xy()
+        """i Lambda F of the background connection (unit-volume form), as the
+        (N, N, r, r) field i F_xy Id."""
+        return (1j * self.curvature_xy())[..., None, None] * np.eye(self.twist.rank)
 
 
 @dataclass

@@ -2,12 +2,13 @@
 residuals, second fundamental forms, the integral trace identity, the
 sup/mean threshold probe, and conformal determinant normalization.
 
-Conventions: with the background unitary connection d + A (compatible with
-the identity reference metric) and another metric H, the Chern connection
-adds the (1,0) piece  gamma = H^-1 (d_z H + [A_z, H]) dz  and the curvature
+Conventions: the background unitary connection d + A (compatible with the
+identity reference metric) is central, A = a Id with a a scalar one-form, so
+[A_z, .] = [A_zbar, .] = 0 on endomorphisms.  For another metric H the Chern
+connection adds the (1,0) piece  gamma = H^-1 d_z H dz  and the curvature
 contraction becomes
 
-    i Lambda F_H = i F^A_xy - 2 v (d_zbar g + [A_zbar, g]),   g = gamma coeff.
+    i Lambda F_H = i F^A_xy - 2 v d_zbar g,   g = gamma coeff.
 
 For the constant-curvature model, i Lambda F = 2 pi mu Id exactly.
 """
@@ -25,18 +26,15 @@ from .fields import (ConnectionField, EndoField, FormField, MetricField,
                      SectionField, rho_norm_field)
 
 
-def metric_gamma(H: MetricField, conn: ConnectionField) -> np.ndarray:
-    """(1,0)-coefficient of the Chern-connection correction of H."""
-    az = conn.a_z()
-    return mm(fiber.inv(H.data), H.d_z() + comm(az, H.data))
+def metric_gamma(H: MetricField) -> np.ndarray:
+    """(1,0)-coefficient H^-1 d_z H of the Chern-connection correction of H."""
+    return mm(fiber.inv(H.data), H.d_z())
 
 
 def i_lambda_F_metric(H: MetricField, conn: ConnectionField) -> np.ndarray:
     """i Lambda of the curvature of the metric H over the background."""
-    g = EndoField(H.grid, H.twist, metric_gamma(H, conn))
-    azb = conn.a_zbar()
-    correction = g.d_zbar() + comm(azb, g.data)
-    return conn.i_lambda_F() - 2 * H.grid.v * correction
+    g = EndoField(H.grid, H.twist, metric_gamma(H))
+    return conn.i_lambda_F() - 2 * H.grid.v * g.d_zbar()
 
 
 def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
@@ -73,7 +71,8 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     The inclusion must be fiberwise injective: the smallest singular value of
     the column block is checked against sv_floor and the offending node is
     named on failure.  Returns beta with the projection and the pointwise
-    norm field |beta|^2 = 2 v tr(H^-1 b^dag H b).
+    norm field |beta|^2 = 2 v tr(H^-1 b^dag H b).  The central background
+    `conn` commutes with pi, so only the metric's gamma enters d_H pi.
     """
     cols = incl.columns
     svals = incl.sigma_min_field()
@@ -86,13 +85,10 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     pi = np.matmul(np.matmul(cols, gram_inv), cols_h)
     pi_field = EndoField(H.grid, H.twist, pi)
 
-    az, azb = conn.a_z(), conn.a_zbar()
-    gamma = metric_gamma(H, conn)
     dz, dzb = pi_field.wirtinger()
-    dz_pi, dzb_pi = dz + comm(az + gamma, pi), dzb + comm(azb, pi)
     one_minus = np.eye(H.twist.rank) - pi
-    b = mm(one_minus, dz_pi)
-    holo = float(np.abs(mm(one_minus, dzb_pi)).max())
+    b = mm(one_minus, dz + comm(metric_gamma(H), pi))
+    holo = float(np.abs(mm(one_minus, dzb)).max())
     beta = FormField(H.grid, H.twist, b)
     return SecondFundamentalForm(beta, pi_field, beta.norm_sq_field(H), holo)
 
@@ -165,9 +161,8 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
     rk = H_restricted.twist.rank
     muE, muS = mu_pair
     if conn is None:
-        conn = ConnectionField(grid, H_restricted.twist,
-                               np.zeros_like(H_restricted.data),
-                               np.zeros_like(H_restricted.data))
+        zero = np.zeros((grid.N, grid.N), complex)
+        conn = ConnectionField(grid, H_restricted.twist, zero, zero)
     tr_ilf = np.einsum("...aa->...", i_lambda_F_metric(H_restricted, conn)).real
     rhs = (2.0 / rk) * (tr_ilf - 2 * np.pi * float(Fraction(muS)) * rk)
     defect = float(abs(rhs.mean()))

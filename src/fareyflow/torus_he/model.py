@@ -40,10 +40,8 @@ def build_model_bundle(r: int, d: int, grid: TorusGrid) -> ModelBundle:
     twist = TwistData.clock_shift(r, d)
     twist.check()
     c = d / r
-    eye = np.eye(r, dtype=complex)
-    ax = (2j * np.pi * c * grid.Y)[..., None, None] * eye
-    ay = (2j * np.pi * c * grid.tau.real * grid.Y)[..., None, None] * eye
-    conn = ConnectionField(grid, twist, ax, ay)
+    conn = ConnectionField(grid, twist, 2j * np.pi * c * grid.Y,
+                           2j * np.pi * c * grid.tau.real * grid.Y)
     return ModelBundle(twist, conn, identity_metric(grid, twist))
 
 

@@ -112,16 +112,21 @@ def _rows(F: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
     return F[(slice(None),) * axis + (slice(start, stop),)]
 
 
-def endo_seam(twist: TwistData, y_jump: complex):
+def endo_seam(twist: TwistData):
     """Seam rule of endomorphism-type values: B -> M B M^dag, with M = U
-    across the x-seam and V across the y-seam.  Connection components also
-    gain y_jump Id per upward y-crossing (y_jump = 0 for endomorphisms)."""
+    across the x-seam and V across the y-seam."""
     def rule(strip, axis, up):
         perm, phase = twist.gathers[axis, up]
-        out = phase[:, None] * strip[..., perm[:, None], perm] * phase.conj()
-        if axis == 1 and y_jump != 0:
-            out += (y_jump if up else -y_jump) * np.eye(twist.rank)
-        return out
+        return phase[:, None] * strip[..., perm[:, None], perm] * phase.conj()
+    return rule
+
+
+def connection_seam(y_jump: complex):
+    """Seam rule of a central connection's scalar components (N, N): the
+    conjugation leaves a scalar unchanged, and each upward y-crossing adds
+    y_jump."""
+    def rule(strip, axis, up):
+        return strip + (y_jump if up else -y_jump) if axis == 1 else strip
     return rule
 
 

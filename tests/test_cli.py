@@ -42,6 +42,18 @@ def test_load_config_layers(tmp_path):
         load_config("unknown-sub", {}, None)
 
 
+def test_every_default_has_a_flag_of_its_type():
+    from fareyflow.cli import DEFAULTS, _build_parser
+    ap = _build_parser()
+    for sub, defaults in DEFAULTS.items():
+        for key, default in defaults.items():
+            value = "1" if default is None else str(default)
+            ns = ap.parse_args([sub, "--" + key.replace("_", "-"), value])
+            got = getattr(ns, key)
+            assert type(got) is (str if default is None else type(default)), (sub, key)
+            assert got == (value if default is None else default)
+
+
 def test_exit_codes(tmp_path):
     j = str(tmp_path / "j.jsonl")
     assert main(["--out", j, "farey", "--triangle", "0/1,1/2,1/1"]) == 0
@@ -140,6 +152,30 @@ def test_coulomb_subcommand(tmp_path):
     assert len(rows) == 2
     assert {"seed", "rank", "eps", "iterations", "d_star_residual",
             "boundary_residual", "ratio"} <= set(rows[0])
+
+
+def test_coulomb_record_trace_and_timings(tmp_path):
+    argv = ["coulomb", "--rank", "1", "--N", "32", "--samples", "2", "--seed", "4",
+            "--tol", "1e-5"]
+    recs = []
+    for name in ("a.jsonl", "b.jsonl"):
+        j = str(tmp_path / name)
+        assert main(["--out", j] + argv) == 0
+        recs += read_journal(j)
+    a, b = recs
+    rows = a["outputs"]["samples"]
+    history, fix_s = a["trace"]["history"], a["timings"]["fix_s"]
+    assert len(history) == len(fix_s) == len(rows) == 2
+    for row, hist in zip(rows, history):
+        assert len(hist) == row["iterations"] + 1
+        assert hist[-1] == [row["d_star_residual"], row["boundary_residual"]]
+    assert all(t >= 0 for t in fix_s)
+    assert a["trace"] == b["trace"]
+    # the volatile fields leave the stable view and the config hash as before
+    assert set(stable_view(a)) == {"schema", "op", "config_hash", "config", "outputs",
+                                   "residuals", "verdict", "identity"}
+    assert stable_view(a) == stable_view(b)
+    assert a["config_hash"] == "cd0774341735c9dd"
 
 
 def test_donaldson_record_trace_and_timings(tmp_path):

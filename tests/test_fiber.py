@@ -85,6 +85,34 @@ def test_products_match_einsum(seed, r, batches, real):
     assert np.array_equal(fiber.dagger(B), np.conj(np.swapaxes(B, -1, -2)))
 
 
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from(RANKS),
+       batch=st.sampled_from(BATCHES), kind=st.sampled_from(["real", "imag", "complex"]))
+@example(seed=0, r=3, batch=(4, 1, 2), kind="imag")
+@example(seed=0, r=2, batch=(3,), kind="complex")
+def test_commutator_with_a_scalar_vanishes(seed, r, batch, kind):
+    """[a Id, B] = 0, so a central connection drops out of every commutator.
+
+    Bit for bit when a is real or imaginary (as a_x, a_y of a unitary
+    connection are).  For complex a the two products a B and B a are
+    rounded separately (numpy's fused complex product is not commutative
+    in its last bit), so the computed commutator is rounding noise.
+    """
+    rng = np.random.default_rng(seed)
+    a = np.asarray(rng.normal(size=batch) * 10.0 ** rng.uniform(-8, 8, size=batch))
+    if kind == "imag":
+        a = 1j * a
+    elif kind == "complex":
+        a = a + 1j * rng.normal(size=batch) * np.abs(a)
+    B = rng.normal(size=batch + (r, r)) + 1j * rng.normal(size=batch + (r, r))
+    c = fiber.comm(a[..., None, None] * np.eye(r), B)
+    assert c.shape == B.shape
+    if kind == "complex":
+        assert np.all(np.abs(c) <= 4 * EPS * np.abs(a)[..., None, None] * np.abs(B))
+    else:
+        assert np.all(c == 0)
+
+
 def test_constant_matrix_conjugation():
     """M block M^dag with a constant unitary M through fiber.mm, against einsum."""
     rng = np.random.default_rng(5)

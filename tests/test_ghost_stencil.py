@@ -4,7 +4,9 @@ Every ghost layer `ghost_pad` builds must equal the shifted field of
 `roll_reference` at each offset, for endomorphism, connection and section
 data: bit for bit for endomorphisms and connections at ranks 1 and 2 (the
 gather reproduces the dense products there), within 1e-15 relative
-elsewhere (the dense products at rank >= 3 round differently).
+elsewhere (the dense products at rank >= 3 round differently).  A
+connection is central, so its scalar rule `connection_seam` is checked
+against the dense rule applied to a Id.
 """
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 
 import roll_reference as ref
 from fareyflow.torus_he import EndoField, TorusGrid, TwistData
-from fareyflow.torus_he.twist import d4, endo_seam, ghost_pad, section_seam
+from fareyflow.torus_he.twist import (connection_seam, d4, endo_seam, ghost_pad,
+                                      section_seam)
 
 DEGREES = (-5, -1, 0, 1, 3)
 SEAM_CONST = 0.7 - 1.3j
@@ -48,11 +51,8 @@ def test_ghost_layers_match_roll_reference(rank):
         for degree in DEGREES:
             tw = TwistData.clock_shift(rank, degree)
             F = _random(rng, (N, N, rank, rank))
-            cases = [
-                (F, endo_seam(tw, 0), lambda A, a, s: ref.shift_endo(A, tw, a, s), rank <= 2),
-                (F, endo_seam(tw, SEAM_CONST),
-                 lambda A, a, s: ref.shift_connection(A, tw, a, s, SEAM_CONST), rank <= 2),
-            ]
+            cases = [(F, endo_seam(tw), lambda A, a, s: ref.shift_endo(A, tw, a, s),
+                      rank <= 2)]
             for shape in ((N, N, rank), (N, N, rank, 2)):
                 cases.append((_random(rng, shape), section_seam(tw, g),
                               lambda A, a, s: ref.shift_section(A, tw, g, a, s), False))
@@ -63,6 +63,29 @@ def test_ghost_layers_match_roll_reference(rank):
                         _agree(got[s], shift(data, axis, s), exact)
                     _agree(d4(data, axis, g.h, seam),
                            ref.d4(lambda s: shift(data, axis, s), g.h), exact)
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_connection_seam_matches_roll_reference(rank):
+    """Ghost layers of a scalar component a, times Id, equal the dense
+    conjugation rule plus the y-seam constant applied to a Id."""
+    rng = np.random.default_rng(300 + rank)
+    eye = np.eye(rank)
+    for N in (16, 64):
+        g = TorusGrid(0.3 + 1.1j, N)
+        for degree in DEGREES:
+            tw = TwistData.clock_shift(rank, degree)
+            a = _random(rng, (N, N))
+            A = a[..., None, None] * eye
+            for jump in (2j * np.pi * degree / rank, SEAM_CONST):
+                seam = connection_seam(jump)
+                for axis in (0, 1):
+                    got = _offsets(ghost_pad(a, axis, W, seam), axis, N)
+                    for s in range(-W, W + 1):
+                        want = ref.shift_connection(A, tw, axis, s, jump)
+                        _agree(got[s][..., None, None] * eye, want, rank <= 2)
+                    want = ref.d4(lambda s: ref.shift_connection(A, tw, axis, s, jump), g.h)
+                    _agree(d4(a, axis, g.h, seam)[..., None, None] * eye, want, rank <= 2)
 
 
 @pytest.mark.parametrize("rank", range(1, 9))

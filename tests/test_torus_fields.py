@@ -59,7 +59,7 @@ def _random_twisted(grid, twist, seed, modes=2):
 
 def test_twisted_fd4_derivative_and_spectral_oracle():
     tw = TwistData.clock_shift(3, 2)
-    seam = endo_seam(tw, 0)
+    seam = endo_seam(tw)
     errs = {0: [], 1: []}
     for N in (32, 64):
         g = TorusGrid(1j, N)
@@ -75,7 +75,7 @@ def test_twisted_fd4_derivative_and_spectral_oracle():
     rot = np.array([[cs, -sn, 0], [sn, cs, 0], [0, 0, 1]], complex)
     bad = TwistData(3, 0, rot, np.eye(3, dtype=complex))
     with pytest.raises(ValueError, match=r"off-pattern mass %.3e" % (2 * sn)):
-        d4(F, 0, g.h, endo_seam(bad, 0))
+        d4(F, 0, g.h, endo_seam(bad))
 
 
 def test_seam_roundtrip_and_jump():
@@ -97,6 +97,17 @@ def test_connection_seam_exactness():
     ilf = conn.i_lambda_F()
     target = 2 * np.pi * 3 / 5
     assert np.abs(ilf - target * np.eye(5)).max() < 1e-11
+
+
+def test_connection_rejects_matrix_components():
+    g = TorusGrid(1j, 16)
+    tw, conn, _ = build_model_bundle(2, 1, g)
+    assert conn.ax.shape == conn.ay.shape == (16, 16)
+    matrix = conn.ax[..., None, None] * np.eye(2)
+    with pytest.raises(ValueError, match=r"\(16, 16, 2, 2\), expected \(16, 16\)"):
+        ConnectionField(g, tw, matrix, conn.ay)
+    with pytest.raises(ValueError, match="connection component has shape"):
+        ConnectionField(g, tw, conn.ax, matrix)
 
 
 def test_metric_validation():
