@@ -218,7 +218,8 @@ def _run_donaldson(p):
            "functional_end": fr.functional[-1]}
     verdict = "pass" if fr.converged and fr.monotone_defect() <= 1e-10 else "fail"
     extra = {"trace": {"residuals": fr.residuals, "functional": fr.functional,
-                       "steps": fr.steps},
+                       "steps": fr.steps, "uphill_steps": fr.uphill_steps(),
+                       "uphill_rise": fr.uphill_rise()},
              "timings": {"setup_s": round(t1 - t0, 4), "flow_s": round(t2 - t1, 4)}}
     return out, {"final_residual": fr.final_residual,
                  "monotone_defect": fr.monotone_defect()}, verdict, \

@@ -12,7 +12,8 @@ broadcast.  The rank is read from the shape:
 
 `op_norm` is the largest singular value, the square root of the top
 eigenvalue of A^dag A; it needs no self-adjointness of A, so it is the
-operator norm of any field (at rank 2 in closed form).
+operator norm of any field (at rank 2 in closed form).  `cross_block_norms`
+splits a rank-2 field by the spectral projectors of a Hermitian one.
 
 Rank-2 matrix functions.  For Hermitian H = [[a, b], [conj b, d]] put
 m = (a + d)/2 and T = H - m I, so T^2 = g^2 I with g = sqrt(((a - d)/2)^2 +
@@ -189,6 +190,33 @@ def op_norm(A: np.ndarray) -> np.ndarray:
         return np.abs(A[..., 0, 0])
     top = eigvalsh(mm(dagger(A), A))[..., -1]
     return np.sqrt(np.maximum(top, 0.0))
+
+
+def cross_block_norms(H: np.ndarray, D: np.ndarray):
+    """(g, |P+ D P-|_F^2, |P- D P+|_F^2) per node for a rank-2 Hermitian H.
+
+    With H = m I + T as in the module docstring, P+- = (I +- T/g)/2 are the
+    spectral projectors onto the eigenvalues m +- g.  The four blocks
+    P_a D P_b are Frobenius-orthogonal and sum to D; the two off-diagonal
+    ones are formed from products written out entry by entry (no eigensolver,
+    and no trace identity that cancels).  Where g = 0 the projectors are
+    undefined and both norms are 0.
+    """
+    _, g, half_diff, b = _rank2_parts(H)
+    split = g > 0
+    two_g = np.where(split, 2 * g, 1.0)
+    u, w = half_diff / two_g, b / two_g
+    plus = np.empty(H.shape, complex)
+    plus[..., 0, 0], plus[..., 0, 1] = 0.5 + u, w
+    plus[..., 1, 0], plus[..., 1, 1] = np.conj(w), 0.5 - u
+    plus_d = mm(plus, D)
+    plus_d_plus = mm(plus_d, plus)
+
+    def norm_sq(X):
+        return np.where(split, np.sum(X.real ** 2 + X.imag ** 2, axis=(-2, -1)), 0.0)
+
+    # P- = I - P+, so P+ D P- = P+ D - P+ D P+ and P- D P+ = D P+ - P+ D P+
+    return g, norm_sq(plus_d - plus_d_plus), norm_sq(mm(D, plus) - plus_d_plus)
 
 
 def _require_positive(lam_min: np.ndarray):

@@ -192,6 +192,10 @@ def test_donaldson_record_trace_and_timings(tmp_path):
     assert len(trace["steps"]) == n
     assert trace["residuals"][-1] == a["residuals"]["final_residual"] < 1e-5
     assert trace["functional"][-1] == a["outputs"]["functional_end"]
+    rises = [y - x for x, y in zip(trace["functional"], trace["functional"][1:]) if y > x]
+    assert trace["uphill_steps"] == len(rises)
+    assert trace["uphill_rise"] == sum(rises)
+    assert rises and max(rises) == a["residuals"]["monotone_defect"]
     assert set(a["timings"]) == {"setup_s", "flow_s"}
     assert all(v >= 0 for v in a["timings"].values())
     assert trace == b["trace"]

@@ -1,13 +1,18 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fareyflow.torus_he import (EndoField, MetricField, TorusGrid,
+from fareyflow import fiber
+from fareyflow.torus_he import (EndoField, FlowResult, MetricField, TorusGrid,
                                 build_model_bundle, donaldson_flow,
-                                donaldson_functional, he_residual, metric_log,
-                                phi_multiplier, random_twisted_hermitian)
+                                donaldson_functional, he_residual,
+                                i_lambda_F_metric, metric_log, phi_multiplier,
+                                random_twisted_hermitian)
+from fareyflow.torus_he.donaldson import _pairing
 
 
 def expm_h(s):
@@ -30,6 +35,78 @@ def test_phi_multiplier_limits():
     assert out[1, 0, 1] == pytest.approx((math.exp(x) - x - 1) / x ** 2, rel=1e-12)
     # series patch is continuous across the switch
     assert out[2, 0, 1] == pytest.approx(0.5 + 1e-9 / 6, abs=1e-12)
+
+
+def _eigh_pairing(s_hat, D):
+    """The pairing through the eigenbasis, sum_ij phi(l_i - l_j) |B_ij|^2."""
+    lam, P = np.linalg.eigh(s_hat)
+    B = fiber.mm(fiber.dagger(P), fiber.mm(D, P))
+    return np.einsum("...ij,...ij->...", phi_multiplier(lam), np.abs(B) ** 2)
+
+
+def _mp_pairing(s_hat, D):
+    """The rank-2 pairing of one node at 40 digits (mpmath eigensolver)."""
+    with mpmath.workdps(40):
+        S = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in s_hat])
+        lam, P = mpmath.eighe((S + S.H) / 2)
+        B = P.H * mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in D]) * P
+        total = mpmath.mpf(0)
+        for i in range(2):
+            for j in range(2):
+                x = lam[i] - lam[j]
+                if abs(x) < 1e-8:   # the quotient would cancel all 40 digits
+                    phi = mpmath.polyval([mpmath.mpf(1) / math.factorial(k + 2)
+                                          for k in range(5, -1, -1)], x)
+                else:
+                    phi = (mpmath.expm1(x) - x) / x ** 2
+                total += phi * abs(B[i, j]) ** 2
+        return float(total)
+
+
+def _node(rng, r, lam):
+    """Hermitian U diag(lam) U^dag and a complex Gaussian D, rank r."""
+    z = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    U = np.linalg.qr(z)[0]
+    S = U @ np.diag(lam) @ U.conj().T
+    D = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    return 0.5 * (S + S.conj().T), D
+
+
+# half-gaps g: degenerate, tiny, across the phi series switch at 2g = 0.1, and
+# gaps 2g up to 20
+HALF_GAPS = st.one_of(st.just(0.0), st.floats(-9.0, -3.0).map(lambda e: 10.0 ** e),
+                      st.floats(0.04, 0.06), st.floats(0.06, 10.0))
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.floats(-3.0, 3.0), g=HALF_GAPS)
+@example(seed=1, m=0.5, g=0.0)
+@example(seed=2, m=-1.0, g=0.05)
+@example(seed=3, m=0.0, g=10.0)
+def test_rank2_pairing_matches_mpmath(seed, m, g):
+    rng = np.random.default_rng(seed)
+    nodes = [_node(rng, 2, [m - g, m + g]) for _ in range(3)]
+    if g == 0.0:
+        # exactly scalar s_hat: the spectral projectors are undefined
+        nodes[0] = (m * np.eye(2, dtype=complex), nodes[0][1])
+    S = np.array([n[0] for n in nodes])
+    D = np.array([n[1] for n in nodes])
+    with np.errstate(invalid="raise", divide="raise"):
+        got = _pairing(S, D)
+    want = np.array([_mp_pairing(*n) for n in nodes])
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from([1, 3, 4]))
+def test_pairing_other_ranks_match_eigh(seed, r):
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-5.0, 5.0, size=r)
+    lam[0] = lam[-1] + rng.choice([0.0, 1e-8, 0.05])   # a (near-)degenerate pair
+    nodes = [_node(rng, r, lam) for _ in range(4)]
+    S = np.array([n[0] for n in nodes])
+    D = np.array([n[1] for n in nodes])
+    np.testing.assert_array_equal(_pairing(S, D), _eigh_pairing(S, D))
 
 
 def test_functional_zero_and_scalars(setup):
@@ -104,6 +181,45 @@ def test_functional_positive_at_fixed_metric(setup):
     assert donaldson_functional(H0, s, conn, Fraction(1, 2)) > 0
 
 
+def test_gradient_consistency_order_four():
+    """dM/dt along H^(1/2) exp(t u) H^(1/2) against mean tr(G_hat u).
+
+    The discrete residual G is the gradient of the discrete functional only
+    up to the order of the stencils: the gap falls as N^-4 (3.2e-5, 2.0e-6,
+    1.3e-7 at N = 32, 64, 128).  dM/dt is a fourth-order central difference
+    in t; halving or doubling h moves it by less than 1e-13.
+    """
+    gaps = []
+    for N in (32, 64, 128):
+        grid = TorusGrid(1j, N)
+        tw, conn, _ = build_model_bundle(2, 1, grid)
+        mu = Fraction(1, 2)
+
+        def metric(seed):
+            s = random_twisted_hermitian(grid, tw, seed, amplitude=0.5)
+            return MetricField(grid, tw, fiber.herm_apply(fiber.exp(), s.data))
+
+        K, H = metric(11), metric(42)
+        u = random_twisted_hermitian(grid, tw, 7, amplitude=0.5).data
+        half, inv_half = H.sqrt_pair()
+
+        def M(t):
+            expu = fiber.herm_apply(fiber.exp(t), u)
+            Ht = fiber.mm(half, fiber.mm(expu, half))
+            Ht = MetricField(grid, tw, 0.5 * (Ht + fiber.dagger(Ht)))
+            return donaldson_functional(K, metric_log(Ht, K), conn, mu)
+
+        h = 1e-3
+        d1 = (M(h) - M(-h)) / (2 * h)
+        d2 = (M(2 * h) - M(-2 * h)) / (4 * h)
+        G = i_lambda_F_metric(H, conn) - 2 * np.pi * float(mu) * np.eye(2)
+        G_hat = fiber.mm(half, fiber.mm(G, inv_half))
+        pairing = np.einsum("...ab,...ba->...", G_hat, u).real.mean()
+        gaps.append(abs((4 * d1 - d2) / 3 - pairing))
+    orders = [math.log2(gaps[i] / gaps[i + 1]) for i in range(2)]
+    assert all(3.5 <= p <= 4.5 for p in orders), (gaps, orders)
+
+
 def test_flow_fixed_point(setup):
     grid, tw, conn, H0 = setup
     fr = donaldson_flow(H0, Fraction(1, 2), conn, tol=1e-6, max_iter=50)
@@ -138,6 +254,15 @@ def test_flow_rank2_converges_monotone(setup):
     assert fr.final.seam_jump() < 1e-4
     # functional strictly decreased overall
     assert fr.functional[-1] < fr.functional[1] < 0 or fr.functional[1] >= 0
+
+
+def test_flow_result_uphill_counts():
+    fr = FlowResult(None, [1.0] * 5, [0.0, -1.0, -0.5, -2.0, -1.75], [0.1] * 4, 4, True)
+    assert fr.uphill_steps() == 2
+    assert fr.uphill_rise() == 0.75
+    assert fr.monotone_defect() == 0.5
+    down = FlowResult(None, [1.0] * 3, [0.0, -1.0, -2.0], [0.1] * 2, 2, True)
+    assert down.uphill_steps() == 0 and down.uphill_rise() == 0.0
 
 
 def test_flow_explicit_scheme_small_grid():

@@ -273,6 +273,38 @@ def test_op_norm_matches_svd(seed, r, batch, kind):
     assert np.all(np.abs(got - want) <= 20 * r * EPS * want)
 
 
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.sampled_from(BATCHES),
+       kind=st.sampled_from(["signed", "separated", "ill"]))
+def test_cross_block_norms_match_eigh_projectors(seed, batch, kind):
+    """|P+ D P-|^2 and |P- D P+|^2 against projectors built from eigh, with
+    the tolerance scaled by the eigenvector condition |H| / gap."""
+    rng = np.random.default_rng(seed)
+    lam = _spectrum(rng, batch, 2, kind)
+    H = _hermitian(lam, _unitary(rng, batch, 2))
+    D = _general(rng, batch, 2, "complex")
+    _, P = np.linalg.eigh(H)
+    low, high = (np.einsum("...a,...b->...ab", P[..., k], P[..., k].conj()) for k in (0, 1))
+    want_pm = np.sum(np.abs(high @ D @ low) ** 2, axis=(-2, -1))
+    want_mp = np.sum(np.abs(low @ D @ high) ** 2, axis=(-2, -1))
+    g, got_pm, got_mp = fiber.cross_block_norms(H, D)
+    np.testing.assert_allclose(2 * g, np.abs(lam[..., 1] - lam[..., 0]), rtol=1e-8)
+    tol = 100 * EPS * np.sum(np.abs(D) ** 2, axis=(-2, -1)) * np.abs(lam).max(-1) / g
+    assert np.all(np.abs(got_pm - want_pm) <= tol)
+    assert np.all(np.abs(got_mp - want_mp) <= tol)
+
+
+def test_cross_block_norms_at_and_next_to_scalars():
+    """Zero at H = m I exactly; one ulp of splitting already gives the
+    off-diagonal entries of D in H's (diagonal) eigenbasis."""
+    D = np.array([[1.0 + 2j, 3.0], [-4j, 5.0]])
+    H = np.array([2.5 * np.eye(2), np.diag([1.0, 1.0 + EPS])], complex)
+    with np.errstate(invalid="raise", divide="raise"):
+        g, plus_minus, minus_plus = fiber.cross_block_norms(H, D)
+    assert g[0] == plus_minus[0] == minus_plus[0] == 0.0
+    assert g[1] == EPS / 2 and plus_minus[1] == 16.0 and minus_plus[1] == 9.0
+
+
 def test_inv_rank2_rejects_with_measured_condition():
     ok = np.array([[2.0, 1.0], [1.0, 1.0]])
     for bad, measured in ((np.diag([1.0, 1e-16]), r"1\.000e-16"),
