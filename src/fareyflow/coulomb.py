@@ -26,6 +26,10 @@ from .fiber import dagger, mm
 COMPAT_TOL = 1e-5    # relative flux-balance defect a Neumann solve accepts
 N_REFINE = 2         # Richardson corrections per Coulomb sweep
 SKEW_TOL = 1e-12     # relative skew-Hermitian defect the rho norm of a gauge field accepts
+UNITARY_TOL = 1e-8   # unitarity defect a gauge transform may have
+HOLDER_NODES = 1024  # about this many subsampled nodes enter the Hoelder seminorm
+MAX_SWEEPS = 25      # Coulomb sweeps before the fix gives up
+GAUGE_MAX_MODE = 2   # highest sine/cosine mode of random_gauge_field
 _EDGES = ("left", "right", "bottom", "top")
 
 
@@ -112,11 +116,11 @@ def curvature(A: GaugeField) -> CurvatureField:
     return CurvatureField(A.grid, f)
 
 
-def gauge_act(u: np.ndarray, A: GaugeField, unitary_tol: float = 1e-8) -> GaugeField:
+def gauge_act(u: np.ndarray, A: GaugeField) -> GaugeField:
     """u(A) = u A u^-1 - (du) u^-1 for a unitary field u."""
     eye = np.eye(u.shape[-1])
     defect = np.abs(mm(u, dagger(u)) - eye).max()
-    if defect > unitary_tol:
+    if defect > UNITARY_TOL:
         raise ValueError("gauge transform is not unitary (defect %.2e)" % defect)
     ui = dagger(u)
     h = A.grid.h
@@ -130,13 +134,8 @@ def gauge_act(u: np.ndarray, A: GaugeField, unitary_tol: float = 1e-8) -> GaugeF
 # fiberwise and integrated norms
 
 
-def rho_field(F: np.ndarray) -> np.ndarray:
-    """Largest singular value per node, for any matrix field."""
-    return fiber.op_norm(F)
-
-
 def _rho_skew(F: np.ndarray) -> np.ndarray:
-    """rho_field of a skew-Hermitian field: the spectral radius max |eig(i F)|.
+    """rho norm of a skew-Hermitian field: the spectral radius max |eig(i F)|.
 
     Gauge potentials, their derivatives and curvatures are skew-Hermitian by
     construction; a field that is not (relative defect max|F + F^dag| /
@@ -168,7 +167,7 @@ def _fiber_norm(field, which: str):
     singular value for a plain array."""
     if which != "rho":
         return fro_field
-    return _rho_skew if isinstance(field, (GaugeField, CurvatureField)) else rho_field
+    return _rho_skew if isinstance(field, (GaugeField, CurvatureField)) else fiber.op_norm
 
 
 def _node_norm(field, which: str) -> np.ndarray:
@@ -187,27 +186,29 @@ class NormReport:
 
 
 def _integrate_p(node_vals: np.ndarray, grid: SquareGrid, p) -> float:
-    if p in (np.inf, "inf"):
+    if p == np.inf:
         return float(node_vals.max())
     return float((np.sum(node_vals ** p * grid.w2)) ** (1.0 / p))
 
 
 def grid_norms(field, which: str, space: str, p=2, alpha: float = 0.5,
-               grid: SquareGrid | None = None, holder_nodes: int = 1024) -> NormReport:
+               grid: SquareGrid | None = None) -> NormReport:
     """L^p, W^{1,p}, or C^alpha norms with the rho or Frobenius fiber norm.
 
-    The Hoelder seminorm is evaluated on a subsampled node set (about
-    `holder_nodes` nodes), which is an upper-bounded-from-below surrogate of
-    the true supremum; it is exact in the refinement limit.
+    p = np.inf may also be spelled "inf".  The Hoelder seminorm is evaluated
+    on a subsampled node set (about HOLDER_NODES nodes), which is an
+    upper-bounded-from-below surrogate of the true supremum; it is exact in
+    the refinement limit.
     """
     if which not in ("rho", "frobenius"):
         raise ValueError("which must be 'rho' or 'frobenius'")
     if grid is None:
         grid = field.grid
+    p = np.inf if p == "inf" else p
     if space == "L^p":
-        if p not in (1, 2, 4, np.inf, "inf"):
+        if p not in (1, 2, 4, np.inf):
             raise ValueError("unsupported exponent %r" % (p,))
-        return NormReport(which, space, None if p == "inf" else p, None,
+        return NormReport(which, space, p, None,
                           _integrate_p(_node_norm(field, which), grid, p))
     if space == "W^{1,p}":
         if p not in (1, 2, 4):
@@ -225,7 +226,7 @@ def grid_norms(field, which: str, space: str, p=2, alpha: float = 0.5,
             raise ValueError("alpha must lie in (0, 1)")
         comps = _components(field)
         M = grid.N + 1
-        stride = max(1, int(math.ceil(M / math.sqrt(holder_nodes))))
+        stride = max(1, int(math.ceil(M / math.sqrt(HOLDER_NODES))))
         sub = np.ix_(range(0, M, stride), range(0, M, stride))
         pts_x = grid.X[sub].ravel()
         pts_y = grid.Y[sub].ravel()
@@ -235,7 +236,7 @@ def grid_norms(field, which: str, space: str, p=2, alpha: float = 0.5,
             r = comps[0].shape[-1]
             nmats = len(comps)
             d = diff.reshape(len(pts_x), len(pts_x), nmats, r, r)
-            num = rho_field(d).sum(axis=-1)
+            num = fiber.op_norm(d).sum(axis=-1)
         else:
             num = np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
         dx = pts_x[:, None] - pts_x[None, :]
@@ -460,8 +461,7 @@ def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid
     return chi
 
 
-def coulomb_fix(A: GaugeField, tol: float = 1e-6, max_iter: int = 25,
-                eps0: float = 0.1):
+def coulomb_fix(A: GaugeField, *, tol: float = 1e-6, eps0: float = 0.1):
     """Gauge transform A into a Coulomb gauge: d*A = 0, iota_nu A = 0.
 
     Refuses when the curvature is above the smallness threshold eps0 in the
@@ -472,9 +472,9 @@ def coulomb_fix(A: GaugeField, tol: float = 1e-6, max_iter: int = 25,
     (u, A_coulomb, CoulombReport).
 
     The worse of the two residuals must keep shrinking fast enough: once its
-    last per-sweep factor, held for the sweeps left, cannot bring it below
-    tol, the fix raises RuntimeError with that measured factor instead of
-    spending the rest of max_iter.
+    last per-sweep factor, held for the sweeps left of MAX_SWEEPS, cannot
+    bring it below tol, the fix raises RuntimeError with that measured factor
+    instead of spending the rest of them.
     """
     g = A.grid
     f_l2 = grid_norms(curvature(A), "rho", "L^p", p=2).value
@@ -486,22 +486,22 @@ def coulomb_fix(A: GaugeField, tol: float = 1e-6, max_iter: int = 25,
     u_total = np.broadcast_to(np.eye(r, dtype=complex), (M, M, r, r)).copy()
     A_cur = A
     history = []
-    for it in range(max_iter + 1):
+    for it in range(MAX_SWEEPS + 1):
         div_l2, bdry = div_residuals(A_cur)
         history.append((div_l2, bdry))
         if div_l2 < tol and bdry < tol:
             a_w12 = grid_norms(A_cur, "rho", "W^{1,p}", p=2).value
             return u_total, A_cur, CoulombReport(it, div_l2, bdry, f_l2, a_w12,
                                                  history)
-        if it == max_iter:
+        if it == MAX_SWEEPS:
             break
         worse = max(div_l2, bdry)
         rate = worse / max(history[-2]) if it else 0.0
-        if worse * rate ** (max_iter - it) >= tol:
+        if worse * rate ** (MAX_SWEEPS - it) >= tol:
             raise RuntimeError("Coulomb iteration stalls: the residual %.2e shrinks by "
                                "a factor %.4f per sweep at sweep %d, too slow to reach "
                                "%.1e in the %d sweeps left; residual history: %s"
-                               % (worse, rate, it, tol, max_iter - it,
+                               % (worse, rate, it, tol, MAX_SWEEPS - it,
                                   ["(%.2e, %.2e)" % hb for hb in history]))
         dstar = diff4(A_cur.ax, 0, g.h) + diff4(A_cur.ay, 1, g.h)
         wdata = {e: _split(v) for e, v in A_cur.normal_trace().items()}
@@ -510,29 +510,27 @@ def coulomb_fix(A: GaugeField, tol: float = 1e-6, max_iter: int = 25,
         A_cur = gauge_act(u_total, A)
     raise RuntimeError("Coulomb iteration did not reach %.1e in %d sweeps; "
                        "residual history: %s"
-                       % (tol, max_iter, ["(%.2e, %.2e)" % hb for hb in history]))
+                       % (tol, MAX_SWEEPS, ["(%.2e, %.2e)" % hb for hb in history]))
 
 
 def random_gauge_field(grid: SquareGrid, rank: int, seed: int,
-                       curvature_target: float = 0.03, max_mode: int = 2,
-                       boundary_flat: bool = True) -> GaugeField:
+                       curvature_target: float = 0.03) -> GaugeField:
     """Seeded smooth skew-Hermitian field scaled to a target curvature size.
 
-    With boundary_flat the components vanish to 4th order at the boundary,
-    which keeps the induced Neumann data corner-compatible (fields that do
-    not vanish at the corners force genuinely singular gauge potentials, and
-    no grid gauge transform can then reach tiny divergence residuals).
-    Higher modes enter with 1/(m n)^2 weights so the fields stay resolved.
+    The components vanish to 4th order at the boundary, which keeps the
+    induced Neumann data corner-compatible (fields that do not vanish at the
+    corners force genuinely singular gauge potentials, and no grid gauge
+    transform can then reach tiny divergence residuals).  Modes up to
+    GAUGE_MAX_MODE enter with 1/(m n)^2 weights so the fields stay resolved.
     """
     rng = np.random.default_rng(seed)
     M = grid.N + 1
-    window = (np.sin(np.pi * grid.X) * np.sin(np.pi * grid.Y)) ** 4 \
-        if boundary_flat else np.ones((M, M))
+    window = (np.sin(np.pi * grid.X) * np.sin(np.pi * grid.Y)) ** 4
 
     def smooth():
         f = np.zeros((M, M))
-        for m in range(1, max_mode + 1):
-            for n in range(1, max_mode + 1):
+        for m in range(1, GAUGE_MAX_MODE + 1):
+            for n in range(1, GAUGE_MAX_MODE + 1):
                 amp = 1.0 / (m * n) ** 2
                 f += amp * rng.normal() * np.sin(m * np.pi * grid.X) * np.sin(n * np.pi * grid.Y)
                 f += amp * rng.normal() * np.cos(m * np.pi * grid.X) * np.cos(n * np.pi * grid.Y)

@@ -17,8 +17,8 @@ ch. 3).  Rank 1 is |D|^2/2; rank >= 3 diagonalizes s.  The
 2 pi mu subtraction makes M vanish on constant rescalings and puts its
 critical points exactly at the constant-curvature metrics.  Descent uses the
 manifestly positivity-preserving update H <- H^(1/2) exp(-step G~) H^(1/2)
-with G~ the symmetrized gradient, optionally preconditioned by an inverse
-shifted Laplacian applied in the Bloch-spectral representation.
+with G~ the symmetrized gradient preconditioned by an inverse shifted
+Laplacian applied in the Bloch-spectral representation.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ def _hermitize(A: np.ndarray) -> np.ndarray:
 
 # |x| below which phi(x) - 1/2 is summed as a series
 _PHI_SWITCH = 0.1
+
+SELFADJOINT_TOL = 1e-8   # relative K-self-adjoint defect of s the functional accepts
+STEP_INIT = 1.0          # first trial step of the flow
+STEP_MAX = 4.0           # largest step the flow grows to after accepted steps
+FIELD_MAX_MODE = 1       # highest Fourier mode of random_twisted_hermitian
 
 DESCENT_SLACK = 1e-12
 """Relative slack of the flow's line search: a trial step is accepted when
@@ -112,11 +117,11 @@ def _pairing(s_hat: np.ndarray, dbar_hat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_selfadjoint(K: MetricField, s: np.ndarray, tol: float = 1e-8):
+def _check_selfadjoint(K: MetricField, s: np.ndarray):
     ks = mm(K.data, s)
     defect = np.abs(ks - dagger(ks)).max()
     scale = max(1.0, float(np.abs(ks).max()))
-    if defect > tol * scale:
+    if defect > SELFADJOINT_TOL * scale:
         raise ValueError("endomorphism is not self-adjoint for the metric "
                          "(defect %.3e)" % defect)
 
@@ -200,8 +205,7 @@ class FlowResult:
 
     def monotone_defect(self) -> float:
         """Largest increase between consecutive functional values (>= 0)."""
-        m = self.functional
-        return max((m[i + 1] - m[i] for i in range(len(m) - 1)), default=0.0)
+        return max(self._rises(), default=0.0)
 
     def _rises(self) -> list[float]:
         m = self.functional
@@ -217,19 +221,19 @@ class FlowResult:
         return sum(self._rises())
 
 
-def donaldson_flow(K0: MetricField, mu, conn, step: float | None = None,
-                   max_iter: int = 5000, tol: float = 1e-6,
-                   preconditioner: str = "auto") -> FlowResult:
+def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
+                   tol: float = 1e-6) -> FlowResult:
     """Drive a metric to the constant-curvature one by monotone descent.
 
     Each accepted update is H <- H^(1/2) exp(-step G~) H^(1/2) with G~ the
-    symmetrized i Lambda F_H - 2 pi mu Id, so positivity is exact.  The step
+    symmetrized i Lambda F_H - 2 pi mu Id filtered through
+    (1 + 2 pi |mu| - Lap/2)^-1 in the Bloch-spectral representation, which
+    removes the grid-scale stiffness while keeping the same fixed points and
+    descent property; positivity is exact.  The step starts at STEP_INIT,
     halves whenever the functional would increase (or positivity is lost to
-    roundoff) and grows gently after accepted steps.  `preconditioner`:
-    "none" uses the raw gradient (explicit scheme, small stable steps);
-    "inverse_laplacian"/"auto" filters the gradient through 1/(c + Lap/2)
-    in the Bloch-spectral representation, which removes the grid-scale
-    stiffness while keeping the same fixed points and descent property.
+    roundoff) and grows gently up to STEP_MAX after accepted steps.  The
+    filter needs the clock/shift clutching of `TwistData.clock_shift`;
+    other clutching raises `WeylTransform`'s ValueError.
 
     What depends only on K0 and `conn` (K0's square-root pair and
     i Lambda F_K0 - 2 pi mu Id) is computed once per flow; each
@@ -239,22 +243,11 @@ def donaldson_flow(K0: MetricField, mu, conn, step: float | None = None,
     """
     grid, twist = K0.grid, K0.twist
     muf = float(Fraction(mu))
+    wt = WeylTransform(twist, grid)
     K0.require_positive()
     ref = _Reference.of(K0, conn, mu)
-
-    wt = None
-    if preconditioner in ("auto", "inverse_laplacian"):
-        try:
-            wt = WeylTransform(twist, grid)
-        except ValueError:
-            if preconditioner == "inverse_laplacian":
-                raise
-    symbol = None
-    if wt is not None:
-        symbol = 1.0 / (1.0 + 2 * np.pi * abs(muf) - 0.5 * wt.laplace_symbol())
-    if step is None:
-        step = 1.0 if wt is not None else 0.2 / (grid.N ** 2 * max(grid.v, 1 / grid.v))
-    step_max = 4.0 if wt is not None else 10 * step
+    symbol = 1.0 / (1.0 + 2 * np.pi * abs(muf) - 0.5 * grid.laplace_symbol(*wt.freqs))
+    step = STEP_INIT
 
     eye = np.eye(twist.rank)
     H = MetricField(grid, twist, K0.data.copy())
@@ -275,7 +268,7 @@ def donaldson_flow(K0: MetricField, mu, conn, step: float | None = None,
         if it == max_iter:
             break
 
-        direction = G_hat if symbol is None else _hermitize(wt.apply_symbol(G_hat, symbol))
+        direction = _hermitize(wt.apply_symbol(G_hat, symbol))
         accepted = False
         for _ in range(60):
             expd = fiber.herm_apply(fiber.exp(-step), direction)
@@ -296,17 +289,17 @@ def donaldson_flow(K0: MetricField, mu, conn, step: float | None = None,
                 % (it, res, ["%.3e" % r for r in residuals[-8:]]))
         H, m_cur = H_new, m_new
         steps.append(step)
-        step = min(step * 1.3, step_max)
+        step = min(step * 1.3, STEP_MAX)
 
     return FlowResult(H, residuals, functional, steps, max_iter, False)
 
 
-def random_twisted_hermitian(grid, twist, seed: int, amplitude: float = 0.5,
-                             max_mode: int = 1) -> EndoField:
+def random_twisted_hermitian(grid, twist, seed: int, amplitude: float = 0.5) -> EndoField:
     """Smooth random self-adjoint twisted field with sup operator norm = amplitude.
 
-    Built from low-frequency Bloch scalars in the clock/shift component basis,
-    so the twisted periodicity is exact and the field is band-limited.
+    Built from Bloch scalars with Fourier modes up to FIELD_MAX_MODE in the
+    clock/shift component basis, so the twisted periodicity is exact and the
+    field is band-limited.
     """
     rng = np.random.default_rng(seed)
     wt = WeylTransform(twist, grid)
@@ -315,8 +308,8 @@ def random_twisted_hermitian(grid, twist, seed: int, amplitude: float = 0.5,
     for j in range(r):
         for k in range(r):
             poly = np.zeros((N, N), complex)
-            for m in range(-max_mode, max_mode + 1):
-                for n in range(-max_mode, max_mode + 1):
+            for m in range(-FIELD_MAX_MODE, FIELD_MAX_MODE + 1):
+                for n in range(-FIELD_MAX_MODE, FIELD_MAX_MODE + 1):
                     c = rng.normal() + 1j * rng.normal()
                     poly += c * np.exp(2j * np.pi * (m * grid.X + n * grid.Y))
             sig[..., j, k] = poly

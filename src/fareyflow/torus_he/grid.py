@@ -8,7 +8,11 @@ form turns a two-form coefficient F_xy into i*Lambda*F = i F_xy.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+
+POISSON_MEAN_TOL = 1e-8   # relative mean of a right side the Poisson solve accepts
 
 
 class TorusGrid:
@@ -41,28 +45,34 @@ class TorusGrid:
         return field.mean(axis=(0, 1)) if field.ndim > 2 else field.mean()
 
     # --- spectral calculus for fully periodic scalar fields -----------------
-    def _laplace_symbol(self) -> np.ndarray:
-        N, v, re = self.N, self.v, self.tau.real
-        m = np.fft.fftfreq(N, d=1.0 / N)
-        M, Nn = np.meshgrid(m, m, indexing="ij")
-        return -4 * np.pi ** 2 * (v * M ** 2 + (M * re - Nn) ** 2 / v)
+    @cached_property
+    def modes(self) -> list[np.ndarray]:
+        """FFT frequencies (m, n) of the grid nodes, each (N, N)."""
+        m = np.fft.fftfreq(self.N, d=1.0 / self.N)
+        return np.meshgrid(m, m, indexing="ij")
+
+    def laplace_symbol(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Laplace-Beltrami symbol of the mode exp(2 pi i (m x + n y)):
+        -4 pi^2 (v m^2 + (m Re tau - n)^2 / v), for any broadcastable m, n."""
+        v, re = self.v, self.tau.real
+        return -4 * np.pi ** 2 * (v * m ** 2 + (m * re - n) ** 2 / v)
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami operator of the unit-volume flat metric."""
-        return np.fft.ifft2(self._laplace_symbol() * np.fft.fft2(f)).real \
-            if np.isrealobj(f) else np.fft.ifft2(self._laplace_symbol() * np.fft.fft2(f))
+        out = np.fft.ifft2(self.laplace_symbol(*self.modes) * np.fft.fft2(f))
+        return out.real if np.isrealobj(f) else out
 
-    def poisson_solve(self, rhs: np.ndarray, mean_tol: float = 1e-8) -> np.ndarray:
+    def poisson_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve Laplace(phi) = rhs with mean(phi) = 0.
 
         The right side must integrate to ~0 (solvability on a closed surface);
-        a larger defect raises with the measured value.
+        a mean above POISSON_MEAN_TOL relative raises with the measured value.
         """
         defect = float(np.abs(rhs.mean()))
         scale = float(np.abs(rhs).max()) or 1.0
-        if defect > mean_tol * max(scale, 1.0):
+        if defect > POISSON_MEAN_TOL * max(scale, 1.0):
             raise ValueError("Poisson right side has nonzero mean %.3e" % defect)
-        sym = self._laplace_symbol()
+        sym = self.laplace_symbol(*self.modes)
         sym[0, 0] = 1.0
         hat = np.fft.fft2(rhs - rhs.mean())
         hat /= sym

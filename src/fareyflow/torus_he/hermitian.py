@@ -25,6 +25,9 @@ from ..fiber import comm, dagger, mm
 from .fields import (ConnectionField, EndoField, FormField, MetricField,
                      SectionField, rho_norm_field)
 
+SV_FLOOR = 1e-8             # smallest singular value an inclusion may have at a node
+CONFORMAL_MEAN_TOL = 1e-6   # relative mean of the conformal right side accepted
+
 
 def metric_gamma(H: MetricField) -> np.ndarray:
     """(1,0)-coefficient H^-1 d_z H of the Chern-connection correction of H."""
@@ -65,11 +68,11 @@ class SecondFundamentalForm:
 
 
 def second_fundamental_form(incl: SectionField, H: MetricField,
-                            conn: ConnectionField, sv_floor: float = 1e-8) -> SecondFundamentalForm:
+                            conn: ConnectionField) -> SecondFundamentalForm:
     """beta = (1 - pi) d_H pi for the subbundle spanned by the given columns.
 
     The inclusion must be fiberwise injective: the smallest singular value of
-    the column block is checked against sv_floor and the offending node is
+    the column block is checked against SV_FLOOR and the offending node is
     named on failure.  Returns beta with the projection and the pointwise
     norm field |beta|^2 = 2 v tr(H^-1 b^dag H b).  The central background
     `conn` commutes with pi, so only the metric's gamma enters d_H pi.
@@ -77,7 +80,7 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     cols = incl.columns
     svals = incl.sigma_min_field()
     worst = np.unravel_index(np.argmin(svals), svals.shape)
-    if svals[worst] < sv_floor:
+    if svals[worst] < SV_FLOOR:
         raise ValueError("inclusion nearly singular at node %r (sigma_min = %.3e)"
                          % (tuple(int(i) for i in worst), svals[worst]))
     cols_h = np.matmul(dagger(cols), H.data)                  # C^dag H, (m, r)
@@ -114,18 +117,11 @@ class ThresholdProbe:
     mean: float
 
 
-def threshold_probe(beta: FormField | SecondFundamentalForm,
-                    H: MetricField | None = None) -> ThresholdProbe:
-    """sup |beta|^2 / mean |beta|^2: an empirical lower bound for the
-    constant relating the two in the convergence-threshold inequality."""
-    if isinstance(beta, SecondFundamentalForm):
-        field = beta.norm_sq
-    elif isinstance(beta, np.ndarray):
-        field = beta
-    else:
-        if H is None:
-            raise ValueError("a metric is required to evaluate |beta|^2")
-        field = beta.norm_sq_field(H)
+def threshold_probe(beta: SecondFundamentalForm | np.ndarray) -> ThresholdProbe:
+    """sup |beta|^2 / mean |beta|^2 of a second fundamental form or of a
+    |beta|^2 field: an empirical lower bound for the constant relating the
+    two in the convergence-threshold inequality."""
+    field = beta.norm_sq if isinstance(beta, SecondFundamentalForm) else beta
     mean = float(field.mean())
     if mean <= 0:
         raise ValueError("beta vanishes identically; the ratio is undefined")
@@ -146,14 +142,13 @@ class ConformalResult:
 
 
 def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
-                        conn: ConnectionField | None = None,
-                        mean_tol: float = 1e-6) -> ConformalResult:
+                        conn: ConnectionField | None = None) -> ConformalResult:
     """Solve  Lap(phi) = (2/rk) (tr i Lambda F_H - 2 pi mu_S rk)  with zero
     mean and rescale H by e^phi.
 
     The right side integrates to zero up to discretization (its mean is the
-    curvature integral minus the degree), which is checked against mean_tol.
-    The determinant det(e^phi H H0^-1) comes out constant; it equals 1 when
+    curvature integral minus the degree), which is checked against
+    CONFORMAL_MEAN_TOL.  The determinant det(e^phi H H0^-1) comes out constant; it equals 1 when
     the input pair is compatibly scaled (the reported deviation makes the
     leftover constant visible instead of hiding it).
     """
@@ -166,7 +161,7 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
     tr_ilf = np.einsum("...aa->...", i_lambda_F_metric(H_restricted, conn)).real
     rhs = (2.0 / rk) * (tr_ilf - 2 * np.pi * float(Fraction(muS)) * rk)
     defect = float(abs(rhs.mean()))
-    if defect > mean_tol * max(1.0, float(np.abs(rhs).max())):
+    if defect > CONFORMAL_MEAN_TOL * max(1.0, float(np.abs(rhs).max())):
         raise ValueError("conformal equation not solvable: right side has mean %.3e"
                          % rhs.mean())
     phi = grid.poisson_solve(rhs - rhs.mean())

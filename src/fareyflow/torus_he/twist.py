@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+CLUTCH_TOL = 1e-12   # unitarity and commutation residual `TwistData.check` accepts
+
 
 def clock_matrix(r: int) -> np.ndarray:
     zeta = np.exp(2j * np.pi / r)
@@ -64,13 +66,14 @@ class TwistData:
     def commutator_phase(self) -> complex:
         return np.exp(2j * np.pi * self.degree / self.rank)
 
-    def check(self, tol: float = 1e-12) -> float:
-        """Max residual of unitarity and the commutation relation."""
+    def check(self) -> float:
+        """Max residual of unitarity and the commutation relation; above
+        CLUTCH_TOL it raises."""
         eye = np.eye(self.rank)
         r = max(np.abs(self.U @ self.U.conj().T - eye).max(),
                 np.abs(self.V @ self.V.conj().T - eye).max(),
                 np.abs(self.V @ self.U - self.commutator_phase * self.U @ self.V).max())
-        if r > tol:
+        if r > CLUTCH_TOL:
             raise ValueError("clutching data inconsistent (residual %.2e)" % r)
         return float(r)
 
@@ -191,8 +194,9 @@ class WeylTransform:
         ph = np.exp(-2j * np.pi * (self.alpha[None, None] * grid.X[..., None, None]
                                    + self.beta[None, None] * grid.Y[..., None, None]))
         self.debloch = ph            # multiply to make components plain periodic
-        m = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
-        self.modes = np.meshgrid(m, m, indexing="ij")
+        m, n = grid.modes            # shifted by the Bloch phase of each component
+        self.freqs = (m[..., None, None] + self.alpha[None, None],
+                      n[..., None, None] + self.beta[None, None])
 
     def components(self, F: np.ndarray) -> np.ndarray:
         """sigma[j, k] scalars, shape (N, N, r, r) indexed by (j, k)."""
@@ -200,13 +204,6 @@ class WeylTransform:
 
     def assemble(self, sigma: np.ndarray) -> np.ndarray:
         return np.einsum("xyjk,jkab->xyab", sigma, self.basis)
-
-    def laplace_symbol(self) -> np.ndarray:
-        """Laplace-Beltrami symbol at the Bloch-shifted frequencies, (N,N,r,r)."""
-        g = self.grid
-        M = self.modes[0][..., None, None] + self.alpha[None, None]
-        Nn = self.modes[1][..., None, None] + self.beta[None, None]
-        return -4 * np.pi ** 2 * (g.v * M ** 2 + (M * g.tau.real - Nn) ** 2 / g.v)
 
     def apply_symbol(self, F: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Multiply the Bloch-spectral representation of F by a mode symbol."""
@@ -218,5 +215,4 @@ class WeylTransform:
 
     def derivative(self, F: np.ndarray, axis: int) -> np.ndarray:
         """Exact spectral d/dx or d/dy of a twisted endomorphism field."""
-        M = self.modes[axis][..., None, None] + (self.alpha if axis == 0 else self.beta)[None, None]
-        return self.apply_symbol(F, 2j * np.pi * M)
+        return self.apply_symbol(F, 2j * np.pi * self.freqs[axis])

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fareyflow import fiber
 from fareyflow.coulomb import (CoulombReport, CurvatureField, GaugeField, SquareGrid,
                                coulomb_fix, curvature, diff4, dirichlet_poisson, div_residuals,
                                gauge_act, grid_norms, hodge_solve, neumann_poisson,
-                               random_gauge_field, rho_field)
+                               random_gauge_field)
 from fareyflow.coulomb import _expm_skew, _rho_skew
 
 
@@ -97,6 +98,9 @@ def test_grid_norms_constant_identity(grid):
     f = np.broadcast_to(np.eye(3, dtype=complex), (M, M, 3, 3))
     assert grid_norms(f, "rho", "L^p", p=2, grid=grid).value == pytest.approx(1.0)
     assert grid_norms(f, "frobenius", "L^p", p=2, grid=grid).value == pytest.approx(math.sqrt(3))
+    for p in (np.inf, "inf"):
+        rep = grid_norms(f, "rho", "L^p", p=p, grid=grid)
+        assert rep.p == np.inf and rep.value == pytest.approx(1.0)
     with pytest.raises(ValueError, match="exponent"):
         grid_norms(f, "rho", "L^p", p=3, grid=grid)
 
@@ -106,7 +110,7 @@ def test_rho_le_frobenius_nodewise(grid):
     M = grid.N + 1
     f = rng.normal(size=(M, M, 3, 3)) + 1j * rng.normal(size=(M, M, 3, 3))
     from fareyflow.coulomb import fro_field
-    assert np.all(rho_field(f) <= fro_field(f) + 1e-12)
+    assert np.all(fiber.op_norm(f) <= fro_field(f) + 1e-12)
 
 
 def test_skew_rho_is_the_largest_singular_value(grid):
@@ -121,7 +125,7 @@ def test_skew_rho_is_the_largest_singular_value(grid):
             svd = np.linalg.svd(comp, compute_uv=False)[..., 0]
             assert np.abs(_rho_skew(comp) - svd).max() <= 1e-14 * svd.max()
         assert grid_norms(A, "rho", "W^{1,p}", p=2).value == pytest.approx(
-            np.sqrt(np.sum(sum(rho_field(c) ** 2 for c in (
+            np.sqrt(np.sum(sum(fiber.op_norm(c) ** 2 for c in (
                 A.ax, A.ay, diff4(A.ax, 0, grid.h), diff4(A.ax, 1, grid.h),
                 diff4(A.ay, 0, grid.h), diff4(A.ay, 1, grid.h))) * grid.w2)), rel=1e-13)
 
@@ -287,6 +291,13 @@ def test_coulomb_pure_gauge_recovers_zero(grid):
     u, Ac, rep = coulomb_fix(A, tol=1e-6)
     assert rep.div_residual < 1e-6 and rep.boundary_residual < 1e-6
     assert max(np.abs(Ac.ax).max(), np.abs(Ac.ay).max()) < 1e-4
+
+
+def test_coulomb_options_are_keyword_only(grid):
+    M = grid.N + 1
+    zero = GaugeField(grid, np.zeros((M, M, 1, 1), complex), np.zeros((M, M, 1, 1), complex))
+    with pytest.raises(TypeError, match="positional"):
+        coulomb_fix(zero, 1e-6, 25)
 
 
 def test_coulomb_refuses_large_curvature(grid):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fareyflow import fiber
-from fareyflow.torus_he import (EndoField, FlowResult, MetricField, TorusGrid,
+from fareyflow.torus_he import (ConnectionField, EndoField, FlowResult,
+                                MetricField, TorusGrid, TwistData,
                                 build_model_bundle, donaldson_flow,
                                 donaldson_functional, he_residual,
-                                i_lambda_F_metric, metric_log, phi_multiplier,
-                                random_twisted_hermitian)
+                                i_lambda_F_metric, identity_metric, metric_log,
+                                phi_multiplier, random_twisted_hermitian)
 from fareyflow.torus_he.donaldson import _pairing
 
 
@@ -233,7 +234,7 @@ def test_flow_rank1_matches_poisson():
     psi = 0.4 * np.cos(2 * np.pi * grid.X) + 0.25 * np.sin(2 * np.pi * grid.Y)
     K = MetricField(grid, tw, np.exp(psi)[..., None, None] * H0.data)
     fr = donaldson_flow(K, 0, conn, tol=1e-9, max_iter=4000)
-    assert fr.converged
+    assert fr.converged and fr.monotone_defect() <= 1e-10
     log_final = np.log(fr.final.data[..., 0, 0].real)
     # flat solution: constant log (scale preserved: mean of log unchanged)
     assert np.abs(log_final - log_final.mean()).max() < 1e-7
@@ -263,12 +264,20 @@ def test_flow_result_uphill_counts():
     assert fr.monotone_defect() == 0.5
     down = FlowResult(None, [1.0] * 3, [0.0, -1.0, -2.0], [0.1] * 2, 2, True)
     assert down.uphill_steps() == 0 and down.uphill_rise() == 0.0
+    assert down.monotone_defect() == 0.0
 
 
-def test_flow_explicit_scheme_small_grid():
+def test_flow_requires_clock_shift_clutching():
+    """The flow's one scheme is Weyl-preconditioned; other clutching raises
+    instead of running another scheme."""
     grid = TorusGrid(1j, 16)
-    tw, conn, H0 = build_model_bundle(1, 0, grid)
-    psi = 0.2 * np.cos(2 * np.pi * grid.X)
-    K = MetricField(grid, tw, np.exp(psi)[..., None, None] * H0.data)
-    fr = donaldson_flow(K, 0, conn, tol=1e-5, max_iter=20000, preconditioner="none")
-    assert fr.converged and fr.monotone_defect() <= 1e-10
+    tw = TwistData.trivial(2)
+    zero = np.zeros((grid.N, grid.N), complex)
+    with pytest.raises(ValueError, match="clock/shift"):
+        donaldson_flow(identity_metric(grid, tw), 0, ConnectionField(grid, tw, zero, zero))
+
+
+def test_flow_options_are_keyword_only(setup):
+    grid, tw, conn, H0 = setup
+    with pytest.raises(TypeError, match="positional"):
+        donaldson_flow(H0, Fraction(1, 2), conn, 1.0)
