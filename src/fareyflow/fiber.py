@@ -200,10 +200,12 @@ def cross_block_norms(H: np.ndarray, D: np.ndarray):
     P_a D P_b are Frobenius-orthogonal and sum to D; the two off-diagonal
     ones are formed from products written out entry by entry (no eigensolver,
     and no trace identity that cancels).  Where g = 0 the projectors are
-    undefined and both norms are 0.
+    undefined and both norms are 0.  They are 0 where g is subnormal too:
+    there the complex division by 2g would overflow, and the pairing weighs
+    these norms by phi(+-2g) - 1/2 = O(g).
     """
     _, g, half_diff, b = _rank2_parts(H)
-    split = g > 0
+    split = g >= np.finfo(float).tiny
     two_g = np.where(split, 2 * g, 1.0)
     u, w = half_diff / two_g, b / two_g
     plus = np.empty(H.shape, complex)

@@ -75,9 +75,6 @@ class QuadraticSurd:
             raise ValueError("surd %r is irrational" % (self,))
         return Fraction(self.a, self.c)
 
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self.a, -self.b, self.D or 2, self.c)
-
     def __float__(self) -> float:
         root = math.sqrt(self.D) if self.D else 0.0
         return (self.a + self.b * root) / self.c

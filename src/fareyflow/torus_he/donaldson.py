@@ -128,21 +128,18 @@ def _check_selfadjoint(K: MetricField, s: np.ndarray):
 
 @dataclass(frozen=True)
 class _Reference:
-    """What M(K, .) needs of K and the connection; `donaldson_flow` builds
-    one for its fixed K0, `donaldson_functional` one per call.  The central
-    connection enters only through i Lambda F_K: it commutes with s, so
-    dbar_A s = dbar s."""
+    """What M(K, .) needs of K and the connection besides K's cached
+    factors; `donaldson_flow` builds one for its fixed K0,
+    `donaldson_functional` one per call.  The central connection enters only
+    through i Lambda F_K: it commutes with s, so dbar_A s = dbar s."""
 
     K: MetricField
-    half: np.ndarray        # K^(1/2)
-    inv_half: np.ndarray    # K^(-1/2)
     source: np.ndarray      # i Lambda F_K - 2 pi mu Id
 
-    @classmethod
-    def of(cls, K: MetricField, conn, mu) -> _Reference:
-        source = i_lambda_F_metric(K, conn) \
-            - 2 * np.pi * float(Fraction(mu)) * np.eye(K.twist.rank)
-        return cls(K, *K.sqrt_pair(), source)
+
+def _curvature_defect(H: MetricField, conn, muf: float) -> np.ndarray:
+    """i Lambda F_H - 2 pi mu Id."""
+    return i_lambda_F_metric(H, conn) - 2 * np.pi * muf * np.eye(H.twist.rank)
 
 
 def _functional(ref: _Reference, sdata: np.ndarray) -> float:
@@ -156,27 +153,31 @@ def _functional(ref: _Reference, sdata: np.ndarray) -> float:
     _check_selfadjoint(K, sdata)
     dbar = EndoField(K.grid, K.twist, sdata).d_zbar()
 
-    s_hat = _hermitize(mm(ref.half, mm(sdata, ref.inv_half)))
-    dbar_hat = mm(ref.half, mm(dbar, ref.inv_half))
+    half, inv_half = K.sqrt_pair()
+    s_hat = _hermitize(mm(half, mm(sdata, inv_half)))
+    dbar_hat = mm(half, mm(dbar, inv_half))
     quad = 2 * K.grid.v * _pairing(s_hat, dbar_hat)
     lin = np.einsum("...ab,...ba->...", ref.source, sdata).real
     return float((quad + lin).mean())
 
 
-def _log(half: np.ndarray, inv_half: np.ndarray, H: MetricField) -> EndoField:
-    h_hat = _hermitize(mm(inv_half, mm(H.data, inv_half)))
+def _log(K: MetricField, h: np.ndarray) -> EndoField:
+    half, inv_half = K.sqrt_pair()
+    h_hat = _hermitize(mm(inv_half, mm(h, inv_half)))
     log_hat = fiber.herm_apply(fiber.LOG, h_hat)
-    return EndoField(H.grid, H.twist, mm(inv_half, mm(log_hat, half)))
+    return EndoField(K.grid, K.twist, mm(inv_half, mm(log_hat, half)))
 
 
 def donaldson_functional(K: MetricField, s: EndoField | np.ndarray, conn, mu) -> float:
     """M(K, exp(s) K) for a K-self-adjoint endomorphism field s.
 
-    Computes K's square-root pair and i Lambda F_K afresh on every call;
-    `donaldson_flow` computes them once per flow.
+    K's square-root pair and gamma are cached on K; i Lambda F_K is
+    recomputed from gamma on every call, `donaldson_flow` forms it once per
+    flow.
     """
     sdata = s.data if isinstance(s, EndoField) else s
-    return _functional(_Reference.of(K, conn, mu), sdata)
+    ref = _Reference(K, _curvature_defect(K, conn, float(Fraction(mu))))
+    return _functional(ref, sdata)
 
 
 def metric_log(H: MetricField, K: MetricField) -> EndoField:
@@ -184,10 +185,10 @@ def metric_log(H: MetricField, K: MetricField) -> EndoField:
 
     In the K-orthonormal frame s becomes the plain Hermitian logarithm of
     K^(-1/2) H K^(-1/2); transforming back uses K^(-1/2) (.) K^(1/2), which
-    is what keeps K s Hermitian.  K's square-root pair is computed on every
-    call; `donaldson_flow` computes the pair of its K0 once per flow.
+    is what keeps K s Hermitian.  K's square-root pair is computed on the
+    first call and cached on K.
     """
-    return _log(*K.sqrt_pair(), H)
+    return _log(K, H.data)
 
 
 @dataclass
@@ -235,46 +236,44 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
     filter needs the clock/shift clutching of `TwistData.clock_shift`;
     other clutching raises `WeylTransform`'s ValueError.
 
-    What depends only on K0 and `conn` (K0's square-root pair and
-    i Lambda F_K0 - 2 pi mu Id) is computed once per flow; each
-    iteration computes the square-root pair and i Lambda F of the current H
-    once, and each trial step evaluates exp, log and the functional against
-    those.
+    i Lambda F_K0 - 2 pi mu Id is formed once per flow, on a second
+    MetricField over K0's data, so K0 caches only the square-root pair that
+    every trial step reuses.  Each iterate is factored once, as a
+    MetricField that lives until the next accepted step; the returned
+    metric is a fresh one, so a result kept after the flow holds none of
+    the factors of its last residual.
     """
     grid, twist = K0.grid, K0.twist
     muf = float(Fraction(mu))
     wt = WeylTransform(twist, grid)
     K0.require_positive()
-    ref = _Reference.of(K0, conn, mu)
+    ref = _Reference(K0, _curvature_defect(MetricField(grid, twist, K0.data), conn, muf))
     symbol = 1.0 / (1.0 + 2 * np.pi * abs(muf) - 0.5 * grid.laplace_symbol(*wt.freqs))
     step = STEP_INIT
 
-    eye = np.eye(twist.rank)
-    H = MetricField(grid, twist, K0.data.copy())
+    h = K0.data
     residuals: list[float] = []
     functional: list[float] = []
     steps: list[float] = []
     m_cur = 0.0
 
     for it in range(max_iter + 1):
+        H = MetricField(grid, twist, h)
         half, inv_half = H.sqrt_pair()
-        G = i_lambda_F_metric(H, conn) - 2 * np.pi * muf * eye
-        G_hat = _hermitize(mm(half, mm(G, inv_half)))
+        G_hat = _hermitize(mm(half, mm(_curvature_defect(H, conn, muf), inv_half)))
         res = float(np.abs(fiber.eigvalsh(G_hat)).max())
         residuals.append(res)
         functional.append(m_cur)
-        if res < tol:
-            return FlowResult(H, residuals, functional, steps, it, True)
-        if it == max_iter:
+        if res < tol or it == max_iter:
             break
 
         direction = _hermitize(wt.apply_symbol(G_hat, symbol))
         accepted = False
         for _ in range(60):
             expd = fiber.herm_apply(fiber.exp(-step), direction)
-            H_new = MetricField(grid, twist, _hermitize(mm(half, mm(expd, half))))
+            h_new = _hermitize(mm(half, mm(expd, half)))
             try:
-                s_new = _log(ref.half, ref.inv_half, H_new)
+                s_new = _log(K0, h_new)
             except ValueError:
                 step *= 0.5
                 continue
@@ -287,11 +286,12 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
             raise RuntimeError(
                 "descent stalled at iteration %d (residual %.3e); residual history: %s"
                 % (it, res, ["%.3e" % r for r in residuals[-8:]]))
-        H, m_cur = H_new, m_new
+        h, m_cur = h_new, m_new
         steps.append(step)
         step = min(step * 1.3, STEP_MAX)
 
-    return FlowResult(H, residuals, functional, steps, max_iter, False)
+    return FlowResult(MetricField(grid, twist, h), residuals, functional, steps, it,
+                      res < tol)
 
 
 def random_twisted_hermitian(grid, twist, seed: int, amplitude: float = 0.5) -> EndoField:

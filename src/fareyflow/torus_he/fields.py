@@ -66,14 +66,27 @@ class EndoField:
         return self.wirtinger()[1]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class MetricField(EndoField):
-    """Positive-definite Hermitian field (a metric relative to the frame)."""
+    """Positive-definite Hermitian field (a metric relative to the frame).
+
+    Immutable: `data` is a read-only view of the array passed in (the
+    caller's own array stays writable, and must not be written while the
+    metric is in use).  The per-node factors `inv`, `sqrt_pair` and `gamma`
+    are computed on first use, kept on the instance and returned read-only.
+    """
 
     def __post_init__(self):
+        self.data = _frozen(self.data.view())
         super().__post_init__()
         herm = np.abs(self.data - dagger(self.data)).max()
         if herm > 1e-9 * max(1.0, np.abs(self.data).max()):
             raise ValueError("metric field is not Hermitian (defect %.2e)" % herm)
+        self._inv = self._sqrt_pair = self._gamma = None
 
     def min_eigenvalue(self) -> float:
         return float(fiber.eigvalsh(self.data).min())
@@ -84,19 +97,35 @@ class MetricField(EndoField):
             raise ValueError("metric field is not positive (min eigenvalue %.3e)" % m)
         return self
 
-    def sqrt_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H^(1/2), H^(-1/2)) per node, from the current `data`.
+    def inv(self) -> np.ndarray:
+        """H^-1 per node."""
+        if self._inv is None:
+            self._inv = _frozen(fiber.inv(self.data))
+        return self._inv
 
-        Nothing is cached on the instance (`data` is a mutable array);
-        `donaldson_flow` computes the pair of its fixed K0 once per flow.
-        """
-        return fiber.herm_apply(fiber.SQRT_PAIR, self.data)
+    def sqrt_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H^(1/2), H^(-1/2)) per node, sharing one eigensystem."""
+        if self._sqrt_pair is None:
+            self._sqrt_pair = tuple(map(_frozen, fiber.herm_apply(fiber.SQRT_PAIR,
+                                                                  self.data)))
+        return self._sqrt_pair
+
+    def gamma(self) -> np.ndarray:
+        """(1,0)-coefficient H^-1 d_z H of the Chern-connection correction of H."""
+        if self._gamma is None:
+            self._gamma = _frozen(mm(self.inv(), self.d_z()))
+        return self._gamma
 
 
 def identity_metric(grid: TorusGrid, twist: TwistData) -> MetricField:
+    """The reference metric I, carrying its exact factors: I^-1 = I^(+-1/2) = I
+    and gamma = 0."""
     N, r = grid.N, twist.rank
-    data = np.broadcast_to(np.eye(r, dtype=complex), (N, N, r, r)).copy()
-    return MetricField(grid, twist, data)
+    H = MetricField(grid, twist, np.broadcast_to(np.eye(r, dtype=complex),
+                                                 (N, N, r, r)).copy())
+    H._inv, H._sqrt_pair = H.data, (H.data, H.data)
+    H._gamma = _frozen(np.zeros(H.data.shape, complex))
+    return H
 
 
 @dataclass
@@ -126,10 +155,6 @@ class ConnectionField:
     def seam_x(self) -> complex:
         return 2j * np.pi * self.twist.degree / self.twist.rank
 
-    def a_z(self) -> np.ndarray:
-        c = self.grid.cz
-        return c[0] * self.ax + c[1] * self.ay
-
     def a_zbar(self) -> np.ndarray:
         c = self.grid.czb
         return c[0] * self.ax + c[1] * self.ay
@@ -156,7 +181,7 @@ class FormField:
     def norm_sq_field(self, H: MetricField) -> np.ndarray:
         """Pointwise |.|_H^2 = 2 v tr(H^-1 b^dag H b) (nonnegative)."""
         b = self.coeff
-        val = _trace_of_product(mm(fiber.inv(H.data), dagger(b)), mm(H.data, b))
+        val = _trace_of_product(mm(H.inv(), dagger(b)), mm(H.data, b))
         return 2 * self.grid.v * val.real
 
 
@@ -217,7 +242,7 @@ def rho_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
 
 def frobenius_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
     """Fiberwise |s|_2 with s^dag taken relative to H: tr(s H^-1 s^dag H)."""
-    val = _trace_of_product(mm(s, fiber.inv(H.data)), mm(dagger(s), H.data))
+    val = _trace_of_product(mm(s, H.inv()), mm(dagger(s), H.data))
     return np.sqrt(np.maximum(val.real, 0.0))
 
 

@@ -29,14 +29,9 @@ SV_FLOOR = 1e-8             # smallest singular value an inclusion may have at a
 CONFORMAL_MEAN_TOL = 1e-6   # relative mean of the conformal right side accepted
 
 
-def metric_gamma(H: MetricField) -> np.ndarray:
-    """(1,0)-coefficient H^-1 d_z H of the Chern-connection correction of H."""
-    return mm(fiber.inv(H.data), H.d_z())
-
-
 def i_lambda_F_metric(H: MetricField, conn: ConnectionField) -> np.ndarray:
     """i Lambda of the curvature of the metric H over the background."""
-    g = EndoField(H.grid, H.twist, metric_gamma(H))
+    g = EndoField(H.grid, H.twist, H.gamma())
     return conn.i_lambda_F() - 2 * H.grid.v * g.d_zbar()
 
 
@@ -48,6 +43,9 @@ def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
     H-self-adjoint.  On amplitude-0.5 random metrics its relative H-adjoint
     defect is 9e-6 to 6e-5 at N = 64 (ranks 1-8, tau = i) and shrinks under
     refinement; on a model bundle, where S is rounding noise, it is O(1).
+    The metric's square-root pair and gamma are its cached factors, so on the
+    identity metric of a model bundle the residual is exactly the operator
+    norm of i Lambda F_A - 2 pi mu Id.
     """
     mu = float(Fraction(mu)) if not isinstance(mu, float) else mu
     r = H.twist.rank
@@ -90,7 +88,7 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
 
     dz, dzb = pi_field.wirtinger()
     one_minus = np.eye(H.twist.rank) - pi
-    b = mm(one_minus, dz + comm(metric_gamma(H), pi))
+    b = mm(one_minus, dz + comm(H.gamma(), pi))
     holo = float(np.abs(mm(one_minus, dzb)).max())
     beta = FormField(H.grid, H.twist, b)
     return SecondFundamentalForm(beta, pi_field, beta.norm_sq_field(H), holo)
@@ -167,7 +165,7 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
     phi = grid.poisson_solve(rhs - rhs.mean())
     scaled = MetricField(grid, H_restricted.twist,
                          np.exp(phi)[..., None, None] * H_restricted.data)
-    ratio = mm(scaled.data, fiber.inv(H0.data))
+    ratio = mm(scaled.data, H0.inv())
     det = np.linalg.det(ratio)
     return ConformalResult(phi, scaled, float(abs(phi.mean())), defect,
                            float(np.abs(det - 1).max()))

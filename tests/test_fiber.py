@@ -295,14 +295,18 @@ def test_cross_block_norms_match_eigh_projectors(seed, batch, kind):
 
 
 def test_cross_block_norms_at_and_next_to_scalars():
-    """Zero at H = m I exactly; one ulp of splitting already gives the
-    off-diagonal entries of D in H's (diagonal) eigenbasis."""
+    """Zero at H = m I exactly and at a subnormal splitting (rounding noise of
+    a tiny m I); one ulp of splitting already gives the off-diagonal entries
+    of D in H's (diagonal) eigenbasis."""
     D = np.array([[1.0 + 2j, 3.0], [-4j, 5.0]])
-    H = np.array([2.5 * np.eye(2), np.diag([1.0, 1.0 + EPS])], complex)
-    with np.errstate(invalid="raise", divide="raise"):
+    noise = 5.4e-323 + 2.77e-322j
+    H = np.array([2.5 * np.eye(2), np.diag([1.0, 1.0 + EPS]),
+                  [[6.5e-306, noise], [np.conj(noise), 6.5e-306]]], complex)
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
         g, plus_minus, minus_plus = fiber.cross_block_norms(H, D)
     assert g[0] == plus_minus[0] == minus_plus[0] == 0.0
     assert g[1] == EPS / 2 and plus_minus[1] == 16.0 and minus_plus[1] == 9.0
+    assert 0.0 < g[2] < np.finfo(float).tiny and plus_minus[2] == minus_plus[2] == 0.0
 
 
 def test_inv_rank2_rejects_with_measured_condition():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import theta_reference
+from fareyflow import fiber
 from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
                                 TorusGrid, TwistData, build_model_bundle,
                                 chern_weil_check, conformal_normalize,
-                                he_residual, identity_metric, second_fundamental_form,
-                                section_basis, theta_section, threshold_probe)
+                                he_residual, identity_metric, random_twisted_hermitian,
+                                second_fundamental_form, section_basis, theta_section,
+                                threshold_probe)
 from fareyflow.torus_he.fields import FormField, mm
 from fareyflow.torus_he.model import _theta_raw
 
@@ -52,6 +54,50 @@ def test_residual_detects_wrong_slope():
     tw, conn, H0 = build_model_bundle(2, 1, g)
     delta = Fraction(1, 50)
     assert he_residual(conn, H0, Fraction(1, 2) + delta) >= float(2 * math.pi * delta) - 1e-9
+
+
+def test_model_residual_is_the_connection_curvature_defect():
+    # the model metric is exactly I, so its residual is the operator norm of
+    # i Lambda F_A - 2 pi mu Id bit for bit: factoring I adds no rounding
+    g = TorusGrid(1j, 64)
+    for r in range(1, 9):
+        for d in range(-8, 9):
+            if math.gcd(r, d) != 1:
+                continue
+            tw, conn, H0 = build_model_bundle(r, d, g)
+            oracle = float(fiber.op_norm(conn.i_lambda_F()
+                                         - 2 * np.pi * (d / r) * np.eye(r)).max())
+            assert he_residual(conn, H0, Fraction(d, r)) == oracle, (r, d)
+
+
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_metric_is_read_only_and_factors_once(r):
+    g = TorusGrid(1j, 16)
+    tw = build_model_bundle(r, 1, g).twist
+    s = random_twisted_hermitian(g, tw, seed=r, amplitude=0.5)
+    raw = fiber.herm_apply(fiber.exp(), s.data)
+    H = MetricField(g, tw, raw)
+    with pytest.raises(ValueError):
+        H.data[0, 0] = 0
+    raw[0, 0] = raw[0, 0]                     # the caller's array stays writable
+    for factor in (H.inv, H.sqrt_pair, H.gamma):
+        assert factor() is factor()
+    inv = fiber.inv(raw)
+    fresh = [*fiber.herm_apply(fiber.SQRT_PAIR, raw), inv,
+             mm(inv, EndoField(g, tw, raw).d_z())]
+    for cached, ref in zip([*H.sqrt_pair(), H.inv(), H.gamma()], fresh):
+        assert not cached.flags.writeable
+        assert np.array_equal(cached, ref)
+
+
+def test_identity_metric_carries_exact_factors():
+    g = TorusGrid(1j, 16)
+    H = identity_metric(g, TwistData.clock_shift(3, 1))
+    eye = np.broadcast_to(np.eye(3), H.data.shape)
+    half, inv_half = H.sqrt_pair()
+    for exact in (H.data, H.inv(), half, inv_half):
+        assert np.array_equal(exact, eye)
+    assert not H.gamma().any()
 
 
 def test_residual_of_conformal_weight_vs_spectral_laplacian():
