@@ -228,6 +228,7 @@ def _run_donaldson(p):
 
 def _run_coulomb(p):
     import numpy as np
+    import scipy.fft    # loaded before the timed fixes: each fix_s times only its fix
     grid = coulomb.SquareGrid(int(p["N"]))
     rows, ratios, histories, fix_s = [], [], [], []
     ok = True

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import fiber
 from .fiber import dagger, mm
@@ -250,26 +249,36 @@ def grid_norms(field, which: str, space: str, p=2, alpha: float = 0.5,
 
 # ----------------------------------------------------------------------------
 # sine/cosine scalar solvers on the square
+#
+# These four transforms are fareyflow's only use of scipy.  Each imports
+# scipy.fft itself, so that `import fareyflow` and the CLI subcommands other
+# than `coulomb` do not load scipy.  Calls go through the scipy.fft namespace,
+# so a wrapper installed on scipy.fft.dst/dct (perfbench's tracer) sees each.
 
 
 def _sin_coeffs(f: np.ndarray) -> np.ndarray:
     """f on interior nodes -> coefficients of sum s_m sin(m pi x)."""
+    import scipy.fft
     return scipy.fft.dst(f, type=1, axis=0) / (f.shape[0] + 1)
 
 
 def _sin_synth(s: np.ndarray) -> np.ndarray:
+    import scipy.fft
     return scipy.fft.dst(s, type=1, axis=0) / 2.0
 
 
 def _cos_coeffs(f: np.ndarray) -> np.ndarray:
     """f on all N+1 nodes -> coefficients of sum c_m cos(m pi x)."""
+    import scipy.fft
     N = f.shape[0] - 1
     c = scipy.fft.dct(f, type=1, axis=0) / N
     c[0] /= 2
     c[-1] /= 2
     return c
 
+
 def _cos_synth(c: np.ndarray) -> np.ndarray:
+    import scipy.fft
     c = c.copy()
     c[0] *= 2
     c[-1] *= 2

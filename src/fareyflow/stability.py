@@ -72,36 +72,41 @@ def hom_one_dim(F: KClass, E: KClass, g: int) -> int:
     return -euler_pairing(F, E, g)
 
 
+def _column_bounds(a: int, b: int, d: int) -> tuple:
+    """Least and greatest integer y with 0 < a + b y < d (lo > hi when none).
+
+    The condition is unchanged under (a, b) -> (d - a, -b), which makes b >= 0;
+    at b = 0 it holds for every y or for none."""
+    if b < 0:
+        a, b = d - a, -b
+    if b == 0:
+        return (-math.inf, math.inf) if 0 < a < d else (1, 0)
+    return -a // b + 1, (d - a - 1) // b
+
+
 def lattice_interior_count(v1: tuple[int, int], v3: tuple[int, int]) -> int:
     """Lattice points strictly inside the parallelogram spanned by v1, v3.
 
-    Counted by direct enumeration over the bounding box and cross-checked
-    in place against Pick's theorem (interior = area - boundary/2 + 1).
+    Counted column by column: for each x, the integers y with
+    (x, y) = s v1 + t v3, 0 < s, t < 1, solved exactly.  Cross-checked in
+    place against Pick's theorem (interior = area - boundary/2 + 1).
     """
     (x1, y1), (x3, y3) = v1, v3
     det = x1 * y3 - y1 * x3
     if det == 0:
         raise ValueError("vectors are parallel; the parallelogram is degenerate")
-    corners = [(0, 0), (x1, y1), (x3, y3), (x1 + x3, y1 + y3)]
-    xs = [c[0] for c in corners]
-    ys = [c[1] for c in corners]
+    sign, d = (1, det) if det > 0 else (-1, -det)
+    xs = [0, x1, x3, x1 + x3]
     count = 0
     for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            # (x, y) = s v1 + t v3 with 0 < s, t < 1, solved exactly
-            s_num = x * y3 - y * x3
-            t_num = y * x1 - x * y1
-            if det < 0:
-                s_num, t_num, d = -s_num, -t_num, -det
-            else:
-                d = det
-            if 0 < s_num < d and 0 < t_num < d:
-                count += 1
-    area = abs(det)
+        # d s = sign (x y3 - y x3) and d t = sign (y x1 - x y1) must lie in (0, d)
+        s_lo, s_hi = _column_bounds(sign * x * y3, -sign * x3, d)
+        t_lo, t_hi = _column_bounds(-sign * x * y1, sign * x1, d)
+        count += max(0, min(s_hi, t_hi) - max(s_lo, t_lo) + 1)
     boundary = 2 * (math.gcd(abs(x1), abs(y1)) + math.gcd(abs(x3), abs(y3)))
-    pick = area - boundary // 2 + 1
+    pick = d - boundary // 2 + 1
     if count != pick:
-        raise AssertionError("enumeration (%d) disagrees with Pick count (%d)" % (count, pick))
+        raise AssertionError("column count (%d) disagrees with Pick count (%d)" % (count, pick))
     return count
 
 

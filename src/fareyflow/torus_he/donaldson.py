@@ -238,10 +238,11 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
 
     i Lambda F_K0 - 2 pi mu Id is formed once per flow, on a second
     MetricField over K0's data, so K0 caches only the square-root pair that
-    every trial step reuses.  Each iterate is factored once, as a
-    MetricField that lives until the next accepted step; the returned
-    metric is a fresh one, so a result kept after the flow holds none of
-    the factors of its last residual.
+    every trial step reuses; iteration 0 reads both rather than factoring K0
+    again.  Each later iterate is factored once, as a MetricField that lives
+    until the next accepted step; the returned metric is a fresh one, so a
+    result kept after the flow holds none of the factors of its last
+    residual.
     """
     grid, twist = K0.grid, K0.twist
     muf = float(Fraction(mu))
@@ -256,11 +257,11 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
     functional: list[float] = []
     steps: list[float] = []
     m_cur = 0.0
+    H, defect = K0, ref.source
 
     for it in range(max_iter + 1):
-        H = MetricField(grid, twist, h)
         half, inv_half = H.sqrt_pair()
-        G_hat = _hermitize(mm(half, mm(_curvature_defect(H, conn, muf), inv_half)))
+        G_hat = _hermitize(mm(half, mm(defect, inv_half)))
         res = float(np.abs(fiber.eigvalsh(G_hat)).max())
         residuals.append(res)
         functional.append(m_cur)
@@ -287,6 +288,8 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
                 "descent stalled at iteration %d (residual %.3e); residual history: %s"
                 % (it, res, ["%.3e" % r for r in residuals[-8:]]))
         h, m_cur = h_new, m_new
+        H = MetricField(grid, twist, h)
+        defect = _curvature_defect(H, conn, muf)
         steps.append(step)
         step = min(step * 1.3, STEP_MAX)
 

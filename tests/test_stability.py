@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fareyflow.contfrac import ContinuedFraction, cf_expand, lagrange_estimate
 from fareyflow.farey import FareyTriangle, enumerate_triangles
@@ -63,6 +63,50 @@ def test_lattice_brute_force_oracle():
         return hits
     for v1, v3 in [((0, 2), (-1, 0)), ((2, 1), (1, 3)), ((3, 1), (-1, 2))]:
         assert lattice_interior_count(v1, v3) == oracle(v1, v3)
+
+
+def _enumerated_interior(v1, v3):
+    """Oracle: interior lattice points by enumerating the bounding box and
+    solving (x, y) = s v1 + t v3 exactly at every point."""
+    (x1, y1), (x3, y3) = v1, v3
+    det = x1 * y3 - y1 * x3
+    corners = [(0, 0), (x1, y1), (x3, y3), (x1 + x3, y1 + y3)]
+    xs = [c[0] for c in corners]
+    ys = [c[1] for c in corners]
+    count = 0
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            s_num = x * y3 - y * x3
+            t_num = y * x1 - x * y1
+            if det < 0:
+                s_num, t_num, d = -s_num, -t_num, -det
+            else:
+                d = det
+            if 0 < s_num < d and 0 < t_num < d:
+                count += 1
+    return count
+
+
+_COORD = st.integers(-12, 12)
+
+
+@given(st.tuples(_COORD, _COORD), st.tuples(_COORD, _COORD))
+@example((0, 5), (3, 2))
+@example((4, 1), (0, -3))
+@example((0, -7), (-5, 4))
+@example((-12, 11), (12, -12))
+@settings(max_examples=400, deadline=None)
+def test_lattice_count_matches_enumeration(v1, v3):
+    assume(v1[0] * v3[1] - v1[1] * v3[0] != 0)
+    assert lattice_interior_count(v1, v3) == _enumerated_interior(v1, v3)
+
+
+def test_lattice_count_matches_enumeration_on_farey_parallelograms():
+    triangles = list(enumerate_triangles(60))
+    assert len(triangles) == 1101
+    for t in triangles:
+        v1, v3 = (-t.left.p, t.left.q), (-t.right.p, t.right.q)
+        assert lattice_interior_count(v1, v3) == _enumerated_interior(v1, v3)
 
 
 def test_farey_triangle_parallelograms_empty():
