@@ -78,6 +78,8 @@ class MetricField(EndoField):
     caller's own array stays writable, and must not be written while the
     metric is in use).  The per-node factors `inv`, `sqrt_pair` and `gamma`
     are computed on first use, kept on the instance and returned read-only.
+    `is_identity` holds only for the metric `identity_metric` builds; the
+    metric helpers then skip every product with its exact factors.
     """
 
     def __post_init__(self):
@@ -87,6 +89,12 @@ class MetricField(EndoField):
         if herm > 1e-9 * max(1.0, np.abs(self.data).max()):
             raise ValueError("metric field is not Hermitian (defect %.2e)" % herm)
         self._inv = self._sqrt_pair = self._gamma = None
+        self._identity = False
+
+    @property
+    def is_identity(self) -> bool:
+        """Exactly I at every node; set only by `identity_metric`."""
+        return self._identity
 
     def min_eigenvalue(self) -> float:
         return float(fiber.eigvalsh(self.data).min())
@@ -119,12 +127,13 @@ class MetricField(EndoField):
 
 def identity_metric(grid: TorusGrid, twist: TwistData) -> MetricField:
     """The reference metric I, carrying its exact factors: I^-1 = I^(+-1/2) = I
-    and gamma = 0."""
+    and gamma = 0, and flagged `is_identity`."""
     N, r = grid.N, twist.rank
     H = MetricField(grid, twist, np.broadcast_to(np.eye(r, dtype=complex),
                                                  (N, N, r, r)).copy())
     H._inv, H._sqrt_pair = H.data, (H.data, H.data)
     H._gamma = _frozen(np.zeros(H.data.shape, complex))
+    H._identity = True
     return H
 
 
@@ -155,10 +164,6 @@ class ConnectionField:
     def seam_x(self) -> complex:
         return 2j * np.pi * self.twist.degree / self.twist.rank
 
-    def a_zbar(self) -> np.ndarray:
-        c = self.grid.czb
-        return c[0] * self.ax + c[1] * self.ay
-
     def curvature_xy(self) -> np.ndarray:
         """F_xy = d_x a_y - d_y a_x, a scalar field ([A_x, A_y] = 0)."""
         h, seam = self.grid.h, connection_seam(self.seam_x)
@@ -181,7 +186,11 @@ class FormField:
     def norm_sq_field(self, H: MetricField) -> np.ndarray:
         """Pointwise |.|_H^2 = 2 v tr(H^-1 b^dag H b) (nonnegative)."""
         b = self.coeff
-        val = _trace_of_product(mm(H.inv(), dagger(b)), mm(H.data, b))
+        if H.is_identity:
+            # C order, as a product's would be: the trace sums in memory order
+            val = _trace_of_product(np.ascontiguousarray(dagger(b)), b)
+        else:
+            val = _trace_of_product(mm(H.inv(), dagger(b)), mm(H.data, b))
         return 2 * self.grid.v * val.real
 
 
@@ -215,15 +224,6 @@ class SectionField:
     def min_singular_value(self) -> float:
         return float(self.sigma_min_field().min())
 
-    def gram(self, H: MetricField | None = None) -> np.ndarray:
-        """L^2 Gram matrix of the columns."""
-        cols = self.columns
-        if H is None:
-            g = np.einsum("xyam,xyan->mn", cols.conj(), cols)
-        else:
-            g = np.einsum("xyam,xyab,xybn->mn", cols.conj(), H.data, cols)
-        return g * self.grid.weight
-
 
 # ----------------------------------------------------------------------------
 # fiberwise norms and the u_p diagnostic
@@ -234,15 +234,25 @@ def _trace_of_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sum(A * np.swapaxes(B, -1, -2), axis=(-2, -1))
 
 
+def _conjugate_half(s: np.ndarray, H: MetricField) -> np.ndarray:
+    """H^(1/2) s H^(-1/2): s in an H-orthonormal frame (s itself for I)."""
+    if H.is_identity:
+        return s
+    half, inv_half = H.sqrt_pair()
+    return mm(half, mm(s, inv_half))
+
+
 def rho_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
     """Fiberwise operator norm of s with respect to the metric H."""
-    half, inv_half = H.sqrt_pair()
-    return fiber.op_norm(mm(half, mm(s, inv_half)))
+    return fiber.op_norm(_conjugate_half(s, H))
 
 
 def frobenius_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
     """Fiberwise |s|_2 with s^dag taken relative to H: tr(s H^-1 s^dag H)."""
-    val = _trace_of_product(mm(s, H.inv()), mm(dagger(s), H.data))
+    if H.is_identity:
+        val = _trace_of_product(s, dagger(s))
+    else:
+        val = _trace_of_product(mm(s, H.inv()), mm(dagger(s), H.data))
     return np.sqrt(np.maximum(val.real, 0.0))
 
 
@@ -275,8 +285,7 @@ def field_norms(s: EndoField, H: MetricField, qs=(1, 2, np.inf),
     w = s.grid.weight
     rho = {q: lq_norm(rho_f, q, w) for q in qs}
     fro = {q: lq_norm(fro_f, q, w) for q in qs}
-    half, inv_half = H.sqrt_pair()
-    lam = fiber.eigvalsh(mm(half, mm(s.data, inv_half)))
+    lam = fiber.eigvalsh(_conjugate_half(s.data, H))
     u_p = {}
     for p in u_powers:
         m = lam.max(axis=-1, keepdims=True)

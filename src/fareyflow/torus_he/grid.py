@@ -57,11 +57,6 @@ class TorusGrid:
         v, re = self.v, self.tau.real
         return -4 * np.pi ** 2 * (v * m ** 2 + (m * re - n) ** 2 / v)
 
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Laplace-Beltrami operator of the unit-volume flat metric."""
-        out = np.fft.ifft2(self.laplace_symbol(*self.modes) * np.fft.fft2(f))
-        return out.real if np.isrealobj(f) else out
-
     def poisson_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve Laplace(phi) = rhs with mean(phi) = 0.
 

@@ -11,6 +11,11 @@ contraction becomes
     i Lambda F_H = i F^A_xy - 2 v d_zbar g,   g = gamma coeff.
 
 For the constant-curvature model, i Lambda F = 2 pi mu Id exactly.
+
+The model's reference metric is `identity_metric`, flagged `is_identity`.
+On it every helper here skips what is an exact no-op there (products with
+I, stencils of gamma = 0), so the results are bit-identical to the general
+path at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ CONFORMAL_MEAN_TOL = 1e-6   # relative mean of the conformal right side accepted
 
 def i_lambda_F_metric(H: MetricField, conn: ConnectionField) -> np.ndarray:
     """i Lambda of the curvature of the metric H over the background."""
+    if H.is_identity:
+        return conn.i_lambda_F()
     g = EndoField(H.grid, H.twist, H.gamma())
     return conn.i_lambda_F() - 2 * H.grid.v * g.d_zbar()
 
@@ -43,9 +50,10 @@ def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
     H-self-adjoint.  On amplitude-0.5 random metrics its relative H-adjoint
     defect is 9e-6 to 6e-5 at N = 64 (ranks 1-8, tau = i) and shrinks under
     refinement; on a model bundle, where S is rounding noise, it is O(1).
-    The metric's square-root pair and gamma are its cached factors, so on the
-    identity metric of a model bundle the residual is exactly the operator
-    norm of i Lambda F_A - 2 pi mu Id.
+    The metric's square-root pair and gamma are its cached factors.  On the
+    identity metric of a model bundle (`H.is_identity`) neither is read: no
+    stencil of gamma = 0 and no conjugation by I is formed, and the residual
+    is exactly the operator norm of i Lambda F_A - 2 pi mu Id.
     """
     mu = float(Fraction(mu)) if not isinstance(mu, float) else mu
     r = H.twist.rank
@@ -73,7 +81,9 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     the column block is checked against SV_FLOOR and the offending node is
     named on failure.  Returns beta with the projection and the pointwise
     norm field |beta|^2 = 2 v tr(H^-1 b^dag H b).  The central background
-    `conn` commutes with pi, so only the metric's gamma enters d_H pi.
+    `conn` commutes with pi, so only the metric's gamma enters d_H pi; on
+    the identity metric, where gamma = 0 and C^dag H = C^dag, neither
+    product is formed.
     """
     cols = incl.columns
     svals = incl.sigma_min_field()
@@ -81,14 +91,15 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     if svals[worst] < SV_FLOOR:
         raise ValueError("inclusion nearly singular at node %r (sigma_min = %.3e)"
                          % (tuple(int(i) for i in worst), svals[worst]))
-    cols_h = np.matmul(dagger(cols), H.data)                  # C^dag H, (m, r)
+    identity = H.is_identity
+    cols_h = dagger(cols) if identity else np.matmul(dagger(cols), H.data)  # C^dag H
     gram_inv = fiber.inv(np.matmul(cols_h, cols))
     pi = np.matmul(np.matmul(cols, gram_inv), cols_h)
     pi_field = EndoField(H.grid, H.twist, pi)
 
     dz, dzb = pi_field.wirtinger()
     one_minus = np.eye(H.twist.rank) - pi
-    b = mm(one_minus, dz + comm(H.gamma(), pi))
+    b = mm(one_minus, dz if identity else dz + comm(H.gamma(), pi))
     holo = float(np.abs(mm(one_minus, dzb)).max())
     beta = FormField(H.grid, H.twist, b)
     return SecondFundamentalForm(beta, pi_field, beta.norm_sq_field(H), holo)
@@ -165,7 +176,7 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
     phi = grid.poisson_solve(rhs - rhs.mean())
     scaled = MetricField(grid, H_restricted.twist,
                          np.exp(phi)[..., None, None] * H_restricted.data)
-    ratio = mm(scaled.data, H0.inv())
+    ratio = scaled.data if H0.is_identity else mm(scaled.data, H0.inv())
     det = np.linalg.det(ratio)
     return ConformalResult(phi, scaled, float(abs(phi.mean())), defect,
                            float(np.abs(det - 1).max()))

@@ -5,15 +5,18 @@ import mpmath
 import numpy as np
 import pytest
 
+import field_reference
 import theta_reference
 from fareyflow import fiber
 from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
-                                TorusGrid, TwistData, build_model_bundle,
-                                chern_weil_check, conformal_normalize,
-                                he_residual, identity_metric, random_twisted_hermitian,
-                                second_fundamental_form, section_basis, theta_section,
-                                threshold_probe)
-from fareyflow.torus_he.fields import FormField, mm
+                                SectionField, TorusGrid, TwistData,
+                                build_model_bundle, chern_weil_check,
+                                conformal_normalize, field_norms, he_residual,
+                                i_lambda_F_metric, identity_metric,
+                                random_twisted_hermitian, second_fundamental_form,
+                                section_basis, theta_section, threshold_probe)
+from fareyflow.torus_he.fields import (FormField, frobenius_norm_field, mm,
+                                       rho_norm_field)
 from fareyflow.torus_he.model import _theta_raw
 
 
@@ -98,6 +101,86 @@ def test_identity_metric_carries_exact_factors():
     for exact in (H.data, H.inv(), half, inv_half):
         assert np.array_equal(exact, eye)
     assert not H.gamma().any()
+    assert H.is_identity
+    assert not MetricField(g, H.twist, H.data.copy()).is_identity
+    with pytest.raises(AttributeError):
+        H.is_identity = False
+
+
+# one coprime (r, d) per rank; the inclusion is the full rank-1 bundle, one
+# theta section, or the d-section basis when 2 <= d < r
+ORACLE_PAIRS = [(1, 3), (2, 1), (3, 2), (4, 3), (5, 2), (6, 5), (7, 3), (8, 3)]
+
+
+def _general(H0):
+    """A metric with the data of the identity metric H0 that is not flagged
+    `is_identity`, so every helper takes the general path on it.  It computes
+    its own inverse and square-root pair (both come out exactly I) but takes
+    H0's gamma = 0: the d_z stencil of I carries I across the seams as U U^dag
+    and V V^dag, which are I only to rounding where the clock phases are
+    inexact (ranks 3, 5-8), so a fresh gamma is O(1e-15) there, not 0."""
+    H = MetricField(H0.grid, H0.twist, H0.data.copy())
+    H._gamma = H0.gamma()
+    return H
+
+
+def _inclusion(g, tw):
+    r, d = tw.rank, tw.degree
+    if r == 1:
+        return SectionField(g, tw, np.ones((g.N, g.N, 1, 1), complex))
+    return section_basis(tw, g) if 2 <= d < r else theta_section(tw, g, (0, 0))
+
+
+@pytest.mark.parametrize("r, d", ORACLE_PAIRS)
+def test_model_residual_reads_no_metric_factor(r, d, monkeypatch):
+    # the identity metric's residual needs no stencil of gamma = 0 and no
+    # square-root pair, and equals the general path's bit for bit
+    g = TorusGrid(1j, 32)
+    tw, conn, H0 = build_model_bundle(r, d, g)
+    general = he_residual(conn, _general(H0), Fraction(d, r))
+
+    def refuse(*args):
+        raise AssertionError("factored the identity metric")
+
+    monkeypatch.setattr(EndoField, "wirtinger", refuse)
+    monkeypatch.setattr(MetricField, "sqrt_pair", refuse)
+    assert he_residual(conn, H0, Fraction(d, r)).hex() == general.hex()
+
+
+@pytest.mark.parametrize("r, d", ORACLE_PAIRS)
+def test_identity_path_matches_general_path_bitwise(r, d):
+    g = TorusGrid(1j, 32)
+    tw, conn, H0 = build_model_bundle(r, d, g)
+    H = _general(H0)
+    assert H0.is_identity and not H.is_identity
+    mu = Fraction(d, r)
+    assert np.array_equal(i_lambda_F_metric(H0, conn), i_lambda_F_metric(H, conn))
+    assert he_residual(conn, H0, mu).hex() == he_residual(conn, H, mu).hex()
+    s = random_twisted_hermitian(g, tw, seed=r, amplitude=0.5)
+    for norm in (rho_norm_field, frobenius_norm_field):
+        assert np.array_equal(norm(s.data, H0), norm(s.data, H))
+    fast, slow = field_norms(s, H0), field_norms(s, H)
+    assert (fast.rho, fast.frobenius) == (slow.rho, slow.frobenius)
+    assert all(np.array_equal(fast.u_p[p], slow.u_p[p]) for p in slow.u_p)
+    incl = _inclusion(g, tw)
+    fast, slow = (second_fundamental_form(incl, K, conn) for K in (H0, H))
+    assert np.array_equal(fast.norm_sq, slow.norm_sq)
+    assert fast.holomorphy_residual.hex() == slow.holomorphy_residual.hex()
+    # conformal rescaling of a random metric against either reference
+    Hr = MetricField(g, tw, fiber.herm_apply(fiber.exp(), s.data))
+    fast, slow = (conformal_normalize(Hr, K, (mu, mu), conn) for K in (H0, H))
+    assert np.array_equal(fast.phi, slow.phi)
+    assert fast.det_deviation.hex() == slow.det_deviation.hex()
+
+
+def test_theta_line_chern_weil_identity_path_bitwise(model21):
+    g, tw, conn, H0 = model21
+    H = _general(H0)
+    sec = theta_section(tw, g, (0, 0))
+    fast, slow = (second_fundamental_form(sec, K, conn) for K in (H0, H))
+    for beta in ((fast, slow), (fast.beta, slow.beta)):
+        cw = [chern_weil_check(b, K, Fraction(1, 2), 0, 1) for b, K in zip(beta, (H0, H))]
+        assert [x.hex() for x in cw[0]] == [x.hex() for x in cw[1]]
 
 
 def test_residual_of_conformal_weight_vs_spectral_laplacian():
@@ -107,7 +190,7 @@ def test_residual_of_conformal_weight_vs_spectral_laplacian():
     psi = np.sin(2 * np.pi * g.X)
     H = MetricField(g, tw, np.exp(psi)[..., None, None] * H0.data)
     res = he_residual(conn, H, 0)
-    oracle = np.abs(g.laplacian(psi)).max() / 2       # spectral route
+    oracle = np.abs(field_reference.spectral_laplacian(g, psi)).max() / 2
     assert res == pytest.approx(oracle, rel=1e-5)
     assert oracle == pytest.approx(2 * np.pi ** 2, rel=1e-12)
 
@@ -182,7 +265,7 @@ def test_theta_r1_d3_three_sections():
     g = TorusGrid(1j, 32)
     tw, conn, H0 = build_model_bundle(1, 3, g)
     basis = section_basis(tw, g)
-    gram = basis.gram()
+    gram = field_reference.gram(basis)
     assert gram.shape == (3, 3)
     w = np.linalg.eigvalsh(gram)
     assert w.min() > 1e-3 * w.max()       # rank 3
@@ -191,7 +274,7 @@ def test_theta_r1_d3_three_sections():
 def test_theta_r3_d2_two_sections():
     g = TorusGrid(1j, 32)
     tw, conn, H0 = build_model_bundle(3, 2, g)
-    gram = section_basis(tw, g).gram()
+    gram = field_reference.gram(section_basis(tw, g))
     assert gram.shape == (2, 2)
     w = np.linalg.eigvalsh(gram)
     assert w.min() > 1e-3 * w.max()       # the section space has dimension d
@@ -203,7 +286,7 @@ def test_theta_twisted_cauchy_riemann(model21):
     from fareyflow.torus_he.twist import d4, section_seam
     seam = section_seam(tw, g)
     dzb = g.czb[0] * d4(sec.data, 0, g.h, seam) + g.czb[1] * d4(sec.data, 1, g.h, seam)
-    cr = dzb + conn.a_zbar()[..., None] * sec.data
+    cr = dzb + field_reference.a_zbar(conn)[..., None] * sec.data
     assert np.abs(cr).max() < 5e-6        # 4th-order differences at N = 64
 
 
@@ -214,7 +297,6 @@ def test_theta_twisted_cauchy_riemann(model21):
 def test_sff_full_inclusion_vanishes(model21):
     g, tw, conn, H0 = model21
     cols = np.broadcast_to(np.eye(2, dtype=complex), (g.N, g.N, 2, 2)).copy()
-    from fareyflow.torus_he import SectionField
     sff = second_fundamental_form(SectionField(g, tw, cols), H0, conn)
     assert np.abs(sff.projection.data - np.eye(2)).max() < 1e-12
     assert np.abs(sff.norm_sq).max() < 1e-20
@@ -227,7 +309,6 @@ def test_sff_parallel_summand_vanishes():
     H0 = identity_metric(g, tw)
     zero = np.zeros((g.N, g.N), complex)
     conn = ConnectionField(g, tw, zero, zero)
-    from fareyflow.torus_he import SectionField
     col = np.zeros((g.N, g.N, 2), complex)
     col[..., 0] = 1 / math.sqrt(2)
     col[..., 1] = 1 / math.sqrt(2)
@@ -241,7 +322,6 @@ def test_sff_near_singular_inclusion_names_node():
     sec = theta_section(tw, g, (0, 0))
     bad = sec.data.copy()
     bad[3, 5] *= 1e-12
-    from fareyflow.torus_he import SectionField
     with pytest.raises(ValueError, match=r"\(3, 5\)"):
         second_fundamental_form(SectionField(g, tw, bad), H0, conn)
 
