@@ -25,8 +25,8 @@ ratios = np.array(ratios)
 print("ratio max/median over the samples: %.4f" % (ratios.max() / np.median(ratios)))
 
 A = random_gauge_field(grid, 2, seed=1, curvature_target=0.03)
-f2 = grid_norms(curvature(A), "rho", "L^p", p=2).value
-w12 = grid_norms(A, "rho", "W^{1,p}", p=2).value
+f2 = grid_norms(curvature(A), "L^2")
+w12 = grid_norms(A, "W^{1,2}")
 print("\nbefore fixing: ||F||_L2 = %.4f, ||A||_W12 = %.4f" % (f2, w12))
 u, Ac, rep = coulomb_fix(A, tol=1e-6)
 print("after fixing:  ||A_c||_W12 = %.4f (ratio %.4f)" % (rep.a_w12, rep.ratio))

@@ -1,14 +1,14 @@
-"""Gauge fields on the unit square: curvature, gauge action, div-curl solves
-with prescribed normal trace, and iterative Coulomb gauge fixing.
+"""Gauge fields on the unit square: curvature, gauge action, rho-L^2 and
+rho-W^{1,2} norms, the Neumann cosine solve, and iterative Coulomb gauge
+fixing.
 
 The square is sampled inclusively at (j/N, k/N), j, k = 0..N.  Derivatives
-are 4th-order finite differences (one-sided at the boundary).  The scalar
-solves behind the div-curl system and the gauge-fixing iteration use sine /
-cosine bases, whose parities match the even/odd reflections of the normal
-trace condition: a Dirichlet sine solve for the curl potential, a Neumann
-cosine solve plus explicit harmonic corrections for the divergence potential.
-Both solvers treat trailing array axes as a batch of independent real solves,
-so matrix-valued complex data goes through one call (real and imaginary parts
+are 4th-order finite differences (one-sided at the boundary).  Each gauge
+sweep solves a Neumann problem for its divergence potential in a cosine
+basis, whose parity matches the even reflection of the normal-derivative
+condition, plus explicit harmonic corrections for the edge data.  The solver
+treats trailing array axes as a batch of independent real solves, so
+matrix-valued complex data goes through one call (real and imaginary parts
 on one more trailing axis).
 """
 
@@ -26,7 +26,6 @@ COMPAT_TOL = 1e-5    # relative flux-balance defect a Neumann solve accepts
 N_REFINE = 2         # Richardson corrections per Coulomb sweep
 SKEW_TOL = 1e-12     # relative skew-Hermitian defect the rho norm of a gauge field accepts
 UNITARY_TOL = 1e-8   # unitarity defect a gauge transform may have
-HOLDER_NODES = 1024  # about this many subsampled nodes enter the Hoelder seminorm
 MAX_SWEEPS = 25      # Coulomb sweeps before the fix gives up
 GAUGE_MAX_MODE = 2   # highest sine/cosine mode of random_gauge_field
 _EDGES = ("left", "right", "bottom", "top")
@@ -148,123 +147,37 @@ def _rho_skew(F: np.ndarray) -> np.ndarray:
     return np.abs(fiber.eigvalsh(1j * F)).max(axis=-1)
 
 
-def fro_field(F: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...ab,...ab->...", F, F.conj()).real)
+def grid_norms(field, space: str) -> float:
+    """rho-L^2 ("L^2") or rho-W^{1,2} ("W^{1,2}") norm of a gauge or
+    curvature field.
 
-
-def _components(field) -> list[np.ndarray]:
-    if isinstance(field, GaugeField):
-        return [field.ax, field.ay]
-    if isinstance(field, CurvatureField):
-        return [field.fxy]
-    return [field]
-
-
-def _fiber_norm(field, which: str):
-    """Per-node norm of one component: rho is the spectral radius for the
-    skew-Hermitian components of gauge and curvature fields and the largest
-    singular value for a plain array."""
-    if which != "rho":
-        return fro_field
-    return _rho_skew if isinstance(field, (GaugeField, CurvatureField)) else fiber.op_norm
-
-
-def _node_norm(field, which: str) -> np.ndarray:
-    """Per-node scalar: one-forms aggregate components by summing."""
-    f = _fiber_norm(field, which)
-    return sum(f(c) for c in _components(field))
-
-
-@dataclass
-class NormReport:
-    which: str
-    space: str
-    p: float | None
-    alpha: float | None
-    value: float
-
-
-def _integrate_p(node_vals: np.ndarray, grid: SquareGrid, p) -> float:
-    if p == np.inf:
-        return float(node_vals.max())
-    return float((np.sum(node_vals ** p * grid.w2)) ** (1.0 / p))
-
-
-def grid_norms(field, which: str, space: str, p=2, alpha: float = 0.5,
-               grid: SquareGrid | None = None) -> NormReport:
-    """L^p, W^{1,p}, or C^alpha norms with the rho or Frobenius fiber norm.
-
-    p = np.inf may also be spelled "inf".  The Hoelder seminorm is evaluated
-    on a subsampled node set (about HOLDER_NODES nodes), which is an
-    upper-bounded-from-below surrogate of the true supremum; it is exact in
-    the refinement limit.
+    The fiber norm is the spectral radius of a skew-Hermitian component
+    (`_rho_skew`); a one-form sums its two components' norms node by node,
+    and W^{1,2} adds the squared norms of both first derivatives of each
+    component.
     """
-    if which not in ("rho", "frobenius"):
-        raise ValueError("which must be 'rho' or 'frobenius'")
-    if grid is None:
-        grid = field.grid
-    p = np.inf if p == "inf" else p
-    if space == "L^p":
-        if p not in (1, 2, 4, np.inf):
-            raise ValueError("unsupported exponent %r" % (p,))
-        return NormReport(which, space, p, None,
-                          _integrate_p(_node_norm(field, which), grid, p))
-    if space == "W^{1,p}":
-        if p not in (1, 2, 4):
-            raise ValueError("unsupported exponent %r" % (p,))
-        comps = _components(field)
-        f = _fiber_norm(field, which)
-        total = np.zeros_like(grid.w2)
+    comps = [field.ax, field.ay] if isinstance(field, GaugeField) else [field.fxy]
+    g = field.grid
+    if space == "L^2":
+        node = sum(_rho_skew(c) for c in comps)
+        return float((np.sum(node ** 2 * g.w2)) ** (1.0 / 2))
+    if space == "W^{1,2}":
+        total = np.zeros_like(g.w2)
         for c in comps:
-            total += f(c) ** p
-            total += f(diff4(c, 0, grid.h)) ** p
-            total += f(diff4(c, 1, grid.h)) ** p
-        return NormReport(which, space, p, None, float(np.sum(total * grid.w2) ** (1.0 / p)))
-    if space == "C^alpha":
-        if not 0 < alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        comps = _components(field)
-        M = grid.N + 1
-        stride = max(1, int(math.ceil(M / math.sqrt(HOLDER_NODES))))
-        sub = np.ix_(range(0, M, stride), range(0, M, stride))
-        pts_x = grid.X[sub].ravel()
-        pts_y = grid.Y[sub].ravel()
-        blocks = np.concatenate([c[sub].reshape(len(pts_x), -1) for c in comps], axis=1)
-        diff = blocks[:, None, :] - blocks[None, :, :]
-        if which == "rho":
-            r = comps[0].shape[-1]
-            nmats = len(comps)
-            d = diff.reshape(len(pts_x), len(pts_x), nmats, r, r)
-            num = fiber.op_norm(d).sum(axis=-1)
-        else:
-            num = np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
-        dx = pts_x[:, None] - pts_x[None, :]
-        dy = pts_y[:, None] - pts_y[None, :]
-        dist = np.hypot(dx, dy)
-        np.fill_diagonal(dist, np.inf)
-        ratio = num / dist ** alpha
-        return NormReport(which, space, None, alpha, float(ratio.max()))
+            total += _rho_skew(c) ** 2
+            total += _rho_skew(diff4(c, 0, g.h)) ** 2
+            total += _rho_skew(diff4(c, 1, g.h)) ** 2
+        return float(np.sum(total * g.w2) ** (1.0 / 2))
     raise ValueError("unknown space %r" % (space,))
 
 
 # ----------------------------------------------------------------------------
-# sine/cosine scalar solvers on the square
+# cosine scalar solver on the square
 #
-# These four transforms are fareyflow's only use of scipy.  Each imports
+# These two transforms are fareyflow's only use of scipy.  Each imports
 # scipy.fft itself, so that `import fareyflow` and the CLI subcommands other
 # than `coulomb` do not load scipy.  Calls go through the scipy.fft namespace,
-# so a wrapper installed on scipy.fft.dst/dct (perfbench's tracer) sees each.
-
-
-def _sin_coeffs(f: np.ndarray) -> np.ndarray:
-    """f on interior nodes -> coefficients of sum s_m sin(m pi x)."""
-    import scipy.fft
-    return scipy.fft.dst(f, type=1, axis=0) / (f.shape[0] + 1)
-
-
-def _sin_synth(s: np.ndarray) -> np.ndarray:
-    import scipy.fft
-    return scipy.fft.dst(s, type=1, axis=0) / 2.0
+# so a wrapper installed on scipy.fft.dct (perfbench's tracer) sees each.
 
 
 def _cos_coeffs(f: np.ndarray) -> np.ndarray:
@@ -292,24 +205,6 @@ def _split(z: np.ndarray) -> np.ndarray:
 
 def _join(f: np.ndarray) -> np.ndarray:
     return f[..., 0] + 1j * f[..., 1]
-
-
-def dirichlet_poisson(rhs: np.ndarray) -> np.ndarray:
-    """Solve Lap(b) = rhs, b = 0 on the boundary (sine Galerkin).
-
-    rhs[x, y, ...] is given on the full (N+1)^2 node grid; trailing axes are
-    a batch of independent real solves.  The interior values drive the sine
-    expansion and the returned b carries exact zero boundary values.
-    """
-    M = rhs.shape[0]
-    f = rhs.reshape(M, M, -1)
-    S = _sin_coeffs(_sin_coeffs(f[1:-1, 1:-1].swapaxes(0, 1)).swapaxes(0, 1))
-    m = np.arange(1, M - 1)
-    lam = -(np.pi ** 2) * (m[:, None] ** 2 + m[None, :] ** 2)
-    S = S / lam[..., None]
-    b = np.zeros_like(f)
-    b[1:-1, 1:-1] = _sin_synth(_sin_synth(S.swapaxes(0, 1)).swapaxes(0, 1))
-    return b.reshape(rhs.shape)
 
 
 def _edge_cos_pair_correction(wl: np.ndarray, wr: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -384,27 +279,6 @@ def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid)
     return (a - np.tensordot(grid.w2, a, 2)).reshape(rhs_shape)
 
 
-def hodge_solve(phi: np.ndarray, psi: np.ndarray, w: dict[str, np.ndarray] | None,
-                grid: SquareGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Solve d_x u_y - d_y u_x = phi, d_x u_x + d_y u_y = psi, iota_nu u = w.
-
-    Split u = grad(a) + rot(b) with rot(b) = (-d_y b, d_x b): the divergence
-    potential a solves a Neumann problem with data (psi, w), the curl
-    potential b a Dirichlet problem for phi.  Data may be scalar fields or
-    matrix-valued, real or complex; the system is linear, so every real and
-    imaginary part of every entry is one member of a single batched solve.
-    """
-    M = grid.N + 1
-    if phi.shape[:2] != (M, M) or psi.shape[:2] != (M, M):
-        raise ValueError("data must live on the full node grid")
-    w = w or {}
-    wd = {e: _split(np.asarray(w.get(e, np.zeros((M,) + psi.shape[2:])))) for e in _EDGES}
-    b = dirichlet_poisson(_split(phi))
-    a = neumann_poisson(_split(psi), wd, grid)
-    return (_join(diff4(a, 0, grid.h) - diff4(b, 1, grid.h)),
-            _join(diff4(a, 1, grid.h) + diff4(b, 0, grid.h)))
-
-
 # ----------------------------------------------------------------------------
 # Coulomb gauge fixing
 
@@ -422,7 +296,7 @@ class CoulombReport:
     def ratio(self) -> float:
         return self.a_w12 / self.curvature_l2 if self.curvature_l2 else math.inf
 
-    def dump_trajectory_csv(self, path, seed=None, rank=None):
+    def dump_trajectory_csv(self, path, seed, rank):
         """One row per sweep: seed, rank, sweep, div_residual, boundary_residual."""
         import csv
         with open(path, "a", newline="") as fh:
@@ -486,7 +360,7 @@ def coulomb_fix(A: GaugeField, *, tol: float = 1e-6, eps0: float = 0.1):
     instead of spending the rest of them.
     """
     g = A.grid
-    f_l2 = grid_norms(curvature(A), "rho", "L^p", p=2).value
+    f_l2 = grid_norms(curvature(A), "L^2")
     if f_l2 > eps0:
         raise ValueError("curvature %.4f exceeds the smallness threshold %.4f"
                          % (f_l2, eps0))
@@ -499,7 +373,7 @@ def coulomb_fix(A: GaugeField, *, tol: float = 1e-6, eps0: float = 0.1):
         div_l2, bdry = div_residuals(A_cur)
         history.append((div_l2, bdry))
         if div_l2 < tol and bdry < tol:
-            a_w12 = grid_norms(A_cur, "rho", "W^{1,p}", p=2).value
+            a_w12 = grid_norms(A_cur, "W^{1,2}")
             return u_total, A_cur, CoulombReport(it, div_l2, bdry, f_l2, a_w12,
                                                  history)
         if it == MAX_SWEEPS:
@@ -553,7 +427,7 @@ def random_gauge_field(grid: SquareGrid, rank: int, seed: int,
     ay = sum(smooth()[..., None, None] * herm() for _ in range(2)) * 1j
     A = GaugeField(grid, ax, ay)
     for _ in range(3):
-        f = grid_norms(curvature(A), "rho", "L^p", p=2).value
+        f = grid_norms(curvature(A), "L^2")
         s = curvature_target / f
         A = GaugeField(grid, A.ax * s, A.ay * s)
     return A

@@ -5,9 +5,8 @@ conformal normalization, and the metric energy functional with its flow.
 
 from .grid import TorusGrid
 from .twist import TwistData, WeylTransform
-from .fields import (ConnectionField, EndoField, FieldNorms, FormField,
-                     MetricField, SectionField, dump_grid_csv, field_norms,
-                     identity_metric, load_grid_csv, normalize_det_at_point)
+from .fields import (ConnectionField, EndoField, FormField, MetricField,
+                     SectionField, dump_grid_csv, identity_metric, load_grid_csv)
 from .model import ModelBundle, build_model_bundle, section_basis, theta_section
 from .hermitian import (ConformalResult, SecondFundamentalForm, ThresholdProbe,
                         chern_weil_check, conformal_normalize, he_residual,
@@ -18,9 +17,8 @@ from .donaldson import (FlowResult, donaldson_flow, donaldson_functional,
 
 __all__ = [
     "TorusGrid", "TwistData", "WeylTransform",
-    "ConnectionField", "EndoField", "FieldNorms", "FormField", "MetricField",
-    "SectionField", "dump_grid_csv", "field_norms", "identity_metric",
-    "load_grid_csv", "normalize_det_at_point",
+    "ConnectionField", "EndoField", "FormField", "MetricField",
+    "SectionField", "dump_grid_csv", "identity_metric", "load_grid_csv",
     "ModelBundle", "build_model_bundle", "section_basis", "theta_section",
     "ConformalResult", "SecondFundamentalForm", "ThresholdProbe",
     "chern_weil_check", "conformal_normalize", "he_residual",

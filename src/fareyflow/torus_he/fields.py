@@ -18,7 +18,7 @@ import numpy as np
 from .. import fiber
 from ..fiber import comm, dagger, mm
 from .grid import TorusGrid
-from .twist import TwistData, connection_seam, d4, endo_seam, ghost_pad, stencil
+from .twist import TwistData, connection_seam, d4, endo_seam
 
 
 @dataclass
@@ -33,25 +33,6 @@ class EndoField:
         N, r = self.grid.N, self.twist.rank
         if self.data.shape != (N, N, r, r):
             raise ValueError("expected shape %r, got %r" % ((N, N, r, r), self.data.shape))
-
-    def seam_roundtrip(self) -> float:
-        """Carry the first row across each seam and back through the ghost
-        rule; nonzero only if the clutching conjugation is not unitary."""
-        seam, F, out = endo_seam(self.twist), self.data, 0.0
-        for axis in (0, 1):
-            back = np.take(ghost_pad(ghost_pad(F, axis, 1, seam), axis, 1, seam), 0, axis)
-            out = max(out, float(np.abs(back - np.take(F, 0, axis)).max()))
-        return out
-
-    def seam_jump(self) -> float:
-        """Cross-seam smoothness probe: reconstruct each node from 6 ghost
-        neighbours by polynomial interpolation and take the worst mismatch.
-        O(h^6) for data that continues smoothly through the seams, O(1) if
-        the twisted periodicity is violated."""
-        w = {-3: 1 / 20, -2: -6 / 20, -1: 15 / 20, 1: 15 / 20, 2: -6 / 20, 3: 1 / 20}
-        seam = endo_seam(self.twist)
-        return max(float(np.abs(stencil(self.data, axis, w, seam) - self.data).max())
-                   for axis in (0, 1))
 
     def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
         """(d_z, d_zbar) from one pair of 4th-order stencils (d_x, d_y)."""
@@ -250,7 +231,7 @@ class SectionField:
 
 
 # ----------------------------------------------------------------------------
-# fiberwise norms and the u_p diagnostic
+# fiberwise norms
 
 
 def _trace_of_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -261,62 +242,6 @@ def _trace_of_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def rho_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
     """Fiberwise operator norm of s with respect to the metric H."""
     return fiber.op_norm(H.conjugate_half(s))
-
-
-def frobenius_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:
-    """Fiberwise |s|_2 with s^dag taken relative to H: tr(s H^-1 s^dag H)."""
-    val = _trace_of_product(mm(s, H.inv()), mm(dagger(s), H.data))
-    return np.sqrt(np.maximum(val.real, 0.0))
-
-
-def lq_norm(field: np.ndarray, q, weight: float) -> float:
-    if q == np.inf or q == "inf":
-        return float(np.abs(field).max())
-    q = float(q)
-    return float((np.sum(np.abs(field) ** q) * weight) ** (1.0 / q))
-
-
-@dataclass
-class FieldNorms:
-    rho: dict
-    frobenius: dict
-    u_p: dict
-    u_p_monotone: bool
-    u_p_limit: np.ndarray
-
-
-def field_norms(s: EndoField, H: MetricField, qs=(1, 2, np.inf),
-                u_powers=(1, 2, 4, 8, 16)) -> FieldNorms:
-    """Integrated operator and Frobenius norms plus the u_p diagnostic.
-
-    u_p = (1/p) log tr(exp(p s)) per node.  As p grows u_p is nonincreasing
-    and converges to the largest eigenvalue of s; the classical bound chain
-    runs through these quantities, and |s|_rho <= |s|_2 holds fiberwise.
-    """
-    rho_f = rho_norm_field(s.data, H)
-    fro_f = frobenius_norm_field(s.data, H)
-    w = s.grid.weight
-    rho = {q: lq_norm(rho_f, q, w) for q in qs}
-    fro = {q: lq_norm(fro_f, q, w) for q in qs}
-    lam = fiber.eigvalsh(H.conjugate_half(s.data))
-    u_p = {}
-    for p in u_powers:
-        m = lam.max(axis=-1, keepdims=True)
-        u_p[p] = (np.log(np.sum(np.exp(p * (lam - m)), axis=-1)) / p + m[..., 0])
-    powers = sorted(u_powers)
-    mono = all(np.all(u_p[powers[i]] >= u_p[powers[i + 1]] - 1e-12)
-               for i in range(len(powers) - 1))
-    return FieldNorms(rho, fro, u_p, mono, lam.max(axis=-1))
-
-
-def normalize_det_at_point(H: MetricField, H0: MetricField,
-                           node: tuple[int, int]) -> MetricField:
-    """Scale H so that det(H H0^-1) = 1 exactly at the given grid node."""
-    r = H.twist.rank
-    ratio = H.data[node] @ np.linalg.inv(H0.data[node])
-    sign, logdet = np.linalg.slogdet(ratio)
-    b = -(logdet + np.log(sign)) / r
-    return MetricField(H.grid, H.twist, np.exp(b.real) * H.data)
 
 
 # ----------------------------------------------------------------------------

@@ -4,11 +4,12 @@ A rank-r bundle of degree d is realized with constant clutching unitaries:
 U = clock (diagonal of r-th roots of unity) across the x-seam and
 V = shift^(-d) across the y-seam, which satisfy V U = exp(2 pi i d/r) U V.
 Both are monomial (one unit-modulus entry per row), so crossing a seam is a
-gather times phases.  Endomorphism-valued fields wrap seams by conjugation,
-connection components pick up an additive constant across the y-seam, and
-section values pick up the scalar automorphy phase.  `ghost_pad` pads a
-field once along an axis with ghost layers filled by its kind's rule, and a
-stencil is one weighted sum of slices of the padded array, so 4th-order
+gather times phases.  Endomorphism-valued fields wrap seams by conjugation
+and connection components pick up an additive constant across the y-seam;
+section values carry the scalar automorphy phase `TwistData.section_phase`,
+but no section is differentiated, so they have no ghost rule.  `ghost_pad`
+pads a field once along an axis with ghost layers filled by its kind's rule,
+and a stencil is one weighted sum of slices of the padded array, so 4th-order
 centered differences see globally smooth data.
 """
 
@@ -53,11 +54,6 @@ class TwistData:
             if degree % rank else np.eye(rank, dtype=complex)
         return cls(rank, degree, U, V)
 
-    @classmethod
-    def trivial(cls, rank: int) -> "TwistData":
-        eye = np.eye(rank, dtype=complex)
-        return cls(rank, 0, eye, eye)
-
     @property
     def mu(self) -> Fraction:
         return Fraction(self.degree, self.rank)
@@ -77,7 +73,7 @@ class TwistData:
             raise ValueError("clutching data inconsistent (residual %.2e)" % r)
         return float(r)
 
-    def section_phase(self, grid, y_offset: int = 0) -> np.ndarray:
+    def section_phase(self, grid) -> np.ndarray:
         """Scalar automorphy phase multiplying V at the y-seam.
 
         At base point z the upward seam rule for sections is
@@ -85,7 +81,7 @@ class TwistData:
         theta = -pi (d/r) (2 Re z + Re tau).
         """
         c = self.degree / self.rank
-        rez = grid.X + grid.tau.real * (grid.Y + y_offset)
+        rez = grid.X + grid.tau.real * grid.Y
         return np.exp(-1j * np.pi * c * (2 * rez + grid.tau.real))
 
     @cached_property
@@ -133,22 +129,6 @@ def connection_seam(y_jump: complex):
     return rule
 
 
-def section_seam(twist: TwistData, grid):
-    """Seam rule of section values (N, N, r) or columns (N, N, r, m): v -> U v
-    across the x-seam, v -> exp(i theta) V v across the y-seam (theta from
-    `TwistData.section_phase`)."""
-    def rule(strip, axis, up):
-        perm, phase = twist.gathers[axis, up]
-        out = phase.reshape((-1,) + (1,) * (strip.ndim - 3)) * strip[:, :, perm]
-        if axis == 1:
-            w = strip.shape[1]
-            ph = twist.section_phase(grid)[:, :w] if up else \
-                np.conj(twist.section_phase(grid, y_offset=-1)[:, grid.N - w:])
-            out = ph.reshape(ph.shape + (1,) * (strip.ndim - 2)) * out
-        return out
-    return rule
-
-
 def ghost_pad(F: np.ndarray, axis: int, w: int, seam) -> np.ndarray:
     """F with w ghost layers on both sides of `axis`, filled by the seam rule."""
     N = F.shape[axis]
@@ -173,7 +153,7 @@ def d4(F: np.ndarray, axis: int, h: float, seam) -> np.ndarray:
 # sum_{j,k} sigma_jk(x, y) C^j S^k where the scalar components obey Bloch
 # conditions sigma(x+1, y) = zeta^k sigma, sigma(x, y+1) = zeta^(j d) sigma.
 # Removing the Bloch phase makes them plainly periodic, which gives exact
-# spectral calculus (used for preconditioning and as a derivative oracle).
+# spectral calculus for the flow's preconditioner.
 
 
 class WeylTransform:
@@ -212,7 +192,3 @@ class WeylTransform:
         hat *= symbol
         sig = np.fft.ifft2(hat, axes=(0, 1)) / self.debloch
         return self.assemble(sig)
-
-    def derivative(self, F: np.ndarray, axis: int) -> np.ndarray:
-        """Exact spectral d/dx or d/dy of a twisted endomorphism field."""
-        return self.apply_symbol(F, 2j * np.pi * self.freqs[axis])

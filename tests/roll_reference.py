@@ -47,6 +47,14 @@ def shift_connection(F, twist, axis, s, seam_const):
     return G
 
 
+def _section_phase_below(twist, grid):
+    """`TwistData.section_phase` at the base point z - tau: the phase that
+    carried the strip below the y-seam up to where it is read from."""
+    c = twist.degree / twist.rank
+    rez = grid.X + grid.tau.real * (grid.Y - 1)
+    return np.exp(-1j * np.pi * c * (2 * rez + grid.tau.real))
+
+
 def shift_section(F, twist, grid, axis, s):
     """Section rule for values (N, N, r) or stacked columns (N, N, r, m)."""
     N = F.shape[axis]
@@ -66,7 +74,7 @@ def shift_section(F, twist, grid, axis, s):
         G[idx] = ph[..., None] * blk if F.ndim == 3 else ph[..., None, None] * blk
     else:
         idx = _strip(F.ndim, axis, slice(0, -s))
-        ph = twist.section_phase(grid, y_offset=-1)[_strip(2, axis, slice(N + s, N))]
+        ph = _section_phase_below(twist, grid)[_strip(2, axis, slice(N + s, N))]
         blk = np.einsum("ba,%s->%s" % (vec.replace("a", "b"), vec), twist.V.conj(), G[idx])
         G[idx] = np.conj(ph)[..., None] * blk if F.ndim == 3 else np.conj(ph)[..., None, None] * blk
     return G
@@ -82,7 +90,10 @@ PROBE = {-3: 1 / 20, -2: -6 / 20, -1: 15 / 20, 1: 15 / 20, 2: -6 / 20, 3: 1 / 20
 
 
 def endo_seam_jump(F, twist):
-    """The 6-point interpolation probe of EndoField.seam_jump."""
+    """Cross-seam smoothness probe: reconstruct each node from its 6 shifted
+    neighbours by polynomial interpolation and take the worst mismatch.
+    O(h^6) for data that continues smoothly through the seams, O(1) if the
+    twisted periodicity is violated."""
     out = 0.0
     for axis in (0, 1):
         acc = np.zeros_like(F)
@@ -93,7 +104,8 @@ def endo_seam_jump(F, twist):
 
 
 def endo_seam_roundtrip(F, twist):
-    """Shift up across each seam and back down (EndoField.seam_roundtrip)."""
+    """Shift up across each seam and back down; nonzero only if the
+    clutching conjugation is not unitary."""
     out = 0.0
     for axis in (0, 1):
         back = shift_endo(shift_endo(F, twist, axis, 1), twist, axis, -1)
