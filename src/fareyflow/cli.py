@@ -206,7 +206,7 @@ def _run_donaldson(p):
     grid, (twist, conn, H0) = _torus_setup(p)
     s = random_twisted_hermitian(grid, twist, int(p["seed"]),
                                  amplitude=float(p["amplitude"]))
-    K = MetricField(grid, twist, fiber.herm_apply(fiber.exp(), s.data))
+    K = MetricField(grid, twist, fiber.herm_apply(fiber.exp(1.0), s.data))
     t1 = time.perf_counter()
     fr = donaldson_flow(K, twist.mu, conn, tol=float(p["tol"]),
                         max_iter=int(p["max_iter"]))

@@ -18,6 +18,7 @@ import numpy as np
 from .surd import QuadraticSurd, RatInterval
 
 _MAX_PERIOD_SEARCH = 200_000
+_ENCLOSE_BITS = 120          # precision of the rational enclosure of an irrational surd
 
 
 @dataclass(frozen=True)
@@ -41,12 +42,12 @@ class Enclosure:
         return float((self.lo + self.hi) / 2)
 
 
-def _enclose(value: Fraction | QuadraticSurd, bits: int = 120) -> Enclosure:
+def _enclose(value: Fraction | QuadraticSurd) -> Enclosure:
     if isinstance(value, QuadraticSurd):
         if value.is_rational:
             value = value.as_fraction()
         else:
-            iv = value.enclosure(bits)
+            iv = value.enclosure(_ENCLOSE_BITS)
             return Enclosure(iv.lo, iv.hi, value)
     value = Fraction(value)
     return Enclosure(value, value, value)
@@ -151,13 +152,14 @@ class Convergent:
 # digit extraction
 
 
-def cf_expand(x, max_depth: int, eps: Fraction | None = None) -> ContinuedFraction:
+def cf_expand(x, max_depth: int) -> ContinuedFraction:
     """Expand a rational, quadratic surd, float, or decimal string.
 
     Rationals terminate exactly.  Quadratic surds get their eventual period
     detected exactly by repetition of the Gauss-map state.  Floats and decimal
     strings are treated as intervals; digits stop (with the `exhausted` flag)
-    as soon as the next digit is ambiguous within the input's precision.
+    as soon as the next digit is ambiguous within the input's precision: 4
+    ulp around a float, half a unit of the last decimal place of a string.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -168,14 +170,13 @@ def cf_expand(x, max_depth: int, eps: Fraction | None = None) -> ContinuedFracti
     if isinstance(x, (int, Fraction)):
         return _expand_fraction(Fraction(x))
     if isinstance(x, float):
-        if eps is None:
-            eps = Fraction(4 * math.ulp(abs(x) or 1.0))
+        eps = Fraction(4 * math.ulp(abs(x) or 1.0))
         v = Fraction(x)
         return _expand_interval(v - eps, v + eps, max_depth)
     if isinstance(x, str):
         v = Fraction(x)
         places = len(x.split(".")[1]) if "." in x else 0
-        radius = eps if eps is not None else Fraction(1, 2 * 10 ** places) if places else Fraction(0)
+        radius = Fraction(1, 2 * 10 ** places) if places else Fraction(0)
         if radius == 0:
             return _expand_fraction(v)
         return _expand_interval(v - radius, v + radius, max_depth)

@@ -344,7 +344,7 @@ def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid
     return chi
 
 
-def coulomb_fix(A: GaugeField, *, tol: float = 1e-6, eps0: float = 0.1):
+def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
     """Gauge transform A into a Coulomb gauge: d*A = 0, iota_nu A = 0.
 
     Refuses when the curvature is above the smallness threshold eps0 in the
@@ -397,7 +397,7 @@ def coulomb_fix(A: GaugeField, *, tol: float = 1e-6, eps0: float = 0.1):
 
 
 def random_gauge_field(grid: SquareGrid, rank: int, seed: int,
-                       curvature_target: float = 0.03) -> GaugeField:
+                       curvature_target: float) -> GaugeField:
     """Seeded smooth skew-Hermitian field scaled to a target curvature size.
 
     The components vanish to 4th order at the boundary, which keeps the

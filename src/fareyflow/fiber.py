@@ -122,7 +122,7 @@ def _small(x):
     return small, np.where(small, 1.0, x)
 
 
-def exp(t: complex = 1.0) -> Spectral:
+def exp(t: complex) -> Spectral:
     """exp(t H); t may be negative or complex (t = i gives exp of i H)."""
 
     def split(m, g):

@@ -31,10 +31,7 @@ def _plain(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _plain(dataclasses.asdict(value))
     if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        try:
-            return value.item()
-        except Exception:
-            pass
+        return value.item()
     return value
 
 

@@ -35,13 +35,13 @@ def squarefree_split(n: int) -> tuple[int, int]:
 class QuadraticSurd:
     """(a + b*sqrt(D))/c in canonical form: c > 0, gcd(a, b, c) = 1, D squarefree.
 
-    b = 0 is allowed (the value is rational); D is then kept for bookkeeping so
-    mixed arithmetic stays within one quadratic field.
+    b = 0 is allowed (the value is rational); D is then 0, so a rational
+    value combines with a surd of any field.
     """
 
     __slots__ = ("a", "b", "c", "D")
 
-    def __init__(self, a: int, b: int, D: int, c: int = 1):
+    def __init__(self, a: int, b: int, D: int, c: int):
         if c == 0:
             raise ZeroDivisionError("zero denominator in surd")
         s, f = squarefree_split(D)
@@ -58,12 +58,6 @@ class QuadraticSurd:
         if g > 1:
             a, b, c = a // g, b // g, c // g
         self.a, self.b, self.c, self.D = a, b, c, D
-
-    # --- constructors -----------------------------------------------------
-    @classmethod
-    def from_fraction(cls, q: Fraction | int, D: int = 0) -> "QuadraticSurd":
-        q = Fraction(q)
-        return cls(q.numerator, 0, max(D, 2) if D else 2, q.denominator)
 
     # --- predicates / conversions ----------------------------------------
     @property

@@ -32,7 +32,7 @@ import numpy as np
 from .. import fiber
 from ..fiber import dagger, mm
 from .fields import EndoField, MetricField
-from .hermitian import i_lambda_F_metric
+from .hermitian import curvature_defect
 from .twist import WeylTransform
 
 
@@ -118,7 +118,7 @@ def _pairing(s_hat: np.ndarray, dbar_hat: np.ndarray) -> np.ndarray:
 
 
 def _check_selfadjoint(K: MetricField, s: np.ndarray):
-    ks = mm(K.data, s)
+    ks = K.apply(s)
     defect = np.abs(ks - dagger(ks)).max()
     scale = max(1.0, float(np.abs(ks).max()))
     if defect > SELFADJOINT_TOL * scale:
@@ -126,38 +126,20 @@ def _check_selfadjoint(K: MetricField, s: np.ndarray):
                          "(defect %.3e)" % defect)
 
 
-@dataclass(frozen=True)
-class _Reference:
-    """What M(K, .) needs of K and the connection besides K's cached
-    factors; `donaldson_flow` builds one for its fixed K0,
-    `donaldson_functional` one per call.  The central connection enters only
-    through i Lambda F_K: it commutes with s, so dbar_A s = dbar s."""
+def _functional(K: MetricField, source: np.ndarray, sdata: np.ndarray) -> float:
+    """M(K, exp(s) K) for the K-self-adjoint s = sdata, with source =
+    `curvature_defect` of K.
 
-    K: MetricField
-    source: np.ndarray      # i Lambda F_K - 2 pi mu Id
-
-
-def _curvature_defect(H: MetricField, conn, muf: float) -> np.ndarray:
-    """i Lambda F_H - 2 pi mu Id."""
-    return i_lambda_F_metric(H, conn) - 2 * np.pi * muf * np.eye(H.twist.rank)
-
-
-def _functional(ref: _Reference, sdata: np.ndarray) -> float:
-    """M(K, exp(s) K) for the K-self-adjoint s = sdata.
-
-    In K's orthonormal frame s and dbar s become s_hat = K^(1/2) s K^(-1/2)
-    and D = K^(1/2) (dbar s) K^(-1/2); `_pairing` weighs D by phi in the
+    The central connection enters only through the source: it commutes with
+    s, so dbar_A s = dbar s.  `K.conjugate_half` takes s and dbar s to K's
+    orthonormal frame, s_hat and D; `_pairing` weighs D by phi in the
     spectral decomposition of s_hat, in closed form at ranks 1 and 2.
     """
-    K = ref.K
     _check_selfadjoint(K, sdata)
     dbar = EndoField(K.grid, K.twist, sdata).d_zbar()
-
-    half, inv_half = K.sqrt_pair()
-    s_hat = _hermitize(mm(half, mm(sdata, inv_half)))
-    dbar_hat = mm(half, mm(dbar, inv_half))
-    quad = 2 * K.grid.v * _pairing(s_hat, dbar_hat)
-    lin = np.einsum("...ab,...ba->...", ref.source, sdata).real
+    s_hat = _hermitize(K.conjugate_half(sdata))
+    quad = 2 * K.grid.v * _pairing(s_hat, K.conjugate_half(dbar))
+    lin = np.einsum("...ab,...ba->...", source, sdata).real
     return float((quad + lin).mean())
 
 
@@ -171,13 +153,14 @@ def _log(K: MetricField, h: np.ndarray) -> EndoField:
 def donaldson_functional(K: MetricField, s: EndoField | np.ndarray, conn, mu) -> float:
     """M(K, exp(s) K) for a K-self-adjoint endomorphism field s.
 
-    K's square-root pair and gamma are cached on K; i Lambda F_K is
-    recomputed from gamma on every call, `donaldson_flow` forms it once per
-    flow.
+    K's square-root pair and gamma are cached on K; the curvature defect
+    i Lambda F_K - 2 pi mu Id (`curvature_defect`, shared with `he_residual`)
+    is recomputed from gamma on every call, `donaldson_flow` forms it once
+    per flow.  On the identity metric (`K.is_identity`) no stencil of gamma
+    and no conjugation by I is formed.
     """
     sdata = s.data if isinstance(s, EndoField) else s
-    ref = _Reference(K, _curvature_defect(K, conn, float(Fraction(mu))))
-    return _functional(ref, sdata)
+    return _functional(K, curvature_defect(K, conn, mu), sdata)
 
 
 def metric_log(H: MetricField, K: MetricField) -> EndoField:
@@ -222,8 +205,7 @@ class FlowResult:
         return sum(self._rises())
 
 
-def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
-                   tol: float = 1e-6) -> FlowResult:
+def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> FlowResult:
     """Drive a metric to the constant-curvature one by monotone descent.
 
     Each accepted update is H <- H^(1/2) exp(-step G~) H^(1/2) with G~ the
@@ -236,7 +218,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
     filter needs the clock/shift clutching of `TwistData.clock_shift`;
     other clutching raises `WeylTransform`'s ValueError.
 
-    i Lambda F_K0 - 2 pi mu Id is formed once per flow, on a second
+    K0's `curvature_defect` is formed once per flow, on a second
     MetricField over K0's data, so K0 caches only the square-root pair that
     every trial step reuses; iteration 0 reads both rather than factoring K0
     again.  Each later iterate is factored once, as a MetricField that lives
@@ -248,7 +230,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
     muf = float(Fraction(mu))
     wt = WeylTransform(twist, grid)
     K0.require_positive()
-    ref = _Reference(K0, _curvature_defect(MetricField(grid, twist, K0.data), conn, muf))
+    source = curvature_defect(MetricField(grid, twist, K0.data), conn, mu)
     symbol = 1.0 / (1.0 + 2 * np.pi * abs(muf) - 0.5 * grid.laplace_symbol(*wt.freqs))
     step = STEP_INIT
 
@@ -257,11 +239,10 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
     functional: list[float] = []
     steps: list[float] = []
     m_cur = 0.0
-    H, defect = K0, ref.source
+    H, defect = K0, source
 
     for it in range(max_iter + 1):
-        half, inv_half = H.sqrt_pair()
-        G_hat = _hermitize(mm(half, mm(defect, inv_half)))
+        G_hat = _hermitize(H.conjugate_half(defect))
         res = float(np.abs(fiber.eigvalsh(G_hat)).max())
         residuals.append(res)
         functional.append(m_cur)
@@ -269,6 +250,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
             break
 
         direction = _hermitize(wt.apply_symbol(G_hat, symbol))
+        half = H.sqrt_pair()[0]
         accepted = False
         for _ in range(60):
             expd = fiber.herm_apply(fiber.exp(-step), direction)
@@ -278,7 +260,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
             except ValueError:
                 step *= 0.5
                 continue
-            m_new = _functional(ref, s_new.data)
+            m_new = _functional(K0, source, s_new.data)
             if m_new <= m_cur + DESCENT_SLACK * max(1.0, abs(m_cur)):
                 accepted = True
                 break
@@ -289,7 +271,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
                 % (it, res, ["%.3e" % r for r in residuals[-8:]]))
         h, m_cur = h_new, m_new
         H = MetricField(grid, twist, h)
-        defect = _curvature_defect(H, conn, muf)
+        defect = curvature_defect(H, conn, mu)
         steps.append(step)
         step = min(step * 1.3, STEP_MAX)
 
@@ -297,7 +279,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int = 5000,
                       res < tol)
 
 
-def random_twisted_hermitian(grid, twist, seed: int, amplitude: float = 0.5) -> EndoField:
+def random_twisted_hermitian(grid, twist, seed: int, amplitude: float) -> EndoField:
     """Smooth random self-adjoint twisted field with sup operator norm = amplitude.
 
     Built from Bloch scalars with Fourier modes up to FIELD_MAX_MODE in the

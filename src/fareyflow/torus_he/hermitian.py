@@ -2,6 +2,9 @@
 residuals, second fundamental forms, the integral trace identity, the
 sup/mean threshold probe, and conformal determinant normalization.
 
+The Hermitian-Einstein defect i Lambda F_H - 2 pi mu Id has one home,
+`curvature_defect`: `he_residual` and the Donaldson flow both read it.
+
 Conventions: the background unitary connection d + A (compatible with the
 identity reference metric) is central, A = a Id with a a scalar one-form, so
 [A_z, .] = [A_zbar, .] = 0 on endomorphisms.  For another metric H the Chern
@@ -43,6 +46,12 @@ def i_lambda_F_metric(H: MetricField, conn: ConnectionField) -> np.ndarray:
     return conn.i_lambda_F() - 2 * H.grid.v * g.d_zbar()
 
 
+def curvature_defect(H: MetricField, conn: ConnectionField, mu) -> np.ndarray:
+    """i Lambda F_H - 2 pi mu Id, the Hermitian-Einstein defect of H."""
+    r = H.twist.rank
+    return i_lambda_F_metric(H, conn) - 2 * np.pi * float(Fraction(mu)) * np.eye(r)
+
+
 def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
     """sup over nodes of |i Lambda F_H - 2 pi mu Id| in the H-operator norm.
 
@@ -56,10 +65,7 @@ def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
     stencil of gamma = 0 and no conjugation by I is formed, and the residual
     is exactly the operator norm of i Lambda F_A - 2 pi mu Id.
     """
-    mu = float(Fraction(mu)) if not isinstance(mu, float) else mu
-    r = H.twist.rank
-    field = i_lambda_F_metric(H, conn) - 2 * np.pi * mu * np.eye(r)
-    return float(rho_norm_field(field, H).max())
+    return float(rho_norm_field(curvature_defect(H, conn, mu), H).max())
 
 
 # ----------------------------------------------------------------------------

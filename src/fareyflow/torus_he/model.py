@@ -73,8 +73,7 @@ def _theta_raw(twist: TwistData, grid: TorusGrid, j: int, b: float,
     return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
-def theta_section(twist: TwistData, grid: TorusGrid,
-                  characteristic=(0, 0)) -> SectionField:
+def theta_section(twist: TwistData, grid: TorusGrid, characteristic) -> SectionField:
     """One holomorphic section of the (r, d) model, in the unitary frame.
 
     `characteristic` is a pair of rationals (a, b): a must be an integer (it

@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fareyflow.cli import UsageError, load_config, main, parse_theta
-from fareyflow.reporting import read_journal, stable_view
+from fareyflow.reporting import ReportRecord, read_journal, stable_view
 
 
 def test_parse_theta_notations():
@@ -76,6 +77,14 @@ def test_failed_run_appends_error_record(tmp_path):
         assert rec["config"]["depth"] == 5
         views.append(stable_view(rec))
     assert views[0] == views[1]
+
+
+def test_record_plains_numpy_scalars_and_rejects_arrays():
+    rec = ReportRecord("op", {"n": np.int64(3)}, {"x": np.float64(0.5)}, {}, "pass", "")
+    data = rec.to_dict()
+    assert data["config"] == {"n": 3} and type(data["outputs"]["x"]) is float
+    with pytest.raises(ValueError, match="size 1"):
+        ReportRecord("op", {}, {"x": np.zeros(2)}, {}, "pass", "").to_dict()
 
 
 def test_journal_records_same_hash(tmp_path):

@@ -58,7 +58,7 @@ def test_expand_float_records_bound():
 
 
 def test_expand_float_exhaustion_flag():
-    cf = cf_expand(0.5, 40, eps=Fraction(1, 10 ** 12))
+    cf = cf_expand(0.5, 40)
     assert cf.exhausted            # interval hits the rational 1/2
     deep = cf_expand(math.sqrt(2), 5)
     assert not deep.exhausted and len(deep.tail) == 5

@@ -56,7 +56,7 @@ def test_pure_gauge_curvature_at_discretization_level():
 
 
 def test_gauge_act_identity_and_constant(grid):
-    A = random_gauge_field(grid, 2, seed=0)
+    A = random_gauge_field(grid, 2, seed=0, curvature_target=0.03)
     M = grid.N + 1
     eye = np.broadcast_to(np.eye(2, dtype=complex), (M, M, 2, 2)).copy()
     A1 = gauge_act(eye, A)
@@ -73,7 +73,7 @@ def test_gauge_act_identity_and_constant(grid):
 
 
 def test_gauge_act_rejects_nonunitary(grid):
-    A = random_gauge_field(grid, 2, seed=0)
+    A = random_gauge_field(grid, 2, seed=0, curvature_target=0.03)
     M = grid.N + 1
     with pytest.raises(ValueError, match="unitary"):
         gauge_act(2.0 * np.broadcast_to(np.eye(2, dtype=complex), (M, M, 2, 2)), A)
@@ -116,7 +116,7 @@ def test_skew_rho_is_the_largest_singular_value(grid):
     """Gauge-field components, their derivatives and curvatures are
     skew-Hermitian, where the spectral radius is the rho norm."""
     for rank in (1, 2, 4):
-        A = random_gauge_field(grid, rank, seed=11 + rank)
+        A = random_gauge_field(grid, rank, seed=11 + rank, curvature_target=0.03)
         F = curvature(A)
         for comp in (A.ax, A.ay, F.fxy, diff4(A.ax, 0, grid.h) + diff4(A.ay, 1, grid.h)):
             defect = np.abs(comp + np.conj(np.swapaxes(comp, -1, -2))).max()
@@ -130,7 +130,7 @@ def test_skew_rho_is_the_largest_singular_value(grid):
 
 
 def test_skew_rho_rejects_non_skew_fields(grid):
-    A = random_gauge_field(grid, 2, seed=3)
+    A = random_gauge_field(grid, 2, seed=3, curvature_target=0.03)
     M = grid.N + 1
     shift = 1e-3 * np.broadcast_to(np.eye(2), (M, M, 2, 2))
     with pytest.raises(ValueError, match=r"not skew-Hermitian \(defect 2\.000e-03\)"):
@@ -224,7 +224,7 @@ def test_coulomb_stagnation_fails_fast():
     discretisation floor, falling by about 9% per sweep from sweep 5 on: the
     fix stops at sweep 6, where that rate held over the 19 sweeps left cannot
     reach tol, and names the rate (it used to spend all 25 sweeps)."""
-    A = random_gauge_field(SquareGrid(32), 1, seed=6)
+    A = random_gauge_field(SquareGrid(32), 1, seed=6, curvature_target=0.03)
     with pytest.raises(RuntimeError, match=r"stalls: .* factor 0\.9\d+ per sweep at "
                                            r"sweep 6, .* in the 19 sweeps left") as exc:
         coulomb_fix(A, tol=1e-6)

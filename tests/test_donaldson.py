@@ -199,7 +199,7 @@ def test_gradient_consistency_order_four():
 
         def metric(seed):
             s = random_twisted_hermitian(grid, tw, seed, amplitude=0.5)
-            return MetricField(grid, tw, fiber.herm_apply(fiber.exp(), s.data))
+            return MetricField(grid, tw, fiber.herm_apply(fiber.exp(1.0), s.data))
 
         K, H = metric(11), metric(42)
         u = random_twisted_hermitian(grid, tw, 7, amplitude=0.5).data
@@ -276,7 +276,8 @@ def test_flow_requires_clock_shift_clutching():
     tw = TwistData(2, 0, eye, eye)
     zero = np.zeros((grid.N, grid.N), complex)
     with pytest.raises(ValueError, match="clock/shift"):
-        donaldson_flow(identity_metric(grid, tw), 0, ConnectionField(grid, tw, zero, zero))
+        donaldson_flow(identity_metric(grid, tw), 0, ConnectionField(grid, tw, zero, zero),
+                       tol=1e-6, max_iter=2000)
 
 
 def test_flow_options_are_keyword_only(setup):

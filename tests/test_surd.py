@@ -66,8 +66,8 @@ def test_floor_matches_interval(a, b, c, a2, c2):
 @given(st.fractions(min_value=-10, max_value=10),
        st.fractions(min_value=-10, max_value=10))
 def test_rational_embedding_matches_fraction(x, y):
-    sx = QuadraticSurd.from_fraction(x, 5)
-    sy = QuadraticSurd.from_fraction(y, 5)
+    sx = QuadraticSurd(x.numerator, 0, 5, x.denominator)
+    sy = QuadraticSurd(y.numerator, 0, 5, y.denominator)
     assert (sx + sy).as_fraction() == x + y
     assert (sx * sy).as_fraction() == x * y
     if y != 0:

@@ -12,10 +12,11 @@ from fareyflow import fiber
 from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
                                 SectionField, TorusGrid, TwistData,
                                 build_model_bundle, chern_weil_check,
-                                conformal_normalize, he_residual,
-                                i_lambda_F_metric, identity_metric,
-                                random_twisted_hermitian, second_fundamental_form,
-                                section_basis, theta_section, threshold_probe)
+                                conformal_normalize, donaldson_functional,
+                                he_residual, i_lambda_F_metric, identity_metric,
+                                metric_log, random_twisted_hermitian,
+                                second_fundamental_form, section_basis,
+                                theta_section, threshold_probe)
 from fareyflow.torus_he.fields import FormField, mm, rho_norm_field
 from fareyflow.torus_he.model import _theta_raw
 
@@ -78,7 +79,7 @@ def test_metric_is_read_only_and_factors_once(r):
     g = TorusGrid(1j, 16)
     tw = build_model_bundle(r, 1, g).twist
     s = random_twisted_hermitian(g, tw, seed=r, amplitude=0.5)
-    raw = fiber.herm_apply(fiber.exp(), s.data)
+    raw = fiber.herm_apply(fiber.exp(1.0), s.data)
     H = MetricField(g, tw, raw)
     with pytest.raises(ValueError):
         H.data[0, 0] = 0
@@ -161,6 +162,10 @@ def test_identity_path_matches_general_path_bitwise(r, d):
     assert he_residual(conn, H0, mu).hex() == he_residual(conn, H, mu).hex()
     s = random_twisted_hermitian(g, tw, seed=r, amplitude=0.5)
     assert np.array_equal(rho_norm_field(s.data, H0), rho_norm_field(s.data, H))
+    assert (donaldson_functional(H0, s, conn, mu).hex()
+            == donaldson_functional(H, s, conn, mu).hex())
+    K = MetricField(g, tw, fiber.herm_apply(fiber.exp(1.0), s.data))
+    assert np.array_equal(metric_log(K, H0).data, metric_log(K, H).data)
     incl = _inclusion(g, tw)
     fast, slow = (second_fundamental_form(incl, K, conn) for K in (H0, H))
     assert np.array_equal(fast.norm_sq, slow.norm_sq)
@@ -243,7 +248,7 @@ def test_theta_section_errors():
         theta_section(tw, g, (0, Fraction(1, 2)))
     tw0, conn0, _ = build_model_bundle(1, 0, g)
     with pytest.raises(ValueError, match="degree"):
-        theta_section(tw0, g)
+        theta_section(tw0, g, (0, 0))
 
 
 def test_theta_r2_d1_nowhere_vanishing(model21):
