@@ -110,7 +110,8 @@ class ContinuedFraction:
 
     def value_interval(self) -> RatInterval:
         if self.source == "finite":
-            return RatInterval.point(_fold_finite([self.a0, *self.tail]))
+            v = _fold_finite([self.a0, *self.tail])
+            return RatInterval(v, v)
         if self.source == "periodic":
             return _periodic_tail_surd(self, 0).enclosure()
         iv = _cylinder([self.a0, *self.tail])
@@ -121,14 +122,6 @@ class ContinuedFraction:
             if lo <= hi:
                 iv = RatInterval(lo, hi)
         return iv
-
-    def __str__(self):
-        head = ",".join(str(a) for a in self.tail[:12])
-        if self.period:
-            return "[%d; %s(%s)...]" % (self.a0, head + ("," if head else ""),
-                                        ",".join(map(str, self.period)))
-        dots = ",..." if len(self.tail) > 12 else ""
-        return "[%d; %s%s]" % (self.a0, head, dots)
 
 
 @dataclass(frozen=True)

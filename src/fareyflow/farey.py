@@ -62,9 +62,6 @@ class PrimitiveVector:
     def __lt__(self, other: "PrimitiveVector"):
         return self._key() < other._key()
 
-    def __le__(self, other: "PrimitiveVector"):
-        return self._key() <= other._key()
-
     def __str__(self):
         return "%d/%d" % (self.p, self.q)
 

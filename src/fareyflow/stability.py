@@ -222,7 +222,7 @@ def select_subsequence(theta: ContinuedFraction, params: WellApproxParams,
             if diff.lo >= 0:
                 absdiff = diff
             elif diff.hi <= 0:
-                absdiff = -diff
+                absdiff = RatInterval(-diff.hi, -diff.lo)
             else:
                 absdiff = RatInterval(Fraction(0), max(-diff.lo, diff.hi))
             prod = absdiff.scale(scale)

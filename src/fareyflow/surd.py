@@ -139,14 +139,6 @@ class QuadraticSurd:
             raise ZeroDivisionError("inverting zero surd")
         return QuadraticSurd(a * c, -b * c, D, n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self.__mul__(o.inverse()) if o is not NotImplemented else o
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o.__mul__(self.inverse()) if o is not NotImplemented else o
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QuadraticSurd)):
             o = self._coerce(other)
@@ -156,19 +148,11 @@ class QuadraticSurd:
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
 
-    def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
-
     def __gt__(self, other):
         return (self - self._coerce(other)).sign() > 0
 
     def __ge__(self, other):
         return (self - self._coerce(other)).sign() >= 0
-
-    def __hash__(self):
-        if self.is_rational:
-            return hash(Fraction(self.a, self.c))
-        return hash((self.a, self.b, self.c, self.D))
 
     def __repr__(self):
         if self.b == 0:
@@ -212,22 +196,9 @@ class RatInterval:
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order: %s > %s" % (self.lo, self.hi))
 
-    @classmethod
-    def point(cls, x) -> "RatInterval":
-        x = Fraction(x)
-        return cls(x, x)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def __contains__(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
 
     def contains_interval(self, other: "RatInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -240,36 +211,14 @@ class RatInterval:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RatInterval(-self.hi, -self.lo)
-
     def __sub__(self, other):
-        if isinstance(other, RatInterval):
-            return self + (-other)
         return self + (-Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, k) -> "RatInterval":
         k = Fraction(k)
         if k >= 0:
             return RatInterval(self.lo * k, self.hi * k)
         return RatInterval(self.hi * k, self.lo * k)
-
-    def __mul__(self, other):
-        if isinstance(other, RatInterval):
-            cands = [self.lo * other.lo, self.lo * other.hi,
-                     self.hi * other.lo, self.hi * other.hi]
-            return RatInterval(min(cands), max(cands))
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RatInterval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval %s contains zero" % (self,))
-        return RatInterval(1 / self.hi, 1 / self.lo)
 
     # three-valued strict comparisons: True/False when provable, None otherwise
     def provably_lt(self, x) -> bool | None:

@@ -40,10 +40,6 @@ class TorusGrid:
     def weight(self) -> float:
         return self.h * self.h
 
-    def mean(self, field: np.ndarray) -> complex:
-        """Integral against the unit-volume form (= grid average)."""
-        return field.mean(axis=(0, 1)) if field.ndim > 2 else field.mean()
-
     # --- spectral calculus for fully periodic scalar fields -----------------
     @cached_property
     def modes(self) -> list[np.ndarray]:

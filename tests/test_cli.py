@@ -99,6 +99,15 @@ def test_journal_records_same_hash(tmp_path):
     assert "timestamp" in recs[0] and "timestamp" not in stable_view(recs[0])
 
 
+def test_rational_surd_theta_matches_rational(tmp_path):
+    # surd:3,0,5,2 is (3 + 0 sqrt 5)/2, expanded through its exact fraction 3/2
+    j = str(tmp_path / "j.jsonl")
+    for theta in ("surd:3,0,5,2", "rational:3/2"):
+        assert main(["--out", j, "convergents", "--theta", theta]) == 0
+    surd, rational = read_journal(j)
+    assert surd["outputs"]["digits"] == rational["outputs"]["digits"] == [1, 2]
+
+
 def test_lagrange_record_contents(tmp_path):
     j = str(tmp_path / "j.jsonl")
     assert main(["--out", j, "lagrange", "--theta", "periodic:1|1",

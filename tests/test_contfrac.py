@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from fareyflow.contfrac import (_LANES, ContinuedFraction, Convergent, DigitDensity,
+from fareyflow.contfrac import (_LANES, ContinuedFraction, DigitDensity,
                                 _euclid_tally, cf_expand, convergents,
                                 gauss_digit_density, gauss_kuzmin_density,
                                 lagrange_estimate, semiconvergents, tail_value)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fareyflow import fiber
-from fareyflow.coulomb import (CoulombReport, CurvatureField, GaugeField, SquareGrid,
-                               coulomb_fix, curvature, diff4, div_residuals, gauge_act,
-                               grid_norms, neumann_poisson, random_gauge_field)
+from fareyflow.coulomb import (CurvatureField, GaugeField, SquareGrid, coulomb_fix,
+                               curvature, diff4, div_residuals, gauge_act, grid_norms,
+                               neumann_poisson, random_gauge_field)
 from fareyflow.coulomb import _expm_skew, _rho_skew
 
 

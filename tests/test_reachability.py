@@ -1,27 +1,35 @@
-"""Every function and class in src/ is reached from an entry point.
+"""Every function and method in src/ is called when the entry points run.
 
-A definition stays only if the CLI, a demo, a benchmark workload or an
-acceptance criterion reaches it.  The check is name-based: the entry files
-(`demos/*.py`, `perfbench/workloads.py`, `tests/test_acceptance.py`,
-`tests/conftest.py`), the CLI's `main` and the module-level code of every
-src/ module seed a set of identifiers (plain names and attribute names).  A
-module-level function, class or method whose name is in the set is reached,
-and the identifiers its body reads join the set, until nothing changes.  A
-class's special methods (`__init__`, `__post_init__`, ...) are reached with
-the class.  Matching by name over-approximates: a method counts as reached
-when any object's attribute of the same name is read.
+`entry_tour.py` runs the CLI, the demos and the benchmark workloads in a
+fresh interpreter under `sys.setprofile` and reports the code objects it saw
+called; a fresh process keeps caches that earlier tests filled from hiding a
+call.  A definition is a module-level function or a method of a class (nested
+classes included); it is keyed by its file and the line of its first
+decorator or `def`, which is the `co_firstlineno` of its code object, and it
+is reached when the tour called that code object.  So a method counts only
+when it runs itself, not when some other object's method of the same name
+does.  Classes themselves are not checked: the methods a dataclass generates
+have no line in src/.
 
-What the closure misses must be in ALLOWED, with the reason it stays.
+What the tour never calls must be in ALLOWED, with the reason it stays.  The
+acceptance criteria are not part of the tour (they take half a minute), so a
+definition that only a criterion calls is listed with that criterion.  A
+guard checks that the tour runs every CLI subcommand, demo and workload.
 """
 
 import ast
+import json
+import os
+import runpy
+import subprocess
+import sys
 from pathlib import Path
+
+from fareyflow.cli import DEFAULTS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fareyflow"
-ENTRY_FILES = [*sorted((ROOT / "demos").glob("*.py")), ROOT / "perfbench" / "workloads.py",
-               ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
-CLI_ENTRY = "main"          # the `fareyflow` console script, fareyflow.cli:main
+TOUR = ROOT / "tests" / "entry_tour.py"
 
 ALLOWED = {
     # the Farey, stability and continued-fraction library surface
@@ -40,64 +48,61 @@ ALLOWED = {
     "fareyflow.torus_he.fields.load_grid_csv": "the reader of --dump-grid files that README documents",
     "fareyflow.torus_he.model.section_basis": "test fixture: the d theta sections as one block",
     "fareyflow.torus_he.grid.TorusGrid.weight": "test fixture: the quadrature weight 1/N^2",
+    # branches and guards the tour does not take
+    "fareyflow.fiber.comm": "the general-metric branch of MetricField.chern_dz; "
+                            "the identity-path test compares against it",
+    "fareyflow.stability.WellApproxVerdict.__bool__":
+        "guard: an undecided verdict raises instead of reading as true",
+    # called only by an acceptance criterion
+    "fareyflow.torus_he.donaldson.donaldson_functional":
+        "criterion 9; also a perfbench tracer layer",
+    "fareyflow.torus_he.donaldson.metric_log": "criterion 9; also a perfbench tracer layer",
+    "fareyflow.reporting.read_journal": "criterion 13 reads the journals back",
+    "fareyflow.stability.SubsequenceReport.passing": "criterion 5",
 }
 
 
-def _identifiers(nodes) -> set:
-    out = set()
-    for node in nodes:
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                out.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                out.add(n.attr)
-    return out
-
-
-def _is_special(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
-
-
-def _definitions():
-    """({key: (name, owning class key or None, body nodes)}, module-level seeds)."""
-    defs, seeds = {}, set()
+def definitions() -> dict:
+    """{(file relative to the package, first line): qualified name}."""
+    defs = {}
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def walk(body, rel, prefix):
+        for node in body:
+            if isinstance(node, funcs):
+                first = node.decorator_list[0] if node.decorator_list else node
+                defs[(rel, first.lineno)] = prefix + node.name
+            elif isinstance(node, ast.ClassDef):
+                walk(node.body, rel, prefix + node.name + ".")
+
     for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
         module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
-        module = module.removesuffix(".__init__")
-        for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, funcs):
-                defs[module + "." + stmt.name] = (stmt.name, None, [stmt])
-            elif isinstance(stmt, ast.ClassDef):
-                cls = module + "." + stmt.name
-                own = [s for s in stmt.body if not isinstance(s, funcs)]
-                defs[cls] = (stmt.name, None, own + stmt.bases + stmt.decorator_list)
-                for meth in stmt.body:
-                    if isinstance(meth, funcs):
-                        defs[cls + "." + meth.name] = (meth.name, cls, [meth])
-            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                seeds |= _identifiers([stmt])
-    return defs, seeds
+        walk(ast.parse(path.read_text()).body, rel, module.removesuffix(".__init__") + ".")
+    return defs
 
 
-def unreached() -> set:
-    defs, names = _definitions()
-    names |= {CLI_ENTRY}
-    names |= _identifiers(ast.parse(p.read_text()) for p in ENTRY_FILES)
-    reached, grew = set(), True
-    while grew:
-        grew = False
-        for key, (name, cls, body) in defs.items():
-            if key in reached:
-                continue
-            if (cls in reached) if _is_special(name) else (name in names):
-                reached.add(key)
-                names |= _identifiers(body)
-                grew = True
-    return set(defs) - reached
+def run_tour(out: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(TOUR), str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_every_definition_is_reached_or_allowed():
-    missed = unreached()
-    assert sorted(missed - set(ALLOWED)) == [], "unreached and not in ALLOWED"
-    assert sorted(set(ALLOWED) - missed) == [], "in ALLOWED but reached or gone"
+def test_every_definition_is_reached_or_allowed(tmp_path):
+    tour = run_tour(tmp_path)
+
+    # the tour covers every entry point, so a new one cannot escape the check
+    ran = tour["ran"]
+    assert set(ran["cli"]) == set(DEFAULTS), "subcommands not in the tour"
+    demos = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+    assert sorted(ran["demos"]) == demos, "demos not in the tour"
+    names = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["NAMES"]
+    assert sorted(ran["workloads"]) == sorted(names), "workloads not in the tour"
+
+    called = {tuple(key) for key in tour["called"]}
+    missed = {name for key, name in definitions().items() if key not in called}
+    unlisted, stale = sorted(missed - set(ALLOWED)), sorted(set(ALLOWED) - missed)
+    assert not unlisted, "never called and not in ALLOWED: %s" % unlisted
+    assert not stale, "in ALLOWED but called or gone: %s" % stale
