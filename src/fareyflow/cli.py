@@ -172,31 +172,40 @@ def _torus_setup(p):
 
 def _run_torus_he(p):
     from .torus_he import he_residual
+    from .torus_he.hermitian import _einstein_constant
+    t0 = time.perf_counter()
     grid, (twist, conn, H0) = _torus_setup(p)
+    t1 = time.perf_counter()
     res = he_residual(conn, H0, twist.mu)
+    t2 = time.perf_counter()
     out = {"rank": twist.rank, "degree": twist.degree, "N": grid.N,
-           "einstein_factor": float(2 * 3.141592653589793 * twist.mu)}
+           "einstein_factor": _einstein_constant(twist.mu)}
     verdict = "pass" if res < float(p["tol"]) else "fail"
+    extra = {"timings": {"setup_s": round(t1 - t0, 4), "residual_s": round(t2 - t1, 4)}}
     return out, {"he_residual": res}, verdict, \
-        "i Lambda F equals 2 pi deg/rk times the identity for the model metric"
+        "i Lambda F equals 2 pi deg/rk times the identity for the model metric", extra
 
 
 def _run_chern_weil(p):
     from .torus_he import (chern_weil_check, dump_grid_csv, second_fundamental_form,
                            theta_section, threshold_probe)
+    t0 = time.perf_counter()
     grid, (twist, conn, H0) = _torus_setup(p)
+    t1 = time.perf_counter()
     sec = theta_section(twist, grid, (0, 0))
     sff = second_fundamental_form(sec, H0, conn)
     lhs, rhs, rel = chern_weil_check(sff, H0, twist.mu, 0, 1)
+    t2 = time.perf_counter()
     probe = threshold_probe(sff)
     if p.get("dump_grid"):
         dump_grid_csv(p["dump_grid"], sff.beta.coeff, grid, twist)
     out = {"rank": twist.rank, "degree": twist.degree, "N": grid.N,
            "lhs": lhs, "rhs": rhs, "sup_over_mean": probe.ratio}
     verdict = "pass" if rel < float(p["tol"]) else "fail"
+    extra = {"timings": {"setup_s": round(t1 - t0, 4), "sff_s": round(t2 - t1, 4)}}
     return out, {"relative_error": rel,
                  "section_automorphy": sec.automorphy_residual}, verdict, \
-        "integral of |beta|^2 equals 2 pi (mu_E - mu_S) rk S"
+        "integral of |beta|^2 equals 2 pi (mu_E - mu_S) rk S", extra
 
 
 def _run_donaldson(p):

@@ -204,8 +204,6 @@ class RatInterval:
         return self.lo <= other.lo and other.hi <= self.hi
 
     def __add__(self, other):
-        if isinstance(other, RatInterval):
-            return RatInterval(self.lo + other.lo, self.hi + other.hi)
         q = Fraction(other)
         return RatInterval(self.lo + q, self.hi + q)
 

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .. import fiber
 from ..fiber import dagger, mm
 from .fields import EndoField, MetricField
-from .hermitian import curvature_defect
+from .hermitian import _einstein_constant, curvature_defect
 from .twist import WeylTransform
 
 
@@ -227,11 +226,11 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
     residual.
     """
     grid, twist = K0.grid, K0.twist
-    muf = float(Fraction(mu))
     wt = WeylTransform(twist, grid)
     K0.require_positive()
     source = curvature_defect(MetricField(grid, twist, K0.data), conn, mu)
-    symbol = 1.0 / (1.0 + 2 * np.pi * abs(muf) - 0.5 * grid.laplace_symbol(*wt.freqs))
+    symbol = 1.0 / (1.0 + abs(_einstein_constant(mu))
+                    - 0.5 * grid.laplace_symbol(*wt.freqs))
     step = STEP_INIT
 
     h = K0.data

@@ -3,7 +3,8 @@ residuals, second fundamental forms, the integral trace identity, the
 sup/mean threshold probe, and conformal determinant normalization.
 
 The Hermitian-Einstein defect i Lambda F_H - 2 pi mu Id has one home,
-`curvature_defect`: `he_residual` and the Donaldson flow both read it.
+`curvature_defect`: `he_residual` and the Donaldson flow both read it.  The
+Einstein constant 2 pi mu has one home too, `_einstein_constant`.
 
 Conventions: the background unitary connection d + A (compatible with the
 identity reference metric) is central, A = a Id with a a scalar one-form, so
@@ -18,8 +19,10 @@ For the constant-curvature model, i Lambda F = 2 pi mu Id exactly.
 The model's reference metric is `identity_metric`, flagged `is_identity`.
 On it the curvature skips its stencil of gamma = 0 and the metric products
 (`MetricField.apply`, `dual`, `conjugate_half`, `chern_dz`) skip the factor
-I, so the residual and the second fundamental form are bit-identical to the
-general path at a fraction of its cost.
+I, so the second fundamental form is bit-identical to the general path at a
+fraction of its cost.  The residual there forms no matrix field at all: the
+defect is the scalar i F_xy - 2 pi mu times Id, and its norm is read from
+that (N, N) scalar.
 """
 
 from __future__ import annotations
@@ -46,10 +49,15 @@ def i_lambda_F_metric(H: MetricField, conn: ConnectionField) -> np.ndarray:
     return conn.i_lambda_F() - 2 * H.grid.v * g.d_zbar()
 
 
+def _einstein_constant(mu) -> float:
+    """2 pi mu, the constant i Lambda F of a Hermitian-Einstein metric of slope mu."""
+    return 2 * np.pi * float(Fraction(mu))
+
+
 def curvature_defect(H: MetricField, conn: ConnectionField, mu) -> np.ndarray:
     """i Lambda F_H - 2 pi mu Id, the Hermitian-Einstein defect of H."""
     r = H.twist.rank
-    return i_lambda_F_metric(H, conn) - 2 * np.pi * float(Fraction(mu)) * np.eye(r)
+    return i_lambda_F_metric(H, conn) - _einstein_constant(mu) * np.eye(r)
 
 
 def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
@@ -60,11 +68,17 @@ def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
     H-self-adjoint.  On amplitude-0.5 random metrics its relative H-adjoint
     defect is 9e-6 to 6e-5 at N = 64 (ranks 1-8, tau = i) and shrinks under
     refinement; on a model bundle, where S is rounding noise, it is O(1).
-    The metric's square-root pair and gamma are its cached factors.  On the
-    identity metric of a model bundle (`H.is_identity`) neither is read: no
-    stencil of gamma = 0 and no conjugation by I is formed, and the residual
-    is exactly the operator norm of i Lambda F_A - 2 pi mu Id.
+    The metric's square-root pair and gamma are its cached factors.
+
+    On the identity metric of a model bundle (`H.is_identity`) the defect is
+    c Id with c = i F_xy - 2 pi mu, an (N, N) scalar field, and its operator
+    norm is |c|: no (N, N, r, r) field, stencil of gamma = 0 or eigensolve
+    is formed.  c is real (a_x and a_y are imaginary), so the general path's
+    sqrt(fl(c^2)) is |c| exactly and both paths agree bit for bit.
     """
+    if H.is_identity:
+        c = 1j * conn.curvature_xy() - _einstein_constant(mu)
+        return float(np.abs(c).max())
     return float(rho_norm_field(curvature_defect(H, conn, mu), H).max())
 
 
@@ -172,7 +186,7 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
         zero = np.zeros((grid.N, grid.N), complex)
         conn = ConnectionField(grid, H_restricted.twist, zero, zero)
     tr_ilf = np.einsum("...aa->...", i_lambda_F_metric(H_restricted, conn)).real
-    rhs = (2.0 / rk) * (tr_ilf - 2 * np.pi * float(Fraction(muS)) * rk)
+    rhs = (2.0 / rk) * (tr_ilf - _einstein_constant(muS) * rk)
     defect = float(abs(rhs.mean()))
     if defect > CONFORMAL_MEAN_TOL * max(1.0, float(np.abs(rhs).max())):
         raise ValueError("conformal equation not solvable: right side has mean %.3e"

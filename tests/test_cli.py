@@ -161,6 +161,23 @@ def test_chern_weil_subcommand_with_dump(tmp_path):
     assert header["N"] == 32 and data.shape == (32, 32, 2, 2)
 
 
+@pytest.mark.parametrize("argv, phases", [
+    (["torus-he", "--rank", "3", "--N", "32"], {"setup_s", "residual_s"}),
+    (["chern-weil", "--N", "32", "--tol", "0.01"], {"setup_s", "sff_s"}),
+])
+def test_torus_records_carry_timings(tmp_path, argv, phases):
+    recs = []
+    for name in ("a.jsonl", "b.jsonl"):
+        j = str(tmp_path / name)
+        assert main(["--out", j] + argv) == 0
+        recs += read_journal(j)
+    a, b = recs
+    assert set(a["timings"]) == phases
+    assert all(v >= 0 for v in a["timings"].values())
+    assert "timings" not in stable_view(a)
+    assert stable_view(a) == stable_view(b)
+
+
 def test_coulomb_subcommand(tmp_path):
     j = str(tmp_path / "j.jsonl")
     assert main(["--out", j, "coulomb", "--rank", "1", "--N", "32",

@@ -51,6 +51,10 @@ ALLOWED = {
     # branches and guards the tour does not take
     "fareyflow.fiber.comm": "the general-metric branch of MetricField.chern_dz; "
                             "the identity-path test compares against it",
+    "fareyflow.fiber.op_norm": "the general-metric branch of he_residual; "
+                               "the identity-path tests compare against it",
+    "fareyflow.torus_he.fields.rho_norm_field": "the general-metric branch of he_residual; "
+                                                "the identity-path tests compare against it",
     "fareyflow.stability.WellApproxVerdict.__bool__":
         "guard: an undecided verdict raises instead of reading as true",
     # called only by an acceptance criterion

@@ -76,7 +76,8 @@ def test_rational_embedding_matches_fraction(x, y):
 def test_interval_ops():
     a = RatInterval(Fraction(1, 3), Fraction(1, 2))
     b = RatInterval(Fraction(-1), Fraction(2))
-    assert (a + b).lo == Fraction(-2, 3)
+    assert (a + 1).lo == Fraction(4, 3)
+    assert (1 + a).hi == Fraction(3, 2)
     assert a.provably_lt(1) is True
     assert a.provably_lt(Fraction(2, 5)) is None
     assert b.provably_gt(5) is False

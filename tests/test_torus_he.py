@@ -63,15 +63,15 @@ def test_residual_detects_wrong_slope():
 def test_model_residual_is_the_connection_curvature_defect():
     # the model metric is exactly I, so its residual is the operator norm of
     # i Lambda F_A - 2 pi mu Id bit for bit: factoring I adds no rounding
-    g = TorusGrid(1j, 64)
-    for r in range(1, 9):
-        for d in range(-8, 9):
-            if math.gcd(r, d) != 1:
-                continue
-            tw, conn, H0 = build_model_bundle(r, d, g)
-            oracle = float(fiber.op_norm(conn.i_lambda_F()
-                                         - 2 * np.pi * (d / r) * np.eye(r)).max())
-            assert he_residual(conn, H0, Fraction(d, r)) == oracle, (r, d)
+    for g in (TorusGrid(1j, 64), TorusGrid(1j, 32), TorusGrid(0.5 + 1j, 32)):
+        for r in range(1, 9):
+            for d in range(-8, 9):
+                if math.gcd(r, d) != 1:
+                    continue
+                tw, conn, H0 = build_model_bundle(r, d, g)
+                oracle = float(fiber.op_norm(conn.i_lambda_F()
+                                             - 2 * np.pi * (d / r) * np.eye(r)).max())
+                assert he_residual(conn, H0, Fraction(d, r)) == oracle, (g.tau, g.N, r, d)
 
 
 @pytest.mark.parametrize("r", (1, 2, 3))
@@ -137,18 +137,25 @@ def _inclusion(g, tw):
 
 @pytest.mark.parametrize("r, d", ORACLE_PAIRS)
 def test_model_residual_reads_no_metric_factor(r, d, monkeypatch):
-    # the identity metric's residual needs no stencil of gamma = 0 and no
-    # square-root pair, and equals the general path's bit for bit
+    # the identity metric's residual is read from the scalar curvature: it
+    # forms no (N, N, r, r) curvature field, operator-norm eigensolve, stencil
+    # of gamma = 0 or square-root pair, and equals both the operator-norm
+    # oracle and the general path bit for bit
     g = TorusGrid(1j, 32)
     tw, conn, H0 = build_model_bundle(r, d, g)
-    general = he_residual(conn, _general(H0), Fraction(d, r))
+    mu = Fraction(d, r)
+    oracle = float(fiber.op_norm(conn.i_lambda_F()
+                                 - 2 * np.pi * float(mu) * np.eye(r)).max())
+    general = he_residual(conn, _general(H0), mu)
 
     def refuse(*args):
-        raise AssertionError("factored the identity metric")
+        raise AssertionError("formed a matrix field for the identity metric")
 
+    monkeypatch.setattr(ConnectionField, "i_lambda_F", refuse)
+    monkeypatch.setattr(fiber, "op_norm", refuse)
     monkeypatch.setattr(EndoField, "wirtinger", refuse)
     monkeypatch.setattr(MetricField, "sqrt_pair", refuse)
-    assert he_residual(conn, H0, Fraction(d, r)).hex() == general.hex()
+    assert he_residual(conn, H0, mu).hex() == oracle.hex() == general.hex()
 
 
 @pytest.mark.parametrize("r, d", ORACLE_PAIRS)
