@@ -276,12 +276,16 @@ def _run_coulomb(p):
 
 
 def _run_density(p):
+    t0 = time.perf_counter()
     d = contfrac.gauss_digit_density(int(p["samples"]), int(p["depth"]),
                                      int(p["digit"]), p["parity"], int(p["seed"]),
                                      burn_in=int(p["burn_in"]))
+    extra = {"trace": {"euclid_steps": d.euclid_steps,
+                       "short_expansions": d.short_expansions},
+             "timings": {"expansion_s": round(time.perf_counter() - t0, 4)}}
     if d.empirical is None:
         return ({"empirical": None, "note": "no-data"}, {}, "pass",
-                "digit frequency under the invariant measure of the shift map")
+                "digit frequency under the invariant measure of the shift map", extra)
     dev = abs(d.empirical - d.reference)
     within = d.stderr is not None and dev <= 3 * d.stderr
     out = {"digit": d.digit, "parity": d.parity, "empirical": d.empirical,
@@ -289,7 +293,8 @@ def _run_density(p):
            "positions_per_sample": d.positions_per_sample}
     return out, {"deviation": dev, "three_sigma": 3 * (d.stderr or 0.0)}, \
         "pass" if within else "fail", \
-        "digit frequency matches log2((d+1)^2/(d(d+2))) within three standard errors"
+        "digit frequency matches log2((d+1)^2/(d(d+2))) within three standard errors", \
+        extra
 
 
 RUNNERS = {

@@ -484,6 +484,7 @@ class DigitDensity:
     positions_per_sample: int
     samples: int
     short_expansions: int = 0
+    euclid_steps: int = 0           # quotients taken over all samples
 
 
 def gauss_kuzmin_density(digit: int) -> float:
@@ -663,7 +664,7 @@ def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
     den0 = 1 << bits
     fractions_sum = 0.0
     fractions_sqsum = 0.0
-    short = 0
+    short = euclid_steps = 0
     positions = sum(1 for k in range(burn_in + 1, depth + 1) if (k % 2 == 1) == want_odd)
     for start in range(0, samples, _LANES):
         n = min(_LANES, samples - start)
@@ -671,6 +672,7 @@ def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
             [den0] * n, [rng.getrandbits(bits) | 1 for _ in range(n)], depth, digit,
             burn_in, want_odd)
         short += sum(1 for k, p in zip(steps, ps) if not p and k < depth)
+        euclid_steps += sum(steps)
         for h, c in zip(hits, cnt):
             f = h / c if c else 0.0
             fractions_sum += f
@@ -679,4 +681,5 @@ def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
     mean = fractions_sum / samples
     var = max(fractions_sqsum / samples - mean * mean, 0.0)
     stderr = math.sqrt(var / samples) if samples > 1 else None
-    return DigitDensity(digit, parity, mean, reference, stderr, positions, samples, short)
+    return DigitDensity(digit, parity, mean, reference, stderr, positions, samples, short,
+                        euclid_steps)

@@ -57,8 +57,9 @@ class MetricField(EndoField):
 
     Immutable: `data` is a read-only view of the array passed in (the
     caller's own array stays writable, and must not be written while the
-    metric is in use).  The per-node factors `inv`, `sqrt_pair` and `gamma`
-    are computed on first use, kept on the instance and returned read-only.
+    metric is in use), or a broadcast of one r x r block, the one value the
+    Hermiticity check then reads.  The per-node factors `inv`, `sqrt_pair`
+    and `gamma` are computed on first use, kept and returned read-only.
     `is_identity` holds only for the metric `identity_metric` builds; the
     products below then skip the factor I and return their other operand,
     C-ordered as a product would be (`_trace_of_product` and matmul read
@@ -68,8 +69,9 @@ class MetricField(EndoField):
     def __post_init__(self):
         self.data = _frozen(self.data.view())
         super().__post_init__()
-        herm = np.abs(self.data - dagger(self.data)).max()
-        if herm > 1e-9 * max(1.0, np.abs(self.data).max()):
+        vals = self.data[0, 0] if self.data.strides[:2] == (0, 0) else self.data
+        herm = np.abs(vals - dagger(vals)).max()
+        if herm > 1e-9 * max(1.0, np.abs(vals).max()):
             raise ValueError("metric field is not Hermitian (defect %.2e)" % herm)
         self._inv = self._sqrt_pair = self._gamma = None
         self._identity = False
@@ -136,12 +138,11 @@ class MetricField(EndoField):
 
 def identity_metric(grid: TorusGrid, twist: TwistData) -> MetricField:
     """The reference metric I, carrying its exact factors: I^-1 = I^(+-1/2) = I
-    and gamma = 0, and flagged `is_identity`."""
+    and gamma = 0, each a read-only broadcast of one block; flagged `is_identity`."""
     N, r = grid.N, twist.rank
-    H = MetricField(grid, twist, np.broadcast_to(np.eye(r, dtype=complex),
-                                                 (N, N, r, r)).copy())
+    H = MetricField(grid, twist, np.broadcast_to(np.eye(r, dtype=complex), (N, N, r, r)))
     H._inv, H._sqrt_pair = H.data, (H.data, H.data)
-    H._gamma = _frozen(np.zeros(H.data.shape, complex))
+    H._gamma = np.broadcast_to(np.zeros((r, r), complex), H.data.shape)
     H._identity = True
     return H
 

@@ -6,10 +6,12 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from fareyflow.cli import main
 from fareyflow.contfrac import (_LANES, ContinuedFraction, DigitDensity,
                                 _euclid_tally, cf_expand, convergents,
                                 gauss_digit_density, gauss_kuzmin_density,
                                 lagrange_estimate, semiconvergents, tail_value)
+from fareyflow.reporting import read_journal, stable_view
 from fareyflow.surd import QuadraticSurd
 
 GOLDEN = QuadraticSurd(1, 1, 5, 2)
@@ -320,7 +322,7 @@ def scalar_digit_density(samples, depth, digit, parity, seed, burn_in, bits):
     den0 = 1 << bits
     fractions_sum = 0.0
     fractions_sqsum = 0.0
-    short = 0
+    short = steps = 0
     positions = sum(1 for k in range(burn_in + 1, depth + 1) if (k % 2 == 1) == want_odd)
     for _ in range(samples):
         p = rng.getrandbits(bits) | 1
@@ -332,6 +334,7 @@ def scalar_digit_density(samples, depth, digit, parity, seed, burn_in, bits):
                 break
             a, rem = divmod(q, p)
             q, p = p, rem
+            steps += 1
             if k > burn_in and (k % 2 == 1) == want_odd:
                 cnt += 1
                 hits += a == digit
@@ -341,7 +344,8 @@ def scalar_digit_density(samples, depth, digit, parity, seed, burn_in, bits):
     mean = fractions_sum / samples
     var = max(fractions_sqsum / samples - mean * mean, 0.0)
     stderr = math.sqrt(var / samples) if samples > 1 else None
-    return DigitDensity(digit, parity, mean, reference, stderr, positions, samples, short)
+    return DigitDensity(digit, parity, mean, reference, stderr, positions, samples, short,
+                        steps)
 
 
 @settings(deadline=None, max_examples=20)
@@ -358,6 +362,22 @@ def test_density_matches_scalar_euclid(bits, digit, parity, burn_in, extra, seed
     args = (_LANES + 1, depth, digit, parity, seed)
     got = gauss_digit_density(*args, burn_in=burn_in, bits=bits)
     assert got == scalar_digit_density(*args, burn_in, bits)
+
+
+def test_density_record_counts_euclid_steps(tmp_path):
+    # a 768-bit draw takes about 450 quotients, so at depth 500 many
+    # expansions end early and the count is not samples x depth; the
+    # volatile trace and timings stay out of stable_view
+    j = str(tmp_path / "j.jsonl")
+    assert main(["--out", j, "density", "--samples", "200", "--depth", "500",
+                 "--seed", "4"]) == 0
+    rec = read_journal(j)[0]
+    oracle = scalar_digit_density(200, 500, 1, "odd", 4, 32, 768)
+    assert 0 < oracle.short_expansions < 200
+    assert rec["trace"] == {"euclid_steps": oracle.euclid_steps,
+                            "short_expansions": oracle.short_expansions}
+    assert set(rec["timings"]) == {"expansion_s"}
+    assert "trace" not in stable_view(rec) and "timings" not in stable_view(rec)
 
 
 def divmod_tally(qs, ps, depth, digit, burn_in, want_odd):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -95,17 +96,42 @@ def test_metric_is_read_only_and_factors_once(r):
 
 
 def test_identity_metric_carries_exact_factors():
-    g = TorusGrid(1j, 16)
-    H = identity_metric(g, TwistData.clock_shift(3, 1))
-    eye = np.broadcast_to(np.eye(3), H.data.shape)
+    # I, its factors and gamma = 0 are read-only broadcasts of one r x r
+    # block: building them allocates O(r^2), not a (128, 128, 8, 8) field
+    # (about 50 MB once copied and scanned for Hermiticity)
+    g, tw = TorusGrid(1j, 128), TwistData.clock_shift(8, 3)
+    tracemalloc.start()
+    try:
+        H = identity_metric(g, tw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
     half, inv_half = H.sqrt_pair()
+    for exact in (H.data, H.inv(), half, inv_half, H.gamma()):
+        assert exact.shape == (128, 128, 8, 8) and not exact.flags.writeable
     for exact in (H.data, H.inv(), half, inv_half):
-        assert np.array_equal(exact, eye)
+        assert (exact == np.eye(8)).all()
     assert not H.gamma().any()
     assert H.is_identity
     assert not MetricField(g, H.twist, H.data.copy()).is_identity
     with pytest.raises(AttributeError):
         H.is_identity = False
+
+
+def test_hermiticity_check_reads_every_distinct_value():
+    g, tw = TorusGrid(1j, 16), TwistData.clock_shift(3, 1)
+    shape = (16, 16, 3, 3)
+    # a broadcast block is checked once, and still refused with its defect
+    block = np.eye(3, dtype=complex)
+    block[0, 1] = 1.0
+    with pytest.raises(ValueError, match=r"not Hermitian \(defect 1\.00e\+00\)"):
+        MetricField(g, tw, np.broadcast_to(block, shape))
+    # any other field is scanned at every node: one bad node is found
+    data = np.broadcast_to(np.eye(3, dtype=complex), shape).copy()
+    data[11, 5, 2, 0] = 0.5
+    with pytest.raises(ValueError, match=r"not Hermitian \(defect 5\.00e-01\)"):
+        MetricField(g, tw, data)
 
 
 # one coprime (r, d) per rank; the inclusion is the full rank-1 bundle, one
