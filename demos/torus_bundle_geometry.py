@@ -38,10 +38,12 @@ print("  sup/mean of |beta|^2 = %.5f; minimum %.2e at node (%d, %d) "
 
 # restricted metric on the line subbundle: conformal determinant normalization
 h_s = np.einsum("xya,xya->xy", sec.data.conj(), sec.data).real
-from fareyflow.torus_he import MetricField, TwistData, identity_metric
+from fareyflow.torus_he import ConnectionField, MetricField, TwistData, identity_metric
 tw1 = TwistData.clock_shift(1, 0)
 Hs = MetricField(grid, tw1, h_s[..., None, None].astype(complex))
-res = conformal_normalize(Hs, identity_metric(grid, tw1), (Fraction(1, 2), 0))
+zero = np.zeros((grid.N, grid.N), complex)
+res = conformal_normalize(Hs, identity_metric(grid, tw1), (Fraction(1, 2), 0),
+                          ConnectionField(grid, tw1, zero, zero))
 scaled = np.exp(res.phi) * h_s
 print("  conformal weight: mean phi = %.1e, det(e^phi h) constant to %.1e"
       % (res.mean_phi, scaled.std() / scaled.mean()))

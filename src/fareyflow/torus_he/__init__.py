@@ -9,7 +9,8 @@ from .fields import (ConnectionField, EndoField, FormField, MetricField,
                      SectionField, dump_grid_csv, identity_metric, load_grid_csv)
 from .model import ModelBundle, build_model_bundle, section_basis, theta_section
 from .hermitian import (ConformalResult, SecondFundamentalForm, ThresholdProbe,
-                        chern_weil_check, conformal_normalize, he_residual,
+                        chern_weil_check, conformal_normalize,
+                        curvature_defect, he_residual,
                         i_lambda_F_metric, second_fundamental_form,
                         threshold_probe)
 from .donaldson import (FlowResult, donaldson_flow, donaldson_functional,
@@ -21,7 +22,7 @@ __all__ = [
     "SectionField", "dump_grid_csv", "identity_metric", "load_grid_csv",
     "ModelBundle", "build_model_bundle", "section_basis", "theta_section",
     "ConformalResult", "SecondFundamentalForm", "ThresholdProbe",
-    "chern_weil_check", "conformal_normalize", "he_residual",
+    "chern_weil_check", "conformal_normalize", "curvature_defect", "he_residual",
     "i_lambda_F_metric", "second_fundamental_form", "threshold_probe",
     "FlowResult", "donaldson_flow", "donaldson_functional", "metric_log",
     "phi_multiplier", "random_twisted_hermitian",

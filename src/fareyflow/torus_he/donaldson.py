@@ -19,6 +19,11 @@ critical points exactly at the constant-curvature metrics.  Descent uses the
 manifestly positivity-preserving update H <- H^(1/2) exp(-step G~) H^(1/2)
 with G~ the symmetrized gradient preconditioned by an inverse shifted
 Laplacian applied in the Bloch-spectral representation.
+
+Each quantity has one implementation, and the flow calls it:
+`metric_log(H, K)` gives the s of H = K exp(s), and
+`donaldson_functional(K, s, defect)` gives M(K, exp(s) K) from K's
+`curvature_defect`, which the flow forms once for its starting metric.
 """
 
 from __future__ import annotations
@@ -125,41 +130,21 @@ def _check_selfadjoint(K: MetricField, s: np.ndarray):
                          "(defect %.3e)" % defect)
 
 
-def _functional(K: MetricField, source: np.ndarray, sdata: np.ndarray) -> float:
-    """M(K, exp(s) K) for the K-self-adjoint s = sdata, with source =
-    `curvature_defect` of K.
+def donaldson_functional(K: MetricField, s: EndoField, defect: np.ndarray) -> float:
+    """M(K, exp(s) K) for a K-self-adjoint endomorphism field s, with defect
+    = `curvature_defect(K, conn, mu)`, which the caller forms once per K.
 
-    The central connection enters only through the source: it commutes with
+    The central connection enters only through the defect: it commutes with
     s, so dbar_A s = dbar s.  `K.conjugate_half` takes s and dbar s to K's
-    orthonormal frame, s_hat and D; `_pairing` weighs D by phi in the
-    spectral decomposition of s_hat, in closed form at ranks 1 and 2.
+    orthonormal frame, s_hat and D, with K's cached square-root pair;
+    `_pairing` weighs D by phi in the spectral decomposition of s_hat, in
+    closed form at ranks 1 and 2.
     """
-    _check_selfadjoint(K, sdata)
-    dbar = EndoField(K.grid, K.twist, sdata).d_zbar()
-    s_hat = _hermitize(K.conjugate_half(sdata))
-    quad = 2 * K.grid.v * _pairing(s_hat, K.conjugate_half(dbar))
-    lin = np.einsum("...ab,...ba->...", source, sdata).real
+    _check_selfadjoint(K, s.data)
+    s_hat = _hermitize(K.conjugate_half(s.data))
+    quad = 2 * K.grid.v * _pairing(s_hat, K.conjugate_half(s.d_zbar()))
+    lin = np.einsum("...ab,...ba->...", defect, s.data).real
     return float((quad + lin).mean())
-
-
-def _log(K: MetricField, h: np.ndarray) -> EndoField:
-    half, inv_half = K.sqrt_pair()
-    h_hat = _hermitize(mm(inv_half, mm(h, inv_half)))
-    log_hat = fiber.herm_apply(fiber.LOG, h_hat)
-    return EndoField(K.grid, K.twist, mm(inv_half, mm(log_hat, half)))
-
-
-def donaldson_functional(K: MetricField, s: EndoField | np.ndarray, conn, mu) -> float:
-    """M(K, exp(s) K) for a K-self-adjoint endomorphism field s.
-
-    K's square-root pair and gamma are cached on K; the curvature defect
-    i Lambda F_K - 2 pi mu Id (`curvature_defect`, shared with `he_residual`)
-    is recomputed from gamma on every call, `donaldson_flow` forms it once
-    per flow.  On the identity metric (`K.is_identity`) no stencil of gamma
-    and no conjugation by I is formed.
-    """
-    sdata = s.data if isinstance(s, EndoField) else s
-    return _functional(K, curvature_defect(K, conn, mu), sdata)
 
 
 def metric_log(H: MetricField, K: MetricField) -> EndoField:
@@ -170,7 +155,10 @@ def metric_log(H: MetricField, K: MetricField) -> EndoField:
     is what keeps K s Hermitian.  K's square-root pair is computed on the
     first call and cached on K.
     """
-    return _log(K, H.data)
+    half, inv_half = K.sqrt_pair()
+    h_hat = _hermitize(mm(inv_half, mm(H.data, inv_half)))
+    log_hat = fiber.herm_apply(fiber.LOG, h_hat)
+    return EndoField(K.grid, K.twist, mm(inv_half, mm(log_hat, half)))
 
 
 @dataclass
@@ -220,10 +208,11 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
     K0's `curvature_defect` is formed once per flow, on a second
     MetricField over K0's data, so K0 caches only the square-root pair that
     every trial step reuses; iteration 0 reads both rather than factoring K0
-    again.  Each later iterate is factored once, as a MetricField that lives
-    until the next accepted step; the returned metric is a fresh one, so a
-    result kept after the flow holds none of the factors of its last
-    residual.
+    again.  Each trial metric is a MetricField that `metric_log` and
+    `donaldson_functional` evaluate against K0; an accepted trial becomes the
+    next iterate itself and is factored once, when the next residual reads
+    it.  The returned metric is a fresh one, so a result kept after the flow
+    holds none of the factors of its last residual.
     """
     grid, twist = K0.grid, K0.twist
     wt = WeylTransform(twist, grid)
@@ -233,7 +222,6 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
                     - 0.5 * grid.laplace_symbol(*wt.freqs))
     step = STEP_INIT
 
-    h = K0.data
     residuals: list[float] = []
     functional: list[float] = []
     steps: list[float] = []
@@ -253,13 +241,13 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
         accepted = False
         for _ in range(60):
             expd = fiber.herm_apply(fiber.exp(-step), direction)
-            h_new = _hermitize(mm(half, mm(expd, half)))
+            trial = MetricField(grid, twist, _hermitize(mm(half, mm(expd, half))))
             try:
-                s_new = _log(K0, h_new)
+                s_new = metric_log(trial, K0)
             except ValueError:
                 step *= 0.5
                 continue
-            m_new = _functional(K0, source, s_new.data)
+            m_new = donaldson_functional(K0, s_new, source)
             if m_new <= m_cur + DESCENT_SLACK * max(1.0, abs(m_cur)):
                 accepted = True
                 break
@@ -268,13 +256,12 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
             raise RuntimeError(
                 "descent stalled at iteration %d (residual %.3e); residual history: %s"
                 % (it, res, ["%.3e" % r for r in residuals[-8:]]))
-        h, m_cur = h_new, m_new
-        H = MetricField(grid, twist, h)
+        H, m_cur = trial, m_new
         defect = curvature_defect(H, conn, mu)
         steps.append(step)
         step = min(step * 1.3, STEP_MAX)
 
-    return FlowResult(MetricField(grid, twist, h), residuals, functional, steps, it,
+    return FlowResult(MetricField(grid, twist, H.data), residuals, functional, steps, it,
                       res < tol)
 
 

@@ -60,10 +60,11 @@ class MetricField(EndoField):
     metric is in use), or a broadcast of one r x r block, the one value the
     Hermiticity check then reads.  The per-node factors `inv`, `sqrt_pair`
     and `gamma` are computed on first use, kept and returned read-only.
-    `is_identity` holds only for the metric `identity_metric` builds; the
-    products below then skip the factor I and return their other operand,
-    C-ordered as a product would be (`_trace_of_product` and matmul read
-    memory order, so this keeps the results bit-identical).
+    `is_identity` holds only for the metric `identity_metric` builds; four
+    products below (`apply`, `apply_inv`, `dual`, `chern_dz`) then skip the
+    factor I and return their other operand, C-ordered as a product would be
+    (`_trace_of_product` and matmul read memory order, so this keeps the
+    results bit-identical).  `conjugate_half` multiplies by the exact I.
     """
 
     def __post_init__(self):
@@ -125,8 +126,6 @@ class MetricField(EndoField):
 
     def conjugate_half(self, s: np.ndarray) -> np.ndarray:
         """H^(1/2) s H^(-1/2): s in an H-orthonormal frame."""
-        if self._identity:
-            return np.ascontiguousarray(s)
         half, inv_half = self.sqrt_pair()
         return mm(half, mm(s, inv_half))
 

@@ -17,12 +17,14 @@ contraction becomes
 For the constant-curvature model, i Lambda F = 2 pi mu Id exactly.
 
 The model's reference metric is `identity_metric`, flagged `is_identity`.
-On it the curvature skips its stencil of gamma = 0 and the metric products
-(`MetricField.apply`, `dual`, `conjugate_half`, `chern_dz`) skip the factor
-I, so the second fundamental form is bit-identical to the general path at a
-fraction of its cost.  The residual there forms no matrix field at all: the
-defect is the scalar i F_xy - 2 pi mu times Id, and its norm is read from
-that (N, N) scalar.
+On it four metric products (`MetricField.apply`, `apply_inv`, `dual`,
+`chern_dz`) skip the factor I, so the second fundamental form is
+bit-identical to the general path at a fraction of its cost.  The residual
+there forms no matrix field at all: the defect is the scalar
+i F_xy - 2 pi mu times Id, and its norm is read from that (N, N) scalar.
+Everything else, the curvature `i_lambda_F_metric` included, takes the
+general path on it: products with the exact I and stencils of the exact
+gamma = 0.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ CONFORMAL_MEAN_TOL = 1e-6   # relative mean of the conformal right side accepted
 
 def i_lambda_F_metric(H: MetricField, conn: ConnectionField) -> np.ndarray:
     """i Lambda of the curvature of the metric H over the background."""
-    if H.is_identity:
-        return conn.i_lambda_F()
     g = EndoField(H.grid, H.twist, H.gamma())
     return conn.i_lambda_F() - 2 * H.grid.v * g.d_zbar()
 
@@ -169,7 +169,7 @@ class ConformalResult:
 
 
 def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
-                        conn: ConnectionField | None = None) -> ConformalResult:
+                        conn: ConnectionField) -> ConformalResult:
     """Solve  Lap(phi) = (2/rk) (tr i Lambda F_H - 2 pi mu_S rk)  with zero
     mean and rescale H by e^phi.
 
@@ -177,14 +177,13 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
     curvature integral minus the degree), which is checked against
     CONFORMAL_MEAN_TOL.  The determinant det(e^phi H H0^-1) comes out constant; it equals 1 when
     the input pair is compatibly scaled (the reported deviation makes the
-    leftover constant visible instead of hiding it).
+    leftover constant visible instead of hiding it).  `conn` is the
+    background connection of the restricted bundle, the zero connection for
+    a line of degree 0.
     """
     grid = H_restricted.grid
     rk = H_restricted.twist.rank
     muE, muS = mu_pair
-    if conn is None:
-        zero = np.zeros((grid.N, grid.N), complex)
-        conn = ConnectionField(grid, H_restricted.twist, zero, zero)
     tr_ilf = np.einsum("...aa->...", i_lambda_F_metric(H_restricted, conn)).real
     rhs = (2.0 / rk) * (tr_ilf - _einstein_constant(muS) * rk)
     defect = float(abs(rhs.mean()))

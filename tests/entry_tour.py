@@ -5,6 +5,9 @@
 Runs the CLI runs of CLI_RUNS, the demos of DEMOS and the smoke-size
 benchmark workloads of WORKLOADS in this one process, with `sys.setprofile`
 noting the code object of every Python call (calls only, no line events).
+Each workload is recorded and then run once along the benchmark's timed
+path on that fresh record (`setup` with seed WORKLOAD_SEED, `run_pass`,
+`check`); a failed check stops the tour.
 Prints one JSON object: `called`, the [file relative to src/fareyflow, first
 line] of each called code object of the package, and `ran`, the subcommands,
 demos and workloads the tour ran.  Journals, dumps and workload scratch files
@@ -47,6 +50,7 @@ CLI_RUNS = [
 DEMOS = ["coulomb_gauge.py", "farey_charges.py", "lagrange_parity.py",
          "torus_bundle_geometry.py"]
 WORKLOADS = ["coulomb_gauge", "torus_flow", "torus_geometry", "exact_arith"]
+WORKLOAD_SEED = 1
 
 
 def tour(out: str) -> dict:
@@ -70,7 +74,11 @@ def tour(out: str) -> dict:
     for name in WORKLOADS:
         scratch = os.path.join(out, name)
         os.mkdir(scratch)
-        workloads.make(name, "smoke", scratch).record()
+        work = workloads.make(name, "smoke", scratch)
+        units = work.setup(work.record(), WORKLOAD_SEED)
+        failed = [why for ok, why in work.check(units, work.run_pass(units)) if not ok]
+        if failed:
+            raise SystemExit("workload %s failed its checks: %s" % (name, failed))
         ran["workloads"].append(name)
     return ran
 

@@ -194,20 +194,22 @@ def test_criterion_08_flat_threshold(theta_line_subbundle_128, theta_line_densit
 
 def test_criterion_09_functional_properties():
     from fareyflow.torus_he import (EndoField, MetricField, TorusGrid,
-                                    build_model_bundle, donaldson_functional,
-                                    metric_log, random_twisted_hermitian)
+                                    build_model_bundle, curvature_defect,
+                                    donaldson_functional, metric_log,
+                                    random_twisted_hermitian)
     t0 = time.perf_counter()
     grid = TorusGrid(1j, 64)
     tw, conn, H0 = build_model_bundle(2, 1, grid)
     mu = Fraction(1, 2)
+    defect0 = curvature_defect(H0, conn, mu)
 
     zero = EndoField(grid, tw, np.zeros_like(H0.data))
-    m0 = donaldson_functional(H0, zero, conn, mu)
+    m0 = donaldson_functional(H0, zero, defect0)
     scalars = []
     for c in (-1.0, 0.5, 2.0):
         sc = EndoField(grid, tw, c * np.broadcast_to(np.eye(2, dtype=complex),
                                                      H0.data.shape).copy())
-        scalars.append(abs(donaldson_functional(H0, sc, conn, mu)))
+        scalars.append(abs(donaldson_functional(H0, sc, defect0)))
 
     def expm_h(s):
         lam, P = np.linalg.eigh(s)
@@ -217,16 +219,17 @@ def test_criterion_09_functional_properties():
     sB = random_twisted_hermitian(grid, tw, 12, amplitude=0.08)
     HA = MetricField(grid, tw, expm_h(sA.data))
     HB = MetricField(grid, tw, expm_h(sB.data))
-    cocycle = abs(donaldson_functional(H0, metric_log(HA, H0), conn, mu)
-                  + donaldson_functional(HA, metric_log(HB, HA), conn, mu)
-                  - donaldson_functional(H0, metric_log(HB, H0), conn, mu))
+    cocycle = abs(donaldson_functional(H0, metric_log(HA, H0), defect0)
+                  + donaldson_functional(HA, metric_log(HB, HA),
+                                         curvature_defect(HA, conn, mu))
+                  - donaldson_functional(H0, metric_log(HB, H0), defect0))
 
     rng = np.random.default_rng(77)
     worst_second = math.inf
     for trial in range(20):
         s = random_twisted_hermitian(grid, tw, 300 + trial, amplitude=0.5)
         tc = rng.uniform(0.3, 2.0)
-        vals = [donaldson_functional(H0, EndoField(grid, tw, t * s.data), conn, mu)
+        vals = [donaldson_functional(H0, EndoField(grid, tw, t * s.data), defect0)
                 for t in (tc - 0.1, tc, tc + 0.1)]
         worst_second = min(worst_second, vals[0] - 2 * vals[1] + vals[2])
     elapsed = time.perf_counter() - t0

@@ -10,8 +10,8 @@ import roll_reference as ref
 from fareyflow import fiber
 from fareyflow.torus_he import (ConnectionField, EndoField, FlowResult,
                                 MetricField, TorusGrid, TwistData,
-                                build_model_bundle, donaldson_flow,
-                                donaldson_functional, he_residual,
+                                build_model_bundle, curvature_defect,
+                                donaldson_flow, donaldson_functional, he_residual,
                                 i_lambda_F_metric, identity_metric, metric_log,
                                 phi_multiplier, random_twisted_hermitian)
 from fareyflow.torus_he.donaldson import _pairing
@@ -114,12 +114,13 @@ def test_pairing_other_ranks_match_eigh(seed, r):
 def test_functional_zero_and_scalars(setup):
     grid, tw, conn, H0 = setup
     mu = Fraction(1, 2)
+    defect = curvature_defect(H0, conn, mu)
     zero = EndoField(grid, tw, np.zeros_like(H0.data))
-    assert donaldson_functional(H0, zero, conn, mu) == 0.0
+    assert donaldson_functional(H0, zero, defect) == 0.0
     for c in (-1.0, 0.5, 2.0):
         sc = EndoField(grid, tw, c * np.broadcast_to(np.eye(2, dtype=complex),
                                                      H0.data.shape).copy())
-        assert abs(donaldson_functional(H0, sc, conn, mu)) < 1e-8
+        assert abs(donaldson_functional(H0, sc, defect)) < 1e-8
 
 
 def test_functional_rejects_non_selfadjoint(setup):
@@ -127,7 +128,8 @@ def test_functional_rejects_non_selfadjoint(setup):
     s = np.zeros_like(H0.data)
     s[..., 0, 1] = 1.0
     with pytest.raises(ValueError, match="self-adjoint"):
-        donaldson_functional(H0, EndoField(grid, tw, s), conn, Fraction(1, 2))
+        donaldson_functional(H0, EndoField(grid, tw, s),
+                             curvature_defect(H0, conn, Fraction(1, 2)))
 
 
 def test_cocycle_identity(setup):
@@ -137,9 +139,10 @@ def test_cocycle_identity(setup):
     sB = random_twisted_hermitian(grid, tw, 2, amplitude=0.08)
     HA = MetricField(grid, tw, expm_h(sA.data))
     HB = MetricField(grid, tw, expm_h(sB.data))
-    m_ka = donaldson_functional(H0, metric_log(HA, H0), conn, mu)
-    m_ab = donaldson_functional(HA, metric_log(HB, HA), conn, mu)
-    m_kb = donaldson_functional(H0, metric_log(HB, H0), conn, mu)
+    defect0, defectA = (curvature_defect(K, conn, mu) for K in (H0, HA))
+    m_ka = donaldson_functional(H0, metric_log(HA, H0), defect0)
+    m_ab = donaldson_functional(HA, metric_log(HB, HA), defectA)
+    m_kb = donaldson_functional(H0, metric_log(HB, H0), defect0)
     assert abs(m_ka + m_ab - m_kb) < 1e-6
 
 
@@ -165,12 +168,13 @@ def test_metric_log_roundtrip(setup):
 def test_ray_convexity(setup):
     grid, tw, conn, H0 = setup
     mu = Fraction(1, 2)
+    defect = curvature_defect(H0, conn, mu)
     rng = np.random.default_rng(4)
     for trial in range(20):
         s = random_twisted_hermitian(grid, tw, 100 + trial, amplitude=0.5)
         t0 = rng.uniform(0.2, 2.0)
         dt = 0.1
-        vals = [donaldson_functional(H0, EndoField(grid, tw, t * s.data), conn, mu)
+        vals = [donaldson_functional(H0, EndoField(grid, tw, t * s.data), defect)
                 for t in (t0 - dt, t0, t0 + dt)]
         second = vals[0] - 2 * vals[1] + vals[2]
         assert second >= -1e-6
@@ -180,7 +184,7 @@ def test_functional_positive_at_fixed_metric(setup):
     # K constant-curvature: M(K, e^sK) >= 0 with equality at scalars
     grid, tw, conn, H0 = setup
     s = random_twisted_hermitian(grid, tw, 17, amplitude=0.3)
-    assert donaldson_functional(H0, s, conn, Fraction(1, 2)) > 0
+    assert donaldson_functional(H0, s, curvature_defect(H0, conn, Fraction(1, 2))) > 0
 
 
 def test_gradient_consistency_order_four():
@@ -202,6 +206,7 @@ def test_gradient_consistency_order_four():
             return MetricField(grid, tw, fiber.herm_apply(fiber.exp(1.0), s.data))
 
         K, H = metric(11), metric(42)
+        defect = curvature_defect(K, conn, mu)
         u = random_twisted_hermitian(grid, tw, 7, amplitude=0.5).data
         half, inv_half = H.sqrt_pair()
 
@@ -209,7 +214,7 @@ def test_gradient_consistency_order_four():
             expu = fiber.herm_apply(fiber.exp(t), u)
             Ht = fiber.mm(half, fiber.mm(expu, half))
             Ht = MetricField(grid, tw, 0.5 * (Ht + fiber.dagger(Ht)))
-            return donaldson_functional(K, metric_log(Ht, K), conn, mu)
+            return donaldson_functional(K, metric_log(Ht, K), defect)
 
         h = 1e-3
         d1 = (M(h) - M(-h)) / (2 * h)
@@ -256,6 +261,36 @@ def test_flow_rank2_converges_monotone(setup):
     assert ref.endo_seam_jump(fr.final.data, tw) < 1e-4
     # functional strictly decreased overall
     assert fr.functional[-1] < fr.functional[1] < 0 or fr.functional[1] >= 0
+
+
+def test_flow_evaluates_through_the_public_functions(setup, monkeypatch):
+    # one implementation per quantity: every trial step of the flow goes
+    # through the public metric_log and donaldson_functional, and each
+    # recorded functional value is one that donaldson_functional returned
+    from fareyflow.torus_he import donaldson
+    grid, tw, conn, H0 = setup
+    calls = {"donaldson_functional": 0, "metric_log": 0}
+    returned = []
+
+    def count(name):
+        fn = getattr(donaldson, name)
+
+        def counted(*args):
+            calls[name] += 1
+            out = fn(*args)
+            if name == "donaldson_functional":
+                returned.append(out)
+            return out
+        monkeypatch.setattr(donaldson, name, counted)
+
+    count("donaldson_functional")
+    count("metric_log")
+    K = MetricField(grid, tw, expm_h(random_twisted_hermitian(grid, tw, 42, 0.5).data))
+    fr = donaldson_flow(K, Fraction(1, 2), conn, tol=1e-6, max_iter=12)
+    assert len(fr.steps) == 12
+    assert calls["donaldson_functional"] >= len(fr.steps)
+    assert calls["metric_log"] >= len(fr.steps)
+    assert all(m in returned for m in fr.functional[1:])
 
 
 def test_flow_result_uphill_counts():

@@ -25,8 +25,6 @@ OPTIONS = {
     "fareyflow.coulomb.coulomb_fix.eps0":
         "the CLI's --eps0 sets it; the benchmark workload and criterion 12 use the default",
     "fareyflow.surd.QuadraticSurd.enclosure.bits": "src/ uses both 96 and 120",
-    "fareyflow.torus_he.hermitian.conformal_normalize.conn":
-        "the demo passes None, the tests pass the model connection",
 }
 
 

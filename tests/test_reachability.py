@@ -58,9 +58,6 @@ ALLOWED = {
     "fareyflow.stability.WellApproxVerdict.__bool__":
         "guard: an undecided verdict raises instead of reading as true",
     # called only by an acceptance criterion
-    "fareyflow.torus_he.donaldson.donaldson_functional":
-        "criterion 9; also a perfbench tracer layer",
-    "fareyflow.torus_he.donaldson.metric_log": "criterion 9; also a perfbench tracer layer",
     "fareyflow.reporting.read_journal": "criterion 13 reads the journals back",
     "fareyflow.stability.SubsequenceReport.passing": "criterion 5",
 }

@@ -13,8 +13,8 @@ from fareyflow import fiber
 from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
                                 SectionField, TorusGrid, TwistData,
                                 build_model_bundle, chern_weil_check,
-                                conformal_normalize, donaldson_functional,
-                                he_residual, i_lambda_F_metric, identity_metric,
+                                conformal_normalize, curvature_defect,
+                                donaldson_functional, he_residual, i_lambda_F_metric, identity_metric,
                                 metric_log, random_twisted_hermitian,
                                 second_fundamental_form, section_basis,
                                 theta_section, threshold_probe)
@@ -195,8 +195,8 @@ def test_identity_path_matches_general_path_bitwise(r, d):
     assert he_residual(conn, H0, mu).hex() == he_residual(conn, H, mu).hex()
     s = random_twisted_hermitian(g, tw, seed=r, amplitude=0.5)
     assert np.array_equal(rho_norm_field(s.data, H0), rho_norm_field(s.data, H))
-    assert (donaldson_functional(H0, s, conn, mu).hex()
-            == donaldson_functional(H, s, conn, mu).hex())
+    assert (donaldson_functional(H0, s, curvature_defect(H0, conn, mu)).hex()
+            == donaldson_functional(H, s, curvature_defect(H, conn, mu)).hex())
     K = MetricField(g, tw, fiber.herm_apply(fiber.exp(1.0), s.data))
     assert np.array_equal(metric_log(K, H0).data, metric_log(K, H).data)
     incl = _inclusion(g, tw)
@@ -479,7 +479,9 @@ def test_conformal_matches_logdet_route(model21):
     tw1 = TwistData.clock_shift(1, 0)
     Hs = MetricField(g, tw1, h_s[..., None, None].astype(complex))
     H0s = identity_metric(g, tw1)
-    res = conformal_normalize(Hs, H0s, (Fraction(1, 2), 0))
+    zero = np.zeros((g.N, g.N), complex)
+    res = conformal_normalize(Hs, H0s, (Fraction(1, 2), 0),
+                              ConnectionField(g, tw1, zero, zero))
     oracle = -(np.log(h_s) - np.log(h_s).mean())
     assert np.abs(res.phi - oracle).max() < 2e-5
     scaled_det = np.exp(res.phi) * h_s
