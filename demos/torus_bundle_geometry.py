@@ -42,7 +42,7 @@ from fareyflow.torus_he import ConnectionField, MetricField, TwistData, identity
 tw1 = TwistData.clock_shift(1, 0)
 Hs = MetricField(grid, tw1, h_s[..., None, None].astype(complex))
 zero = np.zeros((grid.N, grid.N), complex)
-res = conformal_normalize(Hs, identity_metric(grid, tw1), (Fraction(1, 2), 0),
+res = conformal_normalize(Hs, identity_metric(grid, tw1), 0,
                           ConnectionField(grid, tw1, zero, zero))
 scaled = np.exp(res.phi) * h_s
 print("  conformal weight: mean phi = %.1e, det(e^phi h) constant to %.1e"

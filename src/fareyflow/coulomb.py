@@ -7,9 +7,10 @@ are 4th-order finite differences (one-sided at the boundary).  Each gauge
 sweep solves a Neumann problem for its divergence potential in a cosine
 basis, whose parity matches the even reflection of the normal-derivative
 condition, plus explicit harmonic corrections for the edge data.  The solver
-treats trailing array axes as a batch of independent real solves, so
-matrix-valued complex data goes through one call (real and imaginary parts
-on one more trailing axis).
+treats trailing array axes as a batch of independent real solves, so a
+sweep's u(r)-valued data goes through one call in its r^2 real coordinates
+(`_skew_coords`), and the potential is rebuilt from them skew-Hermitian by
+construction (`_skew_field`).
 """
 
 from __future__ import annotations
@@ -198,15 +199,6 @@ def _cos_synth(c: np.ndarray) -> np.ndarray:
     return scipy.fft.dct(c, type=1, axis=0) / 2.0
 
 
-def _split(z: np.ndarray) -> np.ndarray:
-    """Complex data -> real entries along a new trailing axis (re, im)."""
-    return np.stack([z.real, z.imag], -1)
-
-
-def _join(f: np.ndarray) -> np.ndarray:
-    return f[..., 0] + 1j * f[..., 1]
-
-
 def _edge_cos_pair_correction(wl: np.ndarray, wr: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Harmonic h with d_nu h = wl, wr (cosine modes m >= 1) on x = 0, 1 and
     zero normal derivative on the other two edges.  wl, wr are (s, batch) and
@@ -313,8 +305,18 @@ def div_residuals(A: GaugeField) -> tuple[float, float]:
     The four corner nodes are excluded from the boundary maximum: the outward
     normal is undefined there and the two one-sided traces need not agree.
     """
+    return _residual_norms(A, _d_star(A))
+
+
+def _d_star(A: GaugeField) -> np.ndarray:
     g = A.grid
-    dstar = diff4(A.ax, 0, g.h) + diff4(A.ay, 1, g.h)
+    return diff4(A.ax, 0, g.h) + diff4(A.ay, 1, g.h)
+
+
+def _residual_norms(A: GaugeField, dstar: np.ndarray) -> tuple[float, float]:
+    """`div_residuals` of A given its d*A; both go through `_rho_skew`'s
+    skew check."""
+    g = A.grid
     interior = _rho_skew(dstar)
     l2 = float(np.sqrt(np.sum(interior ** 2 * g.w2)))
     bdry = max(float(_rho_skew(v[1:-1]).max()) for v in A.normal_trace().values())
@@ -326,6 +328,26 @@ def _expm_skew(chi: np.ndarray) -> np.ndarray:
     field, herm = -i chi (closed form at rank 2, eigh at rank >= 3)."""
     herm = -1j * 0.5 * (chi - dagger(chi))
     return fiber.herm_apply(fiber.exp(1j), herm)
+
+
+def _skew_coords(F: np.ndarray) -> np.ndarray:
+    """The r^2 real coordinates of u(r)-valued data F[..., r, r] on one
+    trailing axis: Im of the diagonal, then Re and Im of the strict upper
+    triangle.  A Hermitian part of F is dropped, so callers check F first."""
+    iu = np.triu_indices(F.shape[-1], 1)
+    upper = F[..., iu[0], iu[1]]
+    return np.concatenate([np.diagonal(F, 0, -2, -1).imag, upper.real, upper.imag], -1)
+
+
+def _skew_field(c: np.ndarray, r: int) -> np.ndarray:
+    """The field F[..., r, r] with `_skew_coords` c, exactly F = -F^dag."""
+    iu, d = np.triu_indices(r, 1), np.arange(r)
+    re, im = np.split(c[..., r:], 2, axis=-1)
+    F = np.zeros(c.shape[:-1] + (r, r), complex)
+    F.imag[..., d, d] = c[..., :r]
+    F.real[..., iu[0], iu[1]], F.imag[..., iu[0], iu[1]] = re, im
+    F.real[..., iu[1], iu[0]], F.imag[..., iu[1], iu[0]] = -re, im
+    return F
 
 
 def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid) -> np.ndarray:
@@ -370,7 +392,8 @@ def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
     A_cur = A
     history = []
     for it in range(MAX_SWEEPS + 1):
-        div_l2, bdry = div_residuals(A_cur)
+        dstar = _d_star(A_cur)
+        div_l2, bdry = _residual_norms(A_cur, dstar)
         history.append((div_l2, bdry))
         if div_l2 < tol and bdry < tol:
             a_w12 = grid_norms(A_cur, "W^{1,2}")
@@ -386,9 +409,8 @@ def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
                                "%.1e in the %d sweeps left; residual history: %s"
                                % (worse, rate, it, tol, MAX_SWEEPS - it,
                                   ["(%.2e, %.2e)" % hb for hb in history]))
-        dstar = diff4(A_cur.ax, 0, g.h) + diff4(A_cur.ay, 1, g.h)
-        wdata = {e: _split(v) for e, v in A_cur.normal_trace().items()}
-        chi = _join(_neumann_refined(_split(dstar), wdata, g))
+        wdata = {e: _skew_coords(v) for e, v in A_cur.normal_trace().items()}
+        chi = _skew_field(_neumann_refined(_skew_coords(dstar), wdata, g), r)
         u_total = mm(_expm_skew(chi), u_total)
         A_cur = gauge_act(u_total, A)
     raise RuntimeError("Coulomb iteration did not reach %.1e in %d sweeps; "

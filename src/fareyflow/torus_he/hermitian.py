@@ -144,11 +144,11 @@ class ThresholdProbe:
     mean: float
 
 
-def threshold_probe(beta: SecondFundamentalForm | np.ndarray) -> ThresholdProbe:
-    """sup |beta|^2 / mean |beta|^2 of a second fundamental form or of a
-    |beta|^2 field: an empirical lower bound for the constant relating the
-    two in the convergence-threshold inequality."""
-    field = beta.norm_sq if isinstance(beta, SecondFundamentalForm) else beta
+def threshold_probe(beta: SecondFundamentalForm) -> ThresholdProbe:
+    """sup |beta|^2 / mean |beta|^2 of a second fundamental form: an
+    empirical lower bound for the constant relating the two in the
+    convergence-threshold inequality."""
+    field = beta.norm_sq
     mean = float(field.mean())
     if mean <= 0:
         raise ValueError("beta vanishes identically; the ratio is undefined")
@@ -168,7 +168,7 @@ class ConformalResult:
     det_deviation: float         # max |det(e^phi H H0^-1) - 1|
 
 
-def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
+def conformal_normalize(H_restricted: MetricField, H0: MetricField, muS,
                         conn: ConnectionField) -> ConformalResult:
     """Solve  Lap(phi) = (2/rk) (tr i Lambda F_H - 2 pi mu_S rk)  with zero
     mean and rescale H by e^phi.
@@ -177,13 +177,12 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, mu_pair,
     curvature integral minus the degree), which is checked against
     CONFORMAL_MEAN_TOL.  The determinant det(e^phi H H0^-1) comes out constant; it equals 1 when
     the input pair is compatibly scaled (the reported deviation makes the
-    leftover constant visible instead of hiding it).  `conn` is the
-    background connection of the restricted bundle, the zero connection for
-    a line of degree 0.
+    leftover constant visible instead of hiding it).  `muS` is the slope of
+    the restricted bundle and `conn` its background connection, the zero
+    connection for a line of degree 0.
     """
     grid = H_restricted.grid
     rk = H_restricted.twist.rank
-    muE, muS = mu_pair
     tr_ilf = np.einsum("...aa->...", i_lambda_F_metric(H_restricted, conn)).real
     rhs = (2.0 / rk) * (tr_ilf - _einstein_constant(muS) * rk)
     defect = float(abs(rhs.mean()))

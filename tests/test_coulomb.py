@@ -7,7 +7,10 @@ from fareyflow import fiber
 from fareyflow.coulomb import (CurvatureField, GaugeField, SquareGrid, coulomb_fix,
                                curvature, diff4, div_residuals, gauge_act, grid_norms,
                                neumann_poisson, random_gauge_field)
-from fareyflow.coulomb import _expm_skew, _rho_skew
+from fareyflow.coulomb import (_d_star, _expm_skew, _neumann_refined, _rho_skew, _skew_coords,
+                               _skew_field)
+
+from coulomb_reference import split_solve
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +185,54 @@ def test_neumann_solver(grid):
     rhs[..., 1, 0] += 1.0
     with pytest.raises(ValueError, match=r"incompatible.* = 1\.000e\+00"):
         neumann_poisson(rhs, w, grid)
+
+
+def _dagger(F):
+    return np.conj(np.swapaxes(F, -1, -2))
+
+
+def test_packed_sweep_solve_matches_split_columns(grid):
+    """The sweep solves d*A and the normal traces in their r^2 real u(r)
+    coordinates; the 2r^2-column solve of every real and imaginary part
+    (coulomb_reference.py) is the oracle, at ranks 1-4 (no workload runs
+    rank 3)."""
+    for r in (1, 2, 3, 4):
+        A = random_gauge_field(grid, r, seed=40 + r, curvature_target=0.03)
+        dstar, trace = _d_star(A), A.normal_trace()
+        assert np.array_equal(_skew_field(_skew_coords(dstar), r), dstar)
+        w = {e: _skew_coords(v) for e, v in trace.items()}
+        chi = _skew_field(_neumann_refined(_skew_coords(dstar), w, grid), r)
+        ref = split_solve(dstar, trace, grid)
+        assert np.array_equal(chi, -_dagger(chi))
+        assert np.abs(chi - ref).max() <= 1e-12 * np.abs(ref).max()
+        if r == 1:
+            continue
+        # a flux defect in one off-diagonal coordinate is refused with the
+        # value the split columns measure
+        plant = np.zeros((r, r))
+        plant[0, r - 1], plant[r - 1, 0] = 1e-3, -1e-3
+        bad = dstar + plant
+        with pytest.raises(ValueError, match="incompatible") as split_exc:
+            split_solve(bad, trace, grid)
+        with pytest.raises(ValueError, match="incompatible") as packed_exc:
+            _neumann_refined(_skew_coords(bad), w, grid)
+        assert str(packed_exc.value) == str(split_exc.value)
+        assert str(packed_exc.value).endswith(" = 1.000e-03")
+
+
+def test_coulomb_refuses_hermitian_part_before_solving(grid, monkeypatch):
+    """An x-dependent multiple of the identity added to A_x leaves F_xy
+    skew but gives d*A a Hermitian part, which the packed coordinates would
+    drop; the fix refuses it with the measured defect and solves nothing."""
+    def no_solve(*args):
+        raise AssertionError("a Neumann solve ran")
+
+    monkeypatch.setattr("fareyflow.coulomb.neumann_poisson", no_solve)
+    for r in (1, 2, 4):
+        A = random_gauge_field(grid, r, seed=30 + r, curvature_target=0.03)
+        A.ax = A.ax + 1e-3 * grid.X[..., None, None] * np.eye(r)   # the arrays are public
+        with pytest.raises(ValueError, match=r"not skew-Hermitian \(defect 2\.000e-03\)"):
+            coulomb_fix(A, tol=1e-6)
 
 
 def test_coulomb_zero_field(grid):

@@ -48,6 +48,9 @@ ALLOWED = {
     "fareyflow.torus_he.fields.load_grid_csv": "the reader of --dump-grid files that README documents",
     "fareyflow.torus_he.model.section_basis": "test fixture: the d theta sections as one block",
     "fareyflow.torus_he.grid.TorusGrid.weight": "test fixture: the quadrature weight 1/N^2",
+    "fareyflow.coulomb.div_residuals": "library surface: the two residuals of a field, which "
+                                       "coulomb_fix forms from the d*A it solves; the "
+                                       "benchmark's tracer wraps it by name",
     # branches and guards the tour does not take
     "fareyflow.fiber.comm": "the general-metric branch of MetricField.chern_dz; "
                             "the identity-path test compares against it",

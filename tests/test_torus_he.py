@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -403,16 +404,23 @@ def test_chern_weil_refines_at_fourth_order():
 # threshold probe
 
 
-def test_threshold_constant_field_is_one(model21):
+def _theta_sff_with_norm(model21, norm_sq):
+    """The theta line's second fundamental form with |beta|^2 replaced."""
     g, tw, conn, H0 = model21
-    probe = threshold_probe(np.ones((g.N, g.N)))
+    sff = second_fundamental_form(theta_section(tw, g, (0, 0)), H0, conn)
+    return dataclasses.replace(sff, norm_sq=norm_sq)
+
+
+def test_threshold_constant_field_is_one(model21):
+    g = model21[0]
+    probe = threshold_probe(_theta_sff_with_norm(model21, np.ones((g.N, g.N))))
     assert probe.ratio == 1.0
 
 
 def test_threshold_zero_beta_flagged(model21):
-    g, tw, conn, H0 = model21
+    g = model21[0]
     with pytest.raises(ValueError, match="vanishes"):
-        threshold_probe(np.zeros((g.N, g.N)))
+        threshold_probe(_theta_sff_with_norm(model21, np.zeros((g.N, g.N))))
 
 
 def test_threshold_theta_subbundle_ratio(model21, theta_line_density):
@@ -445,7 +453,7 @@ def test_threshold_perturbed_metric_above_one(model21):
 
 def test_conformal_flat_input_is_noop(model21):
     g, tw, conn, H0 = model21
-    res = conformal_normalize(H0, H0, (Fraction(1, 2), Fraction(1, 2)), conn)
+    res = conformal_normalize(H0, H0, Fraction(1, 2), conn)
     assert np.abs(res.phi).max() < 1e-10
     assert res.det_deviation < 1e-10
 
@@ -455,7 +463,7 @@ def test_conformal_manufactured_cosine():
     tw, conn, H0 = build_model_bundle(1, 0, g)
     psi = np.cos(2 * np.pi * g.X) / (4 * np.pi ** 2)
     H = MetricField(g, tw, np.exp(-psi)[..., None, None] * H0.data)
-    res = conformal_normalize(H, H0, (0, 0), conn)
+    res = conformal_normalize(H, H0, 0, conn)
     assert np.abs(res.phi - psi).max() < 1e-6
     assert res.det_deviation < 1e-6
     assert res.mean_phi < 1e-12
@@ -467,7 +475,7 @@ def test_conformal_rejects_nonzero_mean():
     # a metric whose curvature integral does not match the claimed slope
     H = MetricField(g, tw, np.exp(0.1 * np.cos(2 * np.pi * g.X))[..., None, None] * H0.data)
     with pytest.raises(ValueError, match="mean"):
-        conformal_normalize(H, H0, (0, Fraction(1, 5)), conn)
+        conformal_normalize(H, H0, Fraction(1, 5), conn)
 
 
 def test_conformal_matches_logdet_route(model21):
@@ -480,7 +488,7 @@ def test_conformal_matches_logdet_route(model21):
     Hs = MetricField(g, tw1, h_s[..., None, None].astype(complex))
     H0s = identity_metric(g, tw1)
     zero = np.zeros((g.N, g.N), complex)
-    res = conformal_normalize(Hs, H0s, (Fraction(1, 2), 0),
+    res = conformal_normalize(Hs, H0s, 0,
                               ConnectionField(g, tw1, zero, zero))
     oracle = -(np.log(h_s) - np.log(h_s).mean())
     assert np.abs(res.phi - oracle).max() < 2e-5
