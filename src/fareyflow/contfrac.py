@@ -43,12 +43,9 @@ class Enclosure:
 
 
 def _enclose(value: Fraction | QuadraticSurd) -> Enclosure:
-    if isinstance(value, QuadraticSurd):
-        if value.is_rational:
-            value = value.as_fraction()
-        else:
-            iv = value.enclosure(_ENCLOSE_BITS)
-            return Enclosure(iv.lo, iv.hi, value)
+    if isinstance(value, QuadraticSurd):         # periodic, so irrational
+        iv = value.enclosure(_ENCLOSE_BITS)
+        return Enclosure(iv.lo, iv.hi, value)
     value = Fraction(value)
     return Enclosure(value, value, value)
 

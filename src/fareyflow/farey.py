@@ -96,10 +96,9 @@ def is_farey_triangle(left, middle, right) -> tuple[bool, str | None]:
         return False, "ordering p1/q1 < p2/q2 < p3/q3 fails"
     if v2.p != v1.p + v3.p or v2.q != v1.q + v3.q:
         return False, "mediant condition p2 = p1 + p3, q2 = q1 + q3 fails"
+    # v2 = v1 + v3 makes p3 q2 - p2 q3 equal to p2 q1 - q2 p1: one test suffices
     if v2.p * v1.q - v2.q * v1.p != 1:
         return False, "unimodularity p2 q1 - q2 p1 = 1 fails"
-    if v3.p * v2.q - v3.q * v2.p != 1:
-        return False, "unimodularity p3 q2 - p2 q3 = 1 fails"
     return True, None
 
 

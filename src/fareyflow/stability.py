@@ -217,19 +217,13 @@ def select_subsequence(theta: ContinuedFraction, params: WellApproxParams,
         c = cs[2 * i]
         lam = Fraction(c.p, c.q)
         scale = L * c.q * c.q
+        # an even convergent lies below theta and below every point of its
+        # interval, so theta - p/q is its own absolute value
         if isinstance(value, RatInterval):
-            diff = value - lam
-            if diff.lo >= 0:
-                absdiff = diff
-            elif diff.hi <= 0:
-                absdiff = RatInterval(-diff.hi, -diff.lo)
-            else:
-                absdiff = RatInterval(Fraction(0), max(-diff.lo, diff.hi))
-            prod = absdiff.scale(scale)
+            prod = (value - lam).scale(scale)
             passes = prod.provably_lt(1)
         else:
-            d = value - lam
-            prod = (d if d >= 0 else -d) * scale
+            prod = (value - lam) * scale
             passes = prod < 1
         entries.append(SubsequenceEntry(i, c.p, c.q, prod, passes))
     return SubsequenceReport(L, entries)

@@ -83,11 +83,8 @@ class QuadraticSurd:
             return 1
         if a <= 0 and b < 0:
             return -1
-        # opposite signs: compare a^2 with b^2 D
-        lhs, rhs = a * a, b * b * D
-        if lhs == rhs:
-            return 0
-        bigger_is_a = lhs > rhs
+        # opposite signs: compare a^2 with b^2 D, never equal for squarefree D > 1
+        bigger_is_a = a * a > b * b * D
         return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
 
     def _coerce(self, other) -> "QuadraticSurd":
@@ -165,12 +162,10 @@ class QuadraticSurd:
         if b == 0:
             return a // c
         root = math.isqrt(b * b * D)
+        # b sqrt(D) is irrational, so num_lo < a + b sqrt(D) < num_lo + 1 and the
+        # value has the floor of num_lo / c
         num_lo = a + (root if b > 0 else -(root + 1))
-        n = num_lo // c
-        # num_lo underestimates the numerator by < 1, so at most one step up
-        while self >= n + 1:
-            n += 1
-        return n
+        return num_lo // c
 
     def enclosure(self, bits: int = 96) -> "RatInterval":
         """Rational interval of width about 2**-bits containing the value."""

@@ -7,7 +7,7 @@ from .grid import TorusGrid
 from .twist import TwistData, WeylTransform
 from .fields import (ConnectionField, EndoField, FormField, MetricField,
                      SectionField, dump_grid_csv, identity_metric, load_grid_csv)
-from .model import ModelBundle, build_model_bundle, section_basis, theta_section
+from .model import ModelBundle, build_model_bundle, theta_section
 from .hermitian import (ConformalResult, SecondFundamentalForm, ThresholdProbe,
                         chern_weil_check, conformal_normalize,
                         curvature_defect, he_residual,
@@ -20,7 +20,7 @@ __all__ = [
     "TorusGrid", "TwistData", "WeylTransform",
     "ConnectionField", "EndoField", "FormField", "MetricField",
     "SectionField", "dump_grid_csv", "identity_metric", "load_grid_csv",
-    "ModelBundle", "build_model_bundle", "section_basis", "theta_section",
+    "ModelBundle", "build_model_bundle", "theta_section",
     "ConformalResult", "SecondFundamentalForm", "ThresholdProbe",
     "chern_weil_check", "conformal_normalize", "curvature_defect", "he_residual",
     "i_lambda_F_metric", "second_fundamental_form", "threshold_probe",

@@ -36,10 +36,6 @@ class TorusGrid:
         self.cz = (1 - tau / two_iv, 1 / two_iv)      # d_z  = cz[0] d_x + cz[1] d_y
         self.czb = (tau / two_iv, -1 / two_iv)        # d_zb = czb[0] d_x + czb[1] d_y
 
-    @property
-    def weight(self) -> float:
-        return self.h * self.h
-
     # --- spectral calculus for fully periodic scalar fields -----------------
     @cached_property
     def modes(self) -> list[np.ndarray]:

@@ -123,15 +123,12 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     return SecondFundamentalForm(beta, pi_field, beta.norm_sq_field(H), holo)
 
 
-def chern_weil_check(beta: FormField | SecondFundamentalForm, H: MetricField,
+def chern_weil_check(beta: SecondFundamentalForm, H: MetricField,
                      muE, muS, rkS: int) -> tuple[float, float, float]:
     """Integral of |beta|^2 against 2 pi (mu_E - mu_S) rk(S); returns
-    (lhs, rhs, relative error)."""
-    if isinstance(beta, SecondFundamentalForm):
-        field = beta.norm_sq
-    else:
-        field = beta.norm_sq_field(H)
-    lhs = float(field.mean())
+    (lhs, rhs, relative error).  `H` is not read: beta's norm field is
+    already formed in its metric."""
+    lhs = float(beta.norm_sq.mean())
     rhs = float(2 * np.pi * (Fraction(muE) - Fraction(muS)) * rkS)
     rel = abs(lhs - rhs) / abs(rhs) if rhs else abs(lhs)
     return lhs, rhs, rel

@@ -109,9 +109,3 @@ def theta_section(twist: TwistData, grid: TorusGrid, characteristic) -> SectionF
         raise AssertionError("theta series violates the clutching rule "
                              "(residual %.2e)" % residual)
     return SectionField(grid, twist, data, automorphy_residual=residual)
-
-
-def section_basis(twist: TwistData, grid: TorusGrid) -> SectionField:
-    """All d basis sections stacked as columns (N, N, r, d)."""
-    cols = [theta_section(twist, grid, (j, 0)).data for j in range(twist.degree)]
-    return SectionField(grid, twist, np.stack(cols, axis=-1))

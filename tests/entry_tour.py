@@ -1,17 +1,21 @@
-"""A tour of fareyflow's entry points under a call profiler.
+"""A tour of fareyflow's entry points under a line tracer.
 
     PYTHONPATH=src python tests/entry_tour.py SCRATCH_DIR
 
-Runs the CLI runs of CLI_RUNS, the demos of DEMOS and the smoke-size
-benchmark workloads of WORKLOADS in this one process, with `sys.setprofile`
-noting the code object of every Python call (calls only, no line events).
-Each workload is recorded and then run once along the benchmark's timed
-path on that fresh record (`setup` with seed WORKLOAD_SEED, `run_pass`,
-`check`); a failed check stops the tour.
+Runs the CLI runs of CLI_RUNS and CLI_EXITS, the demos of DEMOS and the
+smoke-size benchmark workloads of WORKLOADS in this one process, under one
+`sys.settrace` tracer.  Its global function sees every Python call and keeps
+the code object of each call into src/fareyflow; for those frames alone it
+returns a local tracer, which keeps the number of every line that runs.
+Each CLI run must end with its exit code: 0 for CLI_RUNS, the listed one for
+CLI_EXITS.  Each workload is recorded and then run once along the
+benchmark's timed path on that fresh record (`setup` with seed WORKLOAD_SEED,
+`run_pass`, `check`); a failed check stops the tour.
 Prints one JSON object: `called`, the [file relative to src/fareyflow, first
-line] of each called code object of the package, and `ran`, the subcommands,
-demos and workloads the tour ran.  Journals, dumps and workload scratch files
-go to SCRATCH_DIR; the output of the runs themselves is swallowed.
+line] of each called code object of the package, `lines`, the executed line
+numbers of each package file, and `ran`, the subcommands, demos and workloads
+the tour ran.  Journals, dumps, the config file and workload scratch files go
+to SCRATCH_DIR; the output of the runs themselves is swallowed.
 """
 
 import contextlib
@@ -22,7 +26,7 @@ import runpy
 import sys
 from pathlib import Path
 
-# imported before the profiler starts, so that their imports stay untraced
+# imported before the tracer starts, so that their imports stay untraced
 import numpy  # noqa: F401
 import scipy.fft  # noqa: F401
 
@@ -30,23 +34,46 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fareyflow"
 
 # Every subcommand at its defaults, then the flag values that take the code the
-# defaults leave out.  "{out}" is the scratch directory.
+# defaults leave out.  "{out}" is the scratch directory.  These runs exit 0.
 CLI_RUNS = [
     ["lagrange"], ["convergents"], ["farey"], ["stability"], ["sequence"],
     ["torus-he"], ["chern-weil"], ["donaldson"], ["coulomb"], ["density"],
     # theta values beyond the defaults' periodic: and irrational surd:
     ["convergents", "--theta", "rational:3/2"],
     ["convergents", "--theta", "decimal:3.14159@12"],
-    ["convergents", "--theta", "surd:3,0,5,2"],              # a rational surd
+    ["convergents", "--theta", "surd:1,1,4,2"],              # rational, D a square
+    ["convergents", "--theta", "decimal:3"],                # an integer decimal
+    ["convergents", "--theta", "decimal:0.12"],             # an endpoint's digits end
     ["stability", "--theta", "decimal:0.6180339887@30"],    # an interval theta
-    ["lagrange", "--theta", "decimal:1.6180339887@30", "--L", "2"],  # --L on intervals
+    ["sequence", "--theta", "decimal:0.6180339887@30"],     # interval products
+    ["lagrange", "--theta", "periodic:0,2|1,3"],            # a preperiod
+    ["--config", "{out}/run.cfg", "farey"],                 # CONFIG's triangle
     ["chern-weil", "--N", "32", "--dump-grid", "{out}/grid.csv"],
     ["torus-he", "--rank", "3"],
     ["donaldson", "--rank", "1"],
     ["donaldson", "--rank", "3", "--N", "32", "--tol", "1e-3"],   # at N = 64: 40 s
     ["coulomb", "--rank", "1", "--N", "32", "--samples", "1", "--tol", "1e-5",
      "--dump-trajectory", "{out}/trajectory.csv"],
+    ["density", "--samples", "0"],                          # the no-data record
+    ["density", "--samples", "4", "--depth", "600"],        # expansions that end
+    ["--help"],
 ]
+# Runs that end otherwise, with their exit codes: 2 for a failing verdict or a
+# numerical error, 1 for a usage error.
+CLI_EXITS = [
+    (["lagrange", "--theta", "decimal:1.6180339887@30", "--L", "2.236"], 2),  # truncated
+    (["sequence", "--theta", "decimal:0.6180339887@12", "--L", "3"], 2),  # 12 digits
+    (["stability", "--theta", "rational:3/2"], 2),          # a rational theta
+    (["farey", "--triangle", "1/1,1/2,0/1"], 2),            # out of order
+    (["farey", "--triangle", "0/1,1/3,1/1"], 2),            # not a mediant
+    (["farey", "--triangle", "1/3,3/4,2/1"], 2),            # not unimodular
+    (["coulomb", "--N", "16", "--samples", "1", "--curvature", "0.5"], 2),  # no fix
+    (["torus-he", "--degree", "2"], 2),                     # gcd(2, 2) = 2
+    ([], 1),
+    (["nosuch"], 1),
+    (["farey", "--triangle", "1/2,1/1"], 1),
+]
+CONFIG = "[farey]\ntriangle = 1/1,-2/-1,1/0\n"    # uncanonical vertices
 DEMOS = ["coulomb_gauge.py", "farey_charges.py", "lagrange_parity.py",
          "torus_bundle_geometry.py"]
 WORKLOADS = ["coulomb_gauge", "torus_flow", "torus_geometry", "exact_arith"]
@@ -54,19 +81,21 @@ WORKLOAD_SEED = 1
 
 
 def tour(out: str) -> dict:
-    """Run every entry of the tour; a CLI usage error stops it."""
+    """Run every entry of the tour; an unexpected exit code stops it."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from fareyflow import cli
     import workloads
 
+    Path(out, "run.cfg").write_text(CONFIG)
     ran = {"cli": [], "demos": [], "workloads": []}
-    for argv in CLI_RUNS:
+    for argv, expected in [(argv, 0) for argv in CLI_RUNS] + CLI_EXITS:
         argv = [a.format(out=out) for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["--out", os.path.join(out, "journal.jsonl")] + argv)
-        if code == 1:
-            raise SystemExit("usage error in tour run %r" % argv)
-        ran["cli"].append(argv[0])
+        if code != expected:
+            raise SystemExit("tour run %r exited %d, not %d" % (argv, code, expected))
+        ran["cli"] += [a for a in argv if a in cli.DEFAULTS]
     for name in DEMOS:
         with contextlib.redirect_stdout(io.StringIO()):
             runpy.run_path(str(ROOT / "demos" / name), run_name="__main__")
@@ -84,26 +113,41 @@ def tour(out: str) -> dict:
 
 
 def main(out: str) -> None:
-    called = set()
+    called = set()      # code objects of the package that were called
+    lines = {}          # file relative to the package: executed line numbers
+    local = {}          # co_filename: its local tracer, None outside the package
 
-    def note(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
+    def local_tracer(filename):
+        path = Path(filename).resolve()
+        if PACKAGE not in path.parents:
+            return None
+        seen = lines.setdefault(path.relative_to(PACKAGE).as_posix(), set())
 
-    sys.setprofile(note)        # before the first import of the package
+        def note_line(frame, event, arg):
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return note_line
+        return note_line
+
+    def note_call(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename not in local:
+            local[code.co_filename] = local_tracer(code.co_filename)
+        tracer = local[code.co_filename]
+        if tracer is not None:
+            called.add(code)
+        return tracer
+
+    sys.settrace(note_call)     # before the first import of the package
     try:
         ran = tour(out)
     finally:
-        sys.setprofile(None)
-    lines = {}
-    for code in called:
-        lines.setdefault(code.co_filename, set()).add(code.co_firstlineno)
-    keys = []
-    for filename, firsts in lines.items():
-        path = Path(filename).resolve()
-        if PACKAGE in path.parents:
-            keys += [[path.relative_to(PACKAGE).as_posix(), n] for n in firsts]
-    print(json.dumps({"called": sorted(keys), "ran": ran}))
+        sys.settrace(None)
+    keys = sorted([Path(code.co_filename).resolve().relative_to(PACKAGE).as_posix(),
+                   code.co_firstlineno] for code in called)
+    print(json.dumps({"called": keys,
+                      "lines": {rel: sorted(seen) for rel, seen in lines.items()},
+                      "ran": ran}))
 
 
 if __name__ == "__main__":

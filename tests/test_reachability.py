@@ -1,20 +1,37 @@
-"""Every function and method in src/ is called when the entry points run.
+"""Every function in src/ is called, and every statement of it runs, when the
+entry points run.
 
 `entry_tour.py` runs the CLI, the demos and the benchmark workloads in a
-fresh interpreter under `sys.setprofile` and reports the code objects it saw
-called; a fresh process keeps caches that earlier tests filled from hiding a
-call.  A definition is a module-level function or a method of a class (nested
-classes included); it is keyed by its file and the line of its first
+fresh interpreter under one `sys.settrace` tracer and reports the code
+objects of src/fareyflow it saw called and the lines it saw run there; a
+fresh process keeps caches that earlier tests filled from hiding a call.
+Both checks below read that one tour.
+
+Definitions.  A definition is a module-level function or a method of a class
+(nested classes included); it is keyed by its file and the line of its first
 decorator or `def`, which is the `co_firstlineno` of its code object, and it
 is reached when the tour called that code object.  So a method counts only
 when it runs itself, not when some other object's method of the same name
 does.  Classes themselves are not checked: the methods a dataclass generates
-have no line in src/.
+have no line in src/.  What the tour never calls must be in ALLOWED, with
+the reason it stays.
 
-What the tour never calls must be in ALLOWED, with the reason it stays.  The
-acceptance criteria are not part of the tour (they take half a minute), so a
-definition that only a criterion calls is listed with that criterion.  A
-guard checks that the tour runs every CLI subcommand, demo and workload.
+Statements.  Every statement of a called function must run in the tour,
+unless it is a `raise` or the docstring.  A statement ran when the tracer saw
+any of its lines; a nested function when its code object was called.  A
+maximal run of consecutive sibling statements that never ran counts once,
+keyed by its first statement, and the statements nested in it are not
+counted apart.  What stays unrun must be in ALLOWED_STATEMENTS, keyed by the
+qualified function name and the stripped first line of the statement (not
+its line number, so that edits elsewhere in the file leave the key alone),
+with the reason it stays.  A branch inside one expression (`x if c else y`)
+is invisible to a line trace, so such a branch is its own statement or is
+not checked.  A failure prints each unlisted statement as
+`file:line function | text` and each stale entry.
+
+The acceptance criteria are not part of the tour (they take half a minute),
+so a definition that only a criterion calls is listed with that criterion.
+A guard checks that the tour runs every CLI subcommand, demo and workload.
 """
 
 import ast
@@ -24,6 +41,8 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from fareyflow.cli import DEFAULTS
 
@@ -42,12 +61,11 @@ ALLOWED = {
     "fareyflow.stability.min_destabilizing_gap": "library surface: brute-force slope gap",
     "fareyflow.stability.KClass.charge": "library surface: the charge -deg + i rk",
     "fareyflow.surd.RatInterval.contains_interval": "library surface: interval inclusion",
+    "fareyflow.surd.QuadraticSurd.__ge__": "library surface: the exact order >= beside < and >",
     "fareyflow.contfrac.semiconvergents": "library surface: the intermediate fractions",
     "fareyflow.contfrac.Convergent.fraction": "library surface: p/q as a Fraction",
     # documented or test-facing helpers
     "fareyflow.torus_he.fields.load_grid_csv": "the reader of --dump-grid files that README documents",
-    "fareyflow.torus_he.model.section_basis": "test fixture: the d theta sections as one block",
-    "fareyflow.torus_he.grid.TorusGrid.weight": "test fixture: the quadrature weight 1/N^2",
     "fareyflow.coulomb.div_residuals": "library surface: the two residuals of a field, which "
                                        "coulomb_fix forms from the d*A it solves; the "
                                        "benchmark's tracer wraps it by name",
@@ -65,17 +83,84 @@ ALLOWED = {
     "fareyflow.stability.SubsequenceReport.passing": "criterion 5",
 }
 
+_FOREIGN = "library surface: an operand of a foreign type goes back to Python's operators"
+_GENERAL = ("general-metric path: only tests pass a metric other than identity_metric, "
+            "and the identity-path tests compare against it")
+_RECORD = "robustness: `run` journals any params dict, so a record may hold a "
+
+ALLOWED_STATEMENTS = {
+    # the continued-fraction and surd library surface
+    ("fareyflow.contfrac._enclose", "value = Fraction(value)"):
+        "library surface: tail_value of a finite source",
+    ("fareyflow.contfrac.ContinuedFraction.value_interval",
+     "v = _fold_finite([self.a0, *self.tail])"):
+        "library surface: the point interval of a finite source",
+    ("fareyflow.contfrac.ContinuedFraction.value_interval",
+     "return _periodic_tail_surd(self, 0).enclosure()"):
+        "library surface: an enclosure of a periodic source, whose callers take value()",
+    ("fareyflow.contfrac.cf_expand", "eps = Fraction(4 * math.ulp(abs(x) or 1.0))"):
+        "library surface: a float theta (the tests expand math.pi); the CLI reads decimals",
+    ("fareyflow.contfrac.tail_value", "return _enclose(_periodic_tail_surd(cf, k))"):
+        "library surface: lagrange_estimate forms periodic tails itself",
+    ("fareyflow.contfrac.tail_value", "return _enclose(_fold_finite(digits))"):
+        "library surface: lagrange_estimate refuses finite sources",
+    ("fareyflow.surd.QuadraticSurd.sign", "return 1"):
+        "library surface: a sign both parts share, which no toured comparison forms",
+    ("fareyflow.surd.QuadraticSurd.sign", "return -1"):
+        "library surface: a sign both parts share, which no toured comparison forms",
+    ("fareyflow.surd.QuadraticSurd._coerce", "return NotImplemented"): _FOREIGN,
+    ("fareyflow.surd.QuadraticSurd.__add__", "return o"): _FOREIGN,
+    ("fareyflow.surd.QuadraticSurd.__mul__", "return o"): _FOREIGN,
+    ("fareyflow.surd.QuadraticSurd.__eq__", "return NotImplemented"): _FOREIGN,
+    ("fareyflow.surd.QuadraticSurd.__repr__",
+     'return "QuadraticSurd(%d/%d)" % (self.a, self.c)'):
+        "library surface: the repr of a rational surd",
+    ("fareyflow.surd.QuadraticSurd.floor", "return a // c"):
+        "library surface: the floor of a rational surd; cf_expand makes those fractions",
+    ("fareyflow.surd.QuadraticSurd.enclosure", "v = Fraction(self.a, self.c)"):
+        "library surface: the point enclosure of a rational surd",
+    ("fareyflow.surd.RatInterval.scale", "return RatInterval(self.hi * k, self.lo * k)"):
+        "library surface: a negative factor; select_subsequence scales by L q^2 > 0",
+    # the Farey and stability library surface
+    ("fareyflow.farey.stern_brocot_path", "p, q = r"):
+        "library surface: a (p, q) target, which must be reduced",
+    ("fareyflow.stability.slope", "return math.inf"):
+        "library surface: the slope of a torsion class (rk = 0)",
+    # general-metric paths and test-only inputs
+    ("fareyflow.torus_he.fields.MetricField.dual",
+     "return np.matmul(dagger(cols), self.data)"): _GENERAL,
+    ("fareyflow.torus_he.hermitian.he_residual",
+     "return float(rho_norm_field(curvature_defect(H, conn, mu), H).max())"): _GENERAL,
+    ("fareyflow.torus_he.fields.SectionField.sigma_min_field",
+     "return np.linalg.svd(cols, compute_uv=False)[..., -1]"):
+        "only tests build a block of m >= 2 section columns (field_reference.section_basis)",
+    # robustness: branches for failures that no toured input provokes
+    ("fareyflow.torus_he.donaldson.donaldson_flow", "step *= 0.5"):
+        "robustness: metric_log refuses a trial metric, and the step halves",
+    ("fareyflow.coulomb.coulomb_fix", "break"):
+        "robustness: the last sweep ends unconverged after the stall forecast let it run",
+    ("fareyflow.reporting._plain", 'return {"p": value.numerator, "q": value.denominator}'):
+        _RECORD + "Fraction, kept exact",
+    ("fareyflow.reporting._plain", 'return {"re": value.real, "im": value.imag}'):
+        _RECORD + "complex number",
+    ("fareyflow.reporting._plain", "return _plain(dataclasses.asdict(value))"):
+        _RECORD + "dataclass",
+    ("fareyflow.reporting._plain", "return value.item()"):
+        _RECORD + "numpy scalar (test_record_plains_numpy_scalars_and_rejects_arrays)",
+}
+
+
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def definitions() -> dict:
-    """{(file relative to the package, first line): qualified name}."""
+    """{(file relative to the package, first line): (qualified name, node)}."""
     defs = {}
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def walk(body, rel, prefix):
         for node in body:
-            if isinstance(node, funcs):
-                first = node.decorator_list[0] if node.decorator_list else node
-                defs[(rel, first.lineno)] = prefix + node.name
+            if isinstance(node, FUNCS):
+                defs[(rel, _first_line(node))] = (prefix + node.name, node)
             elif isinstance(node, ast.ClassDef):
                 walk(node.body, rel, prefix + node.name + ".")
 
@@ -86,17 +171,71 @@ def definitions() -> dict:
     return defs
 
 
-def run_tour(out: Path) -> dict:
+def _first_line(node) -> int:
+    """The line of a statement's first decorator, or of the statement."""
+    decorators = getattr(node, "decorator_list", None)
+    return decorators[0].lineno if decorators else node.lineno
+
+
+def _blocks(node):
+    """The statement lists nested in a compound statement."""
+    for _, value in ast.iter_fields(node):
+        if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+            yield value
+        elif isinstance(value, list):
+            yield from (item.body for item in value
+                        if isinstance(item, (ast.excepthandler, ast.match_case)))
+
+
+def _unrun(rel, name, body, lines, called) -> list:
+    """(first statement, function name) of each maximal run of unrun sibling
+    statements in `body`, nested blocks of run statements included.
+
+    A nested function runs when its code object was called; any other
+    statement when a line of it ran.  A run of `raise` statements only is
+    left out.
+    """
+    found, run = [], []
+
+    def close():
+        if not all(isinstance(node, ast.Raise) for node in run):
+            found.append((run[0], name))
+        run.clear()
+
+    for node in body:
+        if isinstance(node, FUNCS):
+            ran = (rel, _first_line(node)) in called
+        else:
+            ran = not lines.isdisjoint(range(_first_line(node), node.end_lineno + 1))
+        if not ran:
+            run.append(node)
+            continue
+        close()
+        if isinstance(node, FUNCS):
+            found += _unrun(rel, name + "." + node.name, _body(node), lines, called)
+        else:
+            for block in _blocks(node):
+                found += _unrun(rel, name, block, lines, called)
+    close()
+    return found
+
+
+def _body(func) -> list:
+    """A function's statements without its docstring."""
+    return func.body[1:] if ast.get_docstring(func, clean=False) is not None else func.body
+
+
+@pytest.fixture(scope="module")
+def tour(tmp_path_factory) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path_factory.mktemp("tour")
     proc = subprocess.run([sys.executable, str(TOUR), str(out)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_every_definition_is_reached_or_allowed(tmp_path):
-    tour = run_tour(tmp_path)
-
+def test_every_definition_is_reached_or_allowed(tour):
     # the tour covers every entry point, so a new one cannot escape the check
     ran = tour["ran"]
     assert set(ran["cli"]) == set(DEFAULTS), "subcommands not in the tour"
@@ -106,7 +245,29 @@ def test_every_definition_is_reached_or_allowed(tmp_path):
     assert sorted(ran["workloads"]) == sorted(names), "workloads not in the tour"
 
     called = {tuple(key) for key in tour["called"]}
-    missed = {name for key, name in definitions().items() if key not in called}
+    missed = {name for key, (name, _) in definitions().items() if key not in called}
     unlisted, stale = sorted(missed - set(ALLOWED)), sorted(set(ALLOWED) - missed)
     assert not unlisted, "never called and not in ALLOWED: %s" % unlisted
     assert not stale, "in ALLOWED but called or gone: %s" % stale
+
+
+def test_every_statement_runs_or_is_allowed(tour):
+    called = {tuple(key) for key in tour["called"]}
+    defs = definitions()
+    texts = {rel: (PACKAGE / rel).read_text().splitlines() for rel in {rel for rel, _ in defs}}
+    unrun = {}          # (function, statement text): ["file:line", ...]
+    for (rel, first), (name, node) in sorted(defs.items()):
+        if (rel, first) not in called:
+            continue
+        lines = set(tour["lines"].get(rel, ()))
+        for stmt, owner in _unrun(rel, name, _body(node), lines, called):
+            key = (owner, texts[rel][stmt.lineno - 1].strip())
+            unrun.setdefault(key, []).append("%s:%d" % (rel, stmt.lineno))
+    unlisted = ["%s %s | %s" % (where, *key) for key, wheres in unrun.items()
+                if key not in ALLOWED_STATEMENTS for where in wheres]
+    stale = ["%s | %s" % key for key in ALLOWED_STATEMENTS if key not in unrun]
+    if unlisted or stale:
+        pytest.fail("statements the tour never runs, not in ALLOWED_STATEMENTS:\n  %s\n"
+                    "ALLOWED_STATEMENTS entries that ran or are gone:\n  %s"
+                    % ("\n  ".join(unlisted) or "none", "\n  ".join(stale) or "none"),
+                    pytrace=False)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fareyflow.contfrac import ContinuedFraction, cf_expand, lagrange_estimate
+from fareyflow.contfrac import (ContinuedFraction, cf_expand, convergents,
+                               lagrange_estimate)
 from fareyflow.farey import FareyTriangle, enumerate_triangles
 from fareyflow.stability import (KClass, WellApproxParams, build_sequence,
                                  charge_combine, euler_pairing, hom_one_dim,
@@ -168,6 +169,32 @@ def test_select_subsequence_interval_theta():
     cf = cf_expand(math.pi, 30)
     rep = select_subsequence(cf, WellApproxParams(1), 5)
     assert rep.passing == [0, 1, 2, 3, 4]
+
+
+_PERIODIC = st.builds(lambda a0, pre, per: ContinuedFraction(a0, tuple(pre), tuple(per)),
+                      st.integers(-3, 3), st.lists(st.integers(1, 12), max_size=3),
+                      st.lists(st.integers(1, 12), min_size=1, max_size=4))
+_DECIMAL = st.builds("{}.{}".format, st.integers(-3, 3),
+                     st.text("0123456789", min_size=1, max_size=14))
+
+
+@given(st.one_of(_PERIODIC, _DECIMAL))
+@example("0.6180339887")             # its last even convergent is the lower end
+@settings(max_examples=300, deadline=None)
+def test_even_convergents_never_exceed_theta(theta):
+    # select_subsequence takes theta - p_{2i}/q_{2i} as its own absolute
+    # value: exact for periodic theta, the lower end of the interval otherwise
+    if isinstance(theta, str):
+        try:
+            theta = cf_expand(theta, 40)
+        except ValueError:
+            assume(False)            # the interval is too wide for a0
+        value, n = theta.value_interval(), len(theta.tail)
+    else:
+        value, n = theta.value(), 40
+    for c in convergents(theta, n)[::2]:
+        diff = value - Fraction(c.p, c.q)
+        assert (diff.lo if isinstance(diff, RatInterval) else diff) >= 0
 
 
 def test_subsequence_matches_lagrange_definition():

@@ -17,9 +17,9 @@ from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
                                 conformal_normalize, curvature_defect,
                                 donaldson_functional, he_residual, i_lambda_F_metric, identity_metric,
                                 metric_log, random_twisted_hermitian,
-                                second_fundamental_form, section_basis,
-                                theta_section, threshold_probe)
-from fareyflow.torus_he.fields import FormField, mm, rho_norm_field
+                                second_fundamental_form, theta_section,
+                                threshold_probe)
+from fareyflow.torus_he.fields import mm, rho_norm_field
 from fareyflow.torus_he.model import _theta_raw
 
 
@@ -159,7 +159,8 @@ def _inclusion(g, tw):
     r, d = tw.rank, tw.degree
     if r == 1:
         return SectionField(g, tw, np.ones((g.N, g.N, 1, 1), complex))
-    return section_basis(tw, g) if 2 <= d < r else theta_section(tw, g, (0, 0))
+    return (field_reference.section_basis(tw, g) if 2 <= d < r
+            else theta_section(tw, g, (0, 0)))
 
 
 @pytest.mark.parametrize("r, d", ORACLE_PAIRS)
@@ -211,7 +212,10 @@ def test_theta_line_chern_weil_identity_path_bitwise(model21):
     H = _general(H0)
     sec = theta_section(tw, g, (0, 0))
     fast, slow = (second_fundamental_form(sec, K, conn) for K in (H0, H))
-    for beta in ((fast, slow), (fast.beta, slow.beta)):
+    # and with |beta|^2 formed once more from each beta in its own metric
+    again = [dataclasses.replace(b, norm_sq=b.beta.norm_sq_field(K))
+             for b, K in ((fast, H0), (slow, H))]
+    for beta in ((fast, slow), again):
         cw = [chern_weil_check(b, K, Fraction(1, 2), 0, 1) for b, K in zip(beta, (H0, H))]
         assert [x.hex() for x in cw[0]] == [x.hex() for x in cw[1]]
 
@@ -297,7 +301,7 @@ def test_theta_r2_d1_nowhere_vanishing(model21):
 def test_theta_r1_d3_three_sections():
     g = TorusGrid(1j, 32)
     tw, conn, H0 = build_model_bundle(1, 3, g)
-    basis = section_basis(tw, g)
+    basis = field_reference.section_basis(tw, g)
     gram = field_reference.gram(basis)
     assert gram.shape == (3, 3)
     w = np.linalg.eigvalsh(gram)
@@ -307,7 +311,7 @@ def test_theta_r1_d3_three_sections():
 def test_theta_r3_d2_two_sections():
     g = TorusGrid(1j, 32)
     tw, conn, H0 = build_model_bundle(3, 2, g)
-    gram = field_reference.gram(section_basis(tw, g))
+    gram = field_reference.gram(field_reference.section_basis(tw, g))
     assert gram.shape == (2, 2)
     w = np.linalg.eigvalsh(gram)
     assert w.min() > 1e-3 * w.max()       # the section space has dimension d
@@ -365,7 +369,7 @@ def test_sigma_min_matches_svd():
     g = TorusGrid(0.3 + 1.1j, 16)
     for r, d in ((2, 1), (1, 3), (2, 3)):
         tw = build_model_bundle(r, d, g).twist
-        for sec in (theta_section(tw, g, (0, 0)), section_basis(tw, g)):
+        for sec in (theta_section(tw, g, (0, 0)), field_reference.section_basis(tw, g)):
             want = np.linalg.svd(sec.columns, compute_uv=False)[..., -1]
             got = sec.sigma_min_field()
             assert np.abs(got - want).max() <= 1e-14 * want.max()
@@ -384,7 +388,7 @@ def test_chern_weil_line_subbundle(model21):
 
 def test_chern_weil_zero_beta(model21):
     g, tw, conn, H0 = model21
-    beta = FormField(g, tw, np.zeros((g.N, g.N, 2, 2), complex))
+    beta = _theta_sff_with_norm(model21, np.zeros((g.N, g.N)))
     lhs, rhs, rel = chern_weil_check(beta, H0, Fraction(1, 2), Fraction(1, 2), 1)
     assert (lhs, rhs, rel) == (0.0, 0.0, 0.0)
 
