@@ -281,7 +281,10 @@ def _run_density(p):
                                      int(p["digit"]), p["parity"], int(p["seed"]),
                                      burn_in=int(p["burn_in"]))
     extra = {"trace": {"euclid_steps": d.euclid_steps,
-                       "short_expansions": d.short_expansions},
+                       "short_expansions": d.short_expansions, "batches": d.batches,
+                       "helper_batches": d.helper_batches,
+                       "lehmer_rounds": d.lehmer_rounds,
+                       "divmod_fallbacks": d.divmod_fallbacks},
              "timings": {"expansion_s": round(time.perf_counter() - t0, 4)}}
     if d.empirical is None:
         return ({"empirical": None, "note": "no-data"}, {}, "pass",

@@ -8,9 +8,10 @@ and that uncertainty is tracked as a rational interval, never as float noise.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -482,6 +483,11 @@ class DigitDensity:
     samples: int
     short_expansions: int = 0
     euclid_steps: int = 0           # quotients taken over all samples
+    # how the expansions ran, not what they found: equality leaves them out
+    batches: int = field(default=0, compare=False)
+    helper_batches: int = field(default=0, compare=False)   # run in the helper process
+    lehmer_rounds: int = field(default=0, compare=False)    # lane rounds that took quotients
+    divmod_fallbacks: int = field(default=0, compare=False)
 
 
 def gauss_kuzmin_density(digit: int) -> float:
@@ -492,6 +498,7 @@ def gauss_kuzmin_density(digit: int) -> float:
 
 # Samples per Lehmer batch: 4096 lanes keep two live 768-bit integers and a
 # (9, 4096) int64 state each, about 2 MB, however many samples are drawn.
+# One batch is live in this process and one in the density's helper process.
 _LANES = 4096
 # Leading bits per operand in a Lehmer round.  Every sum and product of a
 # round stays below 2**63: a cofactor times its remainder is at most the
@@ -567,13 +574,15 @@ def _euclid_tally(qs, ps, depth, digit, burn_in, want_odd):
     (a quotient too large or ambiguous for one word, or p shorter than the
     shift) takes one exact `divmod` step instead, so each round advances
     every live pair.  Returns lists (hits, cnt, steps, qs, ps) with the final
-    pairs; the input lists are left as they are.
+    pairs, then the number of lane rounds that took quotients and of `divmod`
+    fall-backs; the input lists are left as they are.
     """
     n = len(qs)
     steps = np.zeros(n, np.int64)
     hits = np.zeros(n, np.int64)
     cnt = np.zeros(n, np.int64)
     odd = int(want_odd)
+    rounds = fallbacks = 0
     idle = [not p or depth < 1 for p in ps]
     live = np.flatnonzero(np.logical_not(idle))
     lq = [qs[i] for i in live.tolist()]
@@ -598,6 +607,8 @@ def _euclid_tally(qs, ps, depth, digit, burn_in, want_odd):
         cnt[live] += out[8]
         slow = np.flatnonzero(out[6] == k0)
         del out                     # before the next round allocates its own
+        rounds += live.size - slow.size
+        fallbacks += slow.size
         if slow.size:
             hit = []
             for j in slow.tolist():
@@ -619,7 +630,25 @@ def _euclid_tally(qs, ps, depth, digit, burn_in, want_odd):
             live = live[keep]
             lq = [lq[j] for j in keep.tolist()]
             lp = [lp[j] for j in keep.tolist()]
-    return hits.tolist(), cnt.tolist(), steps.tolist(), qs, ps
+    return hits.tolist(), cnt.tolist(), steps.tolist(), qs, ps, rounds, fallbacks
+
+
+def _draw_and_tally(rng_state, n, bits, depth, digit, burn_in, want_odd):
+    """Draw one batch of `n` samples from a generator in `rng_state` and
+    expand them (`_euclid_tally`).
+
+    Returns each sample's hit fraction in draw order, then the batch's
+    quotients, short expansions, Lehmer lane rounds and `divmod` fall-backs.
+    `gauss_digit_density` and its helper process both run batches here.
+    """
+    rng = random.Random()
+    rng.setstate(rng_state)
+    hits, cnt, steps, _, ps, rounds, fallbacks = _euclid_tally(
+        [1 << bits] * n, [rng.getrandbits(bits) | 1 for _ in range(n)], depth, digit,
+        burn_in, want_odd)
+    short = sum(1 for k, p in zip(steps, ps) if not p and k < depth)
+    return ([h / c if c else 0.0 for h, c in zip(hits, cnt)], sum(steps), short, rounds,
+            fallbacks)
 
 
 def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
@@ -641,8 +670,16 @@ def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
     taken only when Knuth's two-quotient test proves it equal to the exact
     one, and a round that decides none falls back to one exact `divmod`, so
     the quotients, hit counts, short expansions and the per-sample float sums
-    (added in sample order) are those of plain Euclid steps, bit for bit.  A
-    batch holds a few MB (see `_LANES`) whatever the sample count.
+    (added in sample order) are those of plain Euclid steps, bit for bit.
+
+    The batches go in pairs: the first of each pair runs in this process and
+    the second in one helper process, forked when there are two batches or
+    more and joined before the call returns or raises.  Each batch draws its
+    own samples from the generator state at its place in the stream, and the
+    helper's results are added after those of its pair's first batch, so the
+    split changes no bit.  A batch holds a few MB (see `_LANES`) on each
+    side.  The helper needs the `fork` start method; where the platform has
+    none, a call of more than one batch raises `ValueError`.
     """
     if digit < 1:
         raise ValueError("digit must be >= 1")
@@ -658,25 +695,36 @@ def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
 
     want_odd = parity == "odd"
     rng = random.Random(seed)
-    den0 = 1 << bits
+    batches = []                    # (generator state, size) of each batch, in draw order
+    for start in range(0, samples, _LANES):
+        batches.append((rng.getstate(), min(_LANES, samples - start)))
+        for _ in range(batches[-1][1]):
+            rng.getrandbits(bits)   # the batch draws these itself
+    work = (bits, depth, digit, burn_in, want_odd)
+    if len(batches) > 1:
+        # fork, not spawn: a spawned helper would import numpy and this package
+        # again on every call; the pool forks before it starts its own threads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        helper = ProcessPoolExecutor(1, multiprocessing.get_context("fork"))
+    else:
+        helper = contextlib.nullcontext()
     fractions_sum = 0.0
     fractions_sqsum = 0.0
-    short = euclid_steps = 0
-    positions = sum(1 for k in range(burn_in + 1, depth + 1) if (k % 2 == 1) == want_odd)
-    for start in range(0, samples, _LANES):
-        n = min(_LANES, samples - start)
-        hits, cnt, steps, _, ps = _euclid_tally(
-            [den0] * n, [rng.getrandbits(bits) | 1 for _ in range(n)], depth, digit,
-            burn_in, want_odd)
-        short += sum(1 for k, p in zip(steps, ps) if not p and k < depth)
-        euclid_steps += sum(steps)
-        for h, c in zip(hits, cnt):
-            f = h / c if c else 0.0
-            fractions_sum += f
-            fractions_sqsum += f * f
-        del _, ps                   # the batch's remainders, before the next draws
+    totals = [0, 0, 0, 0]           # quotients, short expansions, rounds, fall-backs
+    with helper as pool:
+        for i in range(0, len(batches), 2):
+            helped = [pool.submit(_draw_and_tally, *b, *work) for b in batches[i + 1:i + 2]]
+            results = [_draw_and_tally(*batches[i], *work)] + [h.result() for h in helped]
+            for fractions, *counts in results:
+                for f in fractions:
+                    fractions_sum += f
+                    fractions_sqsum += f * f
+                totals = [t + c for t, c in zip(totals, counts)]
     mean = fractions_sum / samples
     var = max(fractions_sqsum / samples - mean * mean, 0.0)
     stderr = math.sqrt(var / samples) if samples > 1 else None
+    positions = sum(1 for k in range(burn_in + 1, depth + 1) if (k % 2 == 1) == want_odd)
+    euclid_steps, short, rounds, fallbacks = totals
     return DigitDensity(digit, parity, mean, reference, stderr, positions, samples, short,
-                        euclid_steps)
+                        euclid_steps, len(batches), len(batches) // 2, rounds, fallbacks)

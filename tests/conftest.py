@@ -1,4 +1,4 @@
-"""Shared test oracles.
+"""Shared test oracles, and a guard against child processes left running.
 
 `theta_line_density` is the closed form of the pointwise |beta|^2 of the theta
 line subbundle S of the rank-2 degree-1 flat model, evaluated from the theta
@@ -20,6 +20,8 @@ unit-volume Laplacian, v = Im tau).  Its mean is exactly pi (deg S = 0), it
 vanishes at z = 0 where the Wronskian does, and for tau = i its maximum is
 6.8751858180... at z = (1 + i)/2, so sup/mean = 2.18843961522...
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -51,3 +53,15 @@ def theta_line_density():
     """The closed-form |beta|^2 of the rank-2 degree-1 theta line subbundle,
     as a function (tau, N) -> (N, N) array of node values."""
     return _theta_line_density
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_running():
+    """Fail any test after which a child process it started is still alive,
+    and stop that child, so that the next test starts without it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert left == [], "child processes still running after the test: %r" % left

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -374,10 +375,48 @@ def test_density_record_counts_euclid_steps(tmp_path):
     rec = read_journal(j)[0]
     oracle = scalar_digit_density(200, 500, 1, "odd", 4, 32, 768)
     assert 0 < oracle.short_expansions < 200
-    assert rec["trace"] == {"euclid_steps": oracle.euclid_steps,
-                            "short_expansions": oracle.short_expansions}
+    trace = rec["trace"]
+    assert set(trace) == {"euclid_steps", "short_expansions", "batches", "helper_batches",
+                          "lehmer_rounds", "divmod_fallbacks"}
+    assert (trace["euclid_steps"], trace["short_expansions"]) == \
+        (oracle.euclid_steps, oracle.short_expansions)
+    assert (trace["batches"], trace["helper_batches"]) == (1, 0)
+    # a round takes at least one quotient, a fall-back exactly one
+    assert 0 < trace["lehmer_rounds"] + trace["divmod_fallbacks"] <= trace["euclid_steps"]
     assert set(rec["timings"]) == {"expansion_s"}
     assert "trace" not in stable_view(rec) and "timings" not in stable_view(rec)
+
+
+@pytest.mark.parametrize("argv, fallbacks", [([], False),
+                                              (["--samples", "4", "--depth", "600"], True)])
+def test_density_record_counts_fallbacks(tmp_path, argv, fallbacks):
+    # the default run's 768-bit expansions outlast depth 200, so every round
+    # decides a quotient; expansions that end before the depth reach
+    # remainders too short for a leading word
+    j = str(tmp_path / "j.jsonl")
+    assert main(["--out", j, "density"] + argv) == 0
+    assert (read_journal(j)[0]["trace"]["divmod_fallbacks"] > 0) == fallbacks
+
+
+def test_density_helper_batches_match_scalar_euclid():
+    # one pair of batches, the second in the helper process, then a lone
+    # batch of one sample in this process
+    args = (2 * _LANES + 1, 40, 2, "even", 5)
+    got = gauss_digit_density(*args, burn_in=3)
+    assert got == scalar_digit_density(*args, 3, 768)
+    assert (got.batches, got.helper_batches) == (3, 1)
+    assert multiprocessing.active_children() == []
+    assert gauss_digit_density(_LANES, 40, 2, "even", 5, burn_in=3).helper_batches == 0
+
+
+def test_density_joins_its_helper_when_a_batch_raises(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("batch failed")
+
+    monkeypatch.setattr("fareyflow.contfrac._euclid_tally", fail)
+    with pytest.raises(RuntimeError, match="batch failed"):
+        gauss_digit_density(2 * _LANES, 40, 1, "odd", 1)
+    assert multiprocessing.active_children() == []
 
 
 def divmod_tally(qs, ps, depth, digit, burn_in, want_odd):
@@ -424,7 +463,8 @@ def test_euclid_tally_hard_pairs(depth, digit, want_odd, burn_in):
     qs = [q for q, _ in HARD_PAIRS]
     ps = [p for _, p in HARD_PAIRS]
     want = divmod_tally(qs, ps, depth, digit, burn_in, want_odd)
-    assert _euclid_tally(qs, ps, depth, digit, burn_in, want_odd) == want
+    # the oracle has no rounds: compare all but the round and fall-back counts
+    assert _euclid_tally(qs, ps, depth, digit, burn_in, want_odd)[:5] == want
     for q, p in HARD_PAIRS:          # each pair alone in its batch too
-        assert _euclid_tally([q], [p], depth, digit, burn_in, want_odd) == \
+        assert _euclid_tally([q], [p], depth, digit, burn_in, want_odd)[:5] == \
             divmod_tally([q], [p], depth, digit, burn_in, want_odd)
