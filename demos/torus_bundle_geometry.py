@@ -44,6 +44,6 @@ Hs = MetricField(grid, tw1, h_s[..., None, None].astype(complex))
 zero = np.zeros((grid.N, grid.N), complex)
 res = conformal_normalize(Hs, identity_metric(grid, tw1), 0,
                           ConnectionField(grid, tw1, zero, zero))
-scaled = np.exp(res.phi) * h_s
+scaled = res.normalized.data[..., 0, 0].real
 print("  conformal weight: mean phi = %.1e, det(e^phi h) constant to %.1e"
       % (res.mean_phi, scaled.std() / scaled.mean()))

@@ -89,9 +89,7 @@ def _run_lagrange(p):
     L = Fraction(p["L"]) if p["L"] not in (None, "") else None
     est = lagrange_estimate(cf, p["parity"], int(p["depth"]), int(p["tail_depth"]),
                             check_L=L)
-    n_digits = 2 * int(p["depth"]) + 2
-    if not cf.period:
-        n_digits = min(n_digits, len(cf.tail))
+    n_digits = min(2 * int(p["depth"]) + 2, cf.available)
     cs = convergents(cf, n_digits)
     out = {
         "digits": cf.digits(min(n_digits, 40)),
@@ -111,7 +109,7 @@ def _run_lagrange(p):
 
 def _run_convergents(p):
     cf = parse_theta(p["theta"], depth=int(p["depth"]) + 2)
-    n = int(p["depth"]) if cf.period else min(int(p["depth"]), len(cf.tail))
+    n = min(int(p["depth"]), cf.available)
     cs = convergents(cf, n)
     dets = [cs[i].p * cs[i + 1].q - cs[i + 1].p * cs[i].q for i in range(len(cs) - 1)]
     ok = all(d == (-1) ** (i + 1) for i, d in enumerate(dets))
@@ -198,7 +196,7 @@ def _run_chern_weil(p):
     t2 = time.perf_counter()
     probe = threshold_probe(sff)
     if p.get("dump_grid"):
-        dump_grid_csv(p["dump_grid"], sff.beta.coeff, grid, twist)
+        dump_grid_csv(p["dump_grid"], sff.beta, grid, twist)
     out = {"rank": twist.rank, "degree": twist.degree, "N": grid.N,
            "lhs": lhs, "rhs": rhs, "sup_over_mean": probe.ratio}
     verdict = "pass" if rel < float(p["tol"]) else "fail"

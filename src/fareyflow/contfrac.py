@@ -23,24 +23,17 @@ _ENCLOSE_BITS = 120          # precision of the rational enclosure of an irratio
 
 
 @dataclass(frozen=True)
-class Enclosure:
-    """Interval enclosure, optionally carrying the exact value it encloses."""
+class Enclosure(RatInterval):
+    """Rational interval, optionally carrying the exact value it encloses."""
 
-    lo: Fraction
-    hi: Fraction
     exact: Fraction | QuadraticSurd | None = None
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def interval(self) -> RatInterval:
-        return RatInterval(self.lo, self.hi)
-
     def __float__(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
-        return float((self.lo + self.hi) / 2)
+        return float(self.exact) if self.exact is not None else float(self.mid)
 
 
 def _enclose(value: Fraction | QuadraticSurd) -> Enclosure:
@@ -124,7 +117,6 @@ class ContinuedFraction:
 
 @dataclass(frozen=True)
 class Convergent:
-    index: int
     p: int
     q: int
 
@@ -263,12 +255,12 @@ def convergents(cf: ContinuedFraction, n: int) -> list[Convergent]:
     out = []
     pm1, qm1 = 1, 0
     p, q = cf.a0, 1
-    out.append(Convergent(0, p, q))
+    out.append(Convergent(p, q))
     for i in range(1, n + 1):
         a = cf.digit(i)
         p, pm1 = a * p + pm1, p
         q, qm1 = a * q + qm1, q
-        out.append(Convergent(i, p, q))
+        out.append(Convergent(p, q))
     return out
 
 
@@ -329,7 +321,7 @@ def tail_value(cf: ContinuedFraction, k: int, depth: int) -> Enclosure:
         return _enclose(_fold_finite(digits))
     use = digits[:depth + 2]
     iv = _cylinder(use)
-    return Enclosure(iv.lo, iv.hi, None)
+    return Enclosure(iv.lo, iv.hi)
 
 
 # ----------------------------------------------------------------------------
@@ -406,6 +398,8 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
+    if i_max < 0:
+        raise ValueError("i_max must be >= 0, got %d" % i_max)
     if cf.source == "finite":
         raise ValueError("Lagrange numbers are defined for irrational sources")
     base = 1 if parity == "even" else 2
@@ -414,7 +408,7 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
     truncated = False
     for i in range(i_max + 1):
         s = base + 2 * i
-        if cf.source != "periodic" and s + 1 > cf.available:
+        if s + 1 > cf.available:
             truncated = True
             break
         R = _reversed_ratio(cf, s)
@@ -422,7 +416,7 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
             terms.append(_enclose(_periodic_tail_surd(cf, s) + R))
         else:
             T = tail_value(cf, s, tail_depth)
-            terms.append(Enclosure(T.lo + R, T.hi + R, None))
+            terms.append(Enclosure(T.lo + R, T.hi + R))
 
     running: list[RatInterval] = []
     lo = hi = None
@@ -445,9 +439,11 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
             if T + R_inf == best and _reversed_ratio(cf, s) > R_inf:
                 attainable = True
                 break
+    elif running:
+        estimate = Enclosure(running[-1].lo, running[-1].hi)
     else:
-        estimate = (Enclosure(running[-1].lo, running[-1].hi, None)
-                    if running else Enclosure(Fraction(1), Fraction(10 ** 9), None))
+        raise ValueError("no term to estimate from: term 0 needs %d digits after a_0, "
+                         "the source has %d" % (base + 1, cf.available))
 
     passing = undecided = None
     if check_L is not None:
@@ -458,7 +454,7 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
                 if t.exact > L:
                     passing.append(i)
             else:
-                verdict = t.interval().provably_gt(L)
+                verdict = t.provably_gt(L)
                 if verdict is True:
                     passing.append(i)
                 elif verdict is None:

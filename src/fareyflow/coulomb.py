@@ -399,8 +399,7 @@ def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
             a_w12 = grid_norms(A_cur, "W^{1,2}")
             return u_total, A_cur, CoulombReport(it, div_l2, bdry, f_l2, a_w12,
                                                  history)
-        if it == MAX_SWEEPS:
-            break
+        # at it == MAX_SWEEPS, rate ** 0 == 1, so any finite residual raises here
         worse = max(div_l2, bdry)
         rate = worse / max(history[-2]) if it else 0.0
         if worse * rate ** (MAX_SWEEPS - it) >= tol:

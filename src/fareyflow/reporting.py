@@ -7,12 +7,10 @@ runs produce identical records up to the volatile fields.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 SCHEMA_VERSION = 1
 VOLATILE_KEYS = ("timestamp", "elapsed_s", "trace", "timings")
@@ -20,16 +18,10 @@ VOLATILE_KEYS = ("timestamp", "elapsed_s", "trace", "timings")
 
 def _plain(value):
     """JSON-friendly rendering with deterministic formatting."""
-    if isinstance(value, Fraction):
-        return {"p": value.numerator, "q": value.denominator}
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _plain(dataclasses.asdict(value))
     if hasattr(value, "item") and not isinstance(value, (str, bytes)):
         return value.item()
     return value

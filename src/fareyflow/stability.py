@@ -37,7 +37,8 @@ class KClass:
 
 @dataclass(frozen=True)
 class WellApproxParams:
-    """Threshold constant L >= 1, the target irrational, and the genus."""
+    """Threshold constant L >= 1, the target irrational, and the genus, which
+    is checked and journaled but read by no computation."""
 
     L: Fraction
     theta: Fraction | QuadraticSurd | RatInterval | None = None
@@ -209,7 +210,7 @@ def select_subsequence(theta: ContinuedFraction, params: WellApproxParams,
     L = params.L
     value = _theta_value(theta)
     n = 2 * (count - 1)
-    cs = convergents(theta, min(n, len(theta.tail)) if theta.source != "periodic" else n)
+    cs = convergents(theta, min(n, theta.available))
     entries = []
     for i in range(count):
         if 2 * i >= len(cs):

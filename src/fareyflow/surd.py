@@ -79,11 +79,8 @@ class QuadraticSurd:
         a, b, D = self.a, self.b, self.D
         if b == 0:
             return (a > 0) - (a < 0)
-        if a >= 0 and b > 0:
-            return 1
-        if a <= 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 D, never equal for squarefree D > 1
+        # the larger of |a| and |b| sqrt(D) sets the sign (a^2 = b^2 D has no
+        # solution for squarefree D > 1); when a and b share a sign, either does
         bigger_is_a = a * a > b * b * D
         return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
 

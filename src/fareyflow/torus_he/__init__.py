@@ -5,8 +5,8 @@ conformal normalization, and the metric energy functional with its flow.
 
 from .grid import TorusGrid
 from .twist import TwistData, WeylTransform
-from .fields import (ConnectionField, EndoField, FormField, MetricField,
-                     SectionField, dump_grid_csv, identity_metric, load_grid_csv)
+from .fields import (ConnectionField, EndoField, MetricField, SectionField,
+                     dump_grid_csv, identity_metric, load_grid_csv)
 from .model import ModelBundle, build_model_bundle, theta_section
 from .hermitian import (ConformalResult, SecondFundamentalForm, ThresholdProbe,
                         chern_weil_check, conformal_normalize,
@@ -18,8 +18,8 @@ from .donaldson import (FlowResult, donaldson_flow, donaldson_functional,
 
 __all__ = [
     "TorusGrid", "TwistData", "WeylTransform",
-    "ConnectionField", "EndoField", "FormField", "MetricField",
-    "SectionField", "dump_grid_csv", "identity_metric", "load_grid_csv",
+    "ConnectionField", "EndoField", "MetricField", "SectionField",
+    "dump_grid_csv", "identity_metric", "load_grid_csv",
     "ModelBundle", "build_model_bundle", "theta_section",
     "ConformalResult", "SecondFundamentalForm", "ThresholdProbe",
     "chern_weil_check", "conformal_normalize", "curvature_defect", "he_residual",

@@ -200,10 +200,11 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
     (1 + 2 pi |mu| - Lap/2)^-1 in the Bloch-spectral representation, which
     removes the grid-scale stiffness while keeping the same fixed points and
     descent property; positivity is exact.  The step starts at STEP_INIT,
-    halves whenever the functional would increase (or positivity is lost to
-    roundoff) and grows gently up to STEP_MAX after accepted steps.  The
-    filter needs the clock/shift clutching of `TwistData.clock_shift`;
-    other clutching raises `WeylTransform`'s ValueError.
+    halves whenever the functional would rise by more than DESCENT_SLACK
+    relative (a smaller rise is accepted) or positivity is lost to roundoff,
+    and grows gently up to STEP_MAX after accepted steps.  The filter needs
+    the clock/shift clutching of `TwistData.clock_shift`; other clutching
+    raises `WeylTransform`'s ValueError.
 
     K0's `curvature_defect` is formed once per flow, on a second
     MetricField over K0's data, so K0 caches only the square-root pair that

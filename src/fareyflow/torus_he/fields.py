@@ -1,5 +1,5 @@
 """Grid-sampled fields on the twisted bundle: metrics, endomorphisms,
-(1,0)-forms, connections, and sections, plus the fiberwise norms.
+connections, and sections, plus the fiberwise norms.
 
 Arrays are indexed [ix, iy, ...] with matrix axes last.  Seam behaviour is
 the only thing distinguishing the kinds: endomorphism-type data wraps by
@@ -63,7 +63,7 @@ class MetricField(EndoField):
     `is_identity` holds only for the metric `identity_metric` builds; four
     products below (`apply`, `apply_inv`, `dual`, `chern_dz`) then skip the
     factor I and return their other operand, C-ordered as a product would be
-    (`_trace_of_product` and matmul read memory order, so this keeps the
+    (`hermitian._form_norm_sq` and matmul read memory order, so this keeps the
     results bit-identical).  `conjugate_half` multiplies by the exact I.
     """
 
@@ -185,21 +185,6 @@ class ConnectionField:
 
 
 @dataclass
-class FormField:
-    """(1,0)-form with endomorphism values, stored by its dz coefficient."""
-
-    grid: TorusGrid
-    twist: TwistData
-    coeff: np.ndarray
-
-    def norm_sq_field(self, H: MetricField) -> np.ndarray:
-        """Pointwise |.|_H^2 = 2 v tr(H^-1 b^dag H b) (nonnegative)."""
-        b = self.coeff
-        val = _trace_of_product(H.apply_inv(dagger(b)), H.apply(b))
-        return 2 * self.grid.v * val.real
-
-
-@dataclass
 class SectionField:
     """Holomorphic-section values (N, N, r) or a block of columns (N, N, r, m)."""
 
@@ -232,11 +217,6 @@ class SectionField:
 
 # ----------------------------------------------------------------------------
 # fiberwise norms
-
-
-def _trace_of_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """tr(A B) per node without forming the product."""
-    return np.sum(A * np.swapaxes(B, -1, -2), axis=(-2, -1))
 
 
 def rho_norm_field(s: np.ndarray, H: MetricField) -> np.ndarray:

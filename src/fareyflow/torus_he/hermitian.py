@@ -35,9 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .. import fiber
-from ..fiber import mm
-from .fields import (ConnectionField, EndoField, FormField, MetricField,
-                     SectionField, rho_norm_field)
+from ..fiber import dagger, mm
+from .fields import ConnectionField, EndoField, MetricField, SectionField, rho_norm_field
 
 SV_FLOOR = 1e-8             # smallest singular value an inclusion may have at a node
 CONFORMAL_MEAN_TOL = 1e-6   # relative mean of the conformal right side accepted
@@ -86,9 +85,16 @@ def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
 # subbundles and second fundamental forms
 
 
+def _form_norm_sq(b: np.ndarray, H: MetricField) -> np.ndarray:
+    """Pointwise |b dz|_H^2 = 2 v tr(H^-1 b^dag H b) (nonnegative) of an
+    endomorphism-valued (1,0)-form, the trace taken without the product."""
+    A, B = H.apply_inv(dagger(b)), H.apply(b)
+    return 2 * H.grid.v * np.sum(A * np.swapaxes(B, -1, -2), axis=(-2, -1)).real
+
+
 @dataclass
 class SecondFundamentalForm:
-    beta: FormField              # (1,0)-form, maps the subbundle to its complement
+    beta: np.ndarray             # dz coefficient, maps the subbundle to its complement
     projection: EndoField        # H-orthogonal projection onto the subbundle
     norm_sq: np.ndarray          # pointwise |beta|_H^2
     holomorphy_residual: float   # max |(1 - pi) dbar_A pi| (0 for a holomorphic subbundle)
@@ -119,8 +125,7 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     one_minus = np.eye(H.twist.rank) - pi
     b = mm(one_minus, H.chern_dz(dz, pi))
     holo = float(np.abs(mm(one_minus, dzb)).max())
-    beta = FormField(H.grid, H.twist, b)
-    return SecondFundamentalForm(beta, pi_field, beta.norm_sq_field(H), holo)
+    return SecondFundamentalForm(b, pi_field, _form_norm_sq(b, H), holo)
 
 
 def chern_weil_check(beta: SecondFundamentalForm, H: MetricField,
@@ -137,7 +142,6 @@ def chern_weil_check(beta: SecondFundamentalForm, H: MetricField,
 @dataclass
 class ThresholdProbe:
     ratio: float
-    sup: float
     mean: float
 
 
@@ -149,7 +153,7 @@ def threshold_probe(beta: SecondFundamentalForm) -> ThresholdProbe:
     mean = float(field.mean())
     if mean <= 0:
         raise ValueError("beta vanishes identically; the ratio is undefined")
-    return ThresholdProbe(float(field.max()) / mean, float(field.max()), mean)
+    return ThresholdProbe(float(field.max()) / mean, mean)
 
 
 # ----------------------------------------------------------------------------
@@ -161,7 +165,6 @@ class ConformalResult:
     phi: np.ndarray
     normalized: MetricField
     mean_phi: float
-    rhs_mean_defect: float
     det_deviation: float         # max |det(e^phi H H0^-1) - 1|
 
 
@@ -191,5 +194,4 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, muS,
                          np.exp(phi)[..., None, None] * H_restricted.data)
     ratio = mm(scaled.data, H0.inv())
     det = np.linalg.det(ratio)
-    return ConformalResult(phi, scaled, float(abs(phi.mean())), defect,
-                           float(np.abs(det - 1).max()))
+    return ConformalResult(phi, scaled, float(abs(phi.mean())), float(np.abs(det - 1).max()))

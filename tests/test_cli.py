@@ -79,6 +79,16 @@ def test_failed_run_appends_error_record(tmp_path):
     assert views[0] == views[1]
 
 
+def test_lagrange_without_a_term_journals_an_error(tmp_path):
+    # decimal:0.5 expands to [0] alone: even term 0 needs a_1 and a_2
+    j = str(tmp_path / "j.jsonl")
+    assert main(["--out", j, "lagrange", "--theta", "decimal:0.5"]) == 2
+    (rec,) = read_journal(j)
+    assert rec["verdict"] == "error"
+    assert rec["outputs"] == {"error": "ValueError: no term to estimate from: term 0 "
+                                       "needs 2 digits after a_0, the source has 0"}
+
+
 def test_record_plains_numpy_scalars_and_rejects_arrays():
     rec = ReportRecord("op", {"n": np.int64(3)}, {"x": np.float64(0.5)}, {}, "pass", "")
     data = rec.to_dict()

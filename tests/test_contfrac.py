@@ -184,7 +184,7 @@ def test_tail_enclosures_nest_and_bound():
     for depth in (2, 4, 6, 8):
         t = tail_value(cf, 1, depth)
         if prev is not None:
-            assert prev.interval().contains_interval(t.interval())
+            assert prev.contains_interval(t)
         prev = t
         # width <= 1/(q_depth q_{depth+1}) of the tail's own convergents
         tail_digits = [cf.digit(i) for i in range(1, 1 + depth + 2)]
@@ -270,6 +270,20 @@ def test_lagrange_insufficient_digits_flags_partial():
     cf = ContinuedFraction(1, (2, 3, 4, 5), exact=False)
     est = lagrange_estimate(cf, "even", 10, 5)
     assert est.truncated and est.depth < 11
+
+
+@pytest.mark.parametrize("parity, needed", [("even", 2), ("odd", 3)])
+def test_lagrange_refuses_a_source_too_short_for_term_zero(parity, needed):
+    short = ContinuedFraction(1, (2,) * (needed - 1), exact=False)
+    with pytest.raises(ValueError, match="term 0 needs %d digits after a_0, the source has %d"
+                       % (needed, needed - 1)):
+        lagrange_estimate(short, parity, 5, 10)
+    enough = ContinuedFraction(1, (2,) * needed, exact=False)
+    est = lagrange_estimate(enough, parity, 5, 10)
+    assert est.depth == 1 and est.truncated
+    for cf in (enough, cf_expand(GOLDEN, 10)):      # no term asked for at all
+        with pytest.raises(ValueError, match="i_max must be >= 0, got -1"):
+            lagrange_estimate(cf, parity, -1, 10)
 
 
 def test_lagrange_definition_check():

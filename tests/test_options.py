@@ -1,11 +1,13 @@
-"""Every settable parameter in src/ is a real option.
+"""Every settable parameter in src/ is a real option, and every parameter is read.
 
 A settable parameter is a function parameter with a default.  It stays only
 if callers outside the tests set it to different values, or a documented
 caller relies on its default; a one-value knob is a named module constant
-instead.  The check parses src/ with `ast` and requires the set of
-parameters with a default, named `module.function.parameter` (with the
-class for a method), to equal OPTIONS.
+instead.  The checks parse src/ with `ast` and name each parameter
+`module.function.parameter` (with the class for a method).  The set of
+parameters with a default must equal OPTIONS, and the set of parameters that
+never appear as a name in their function's body (nested functions included)
+must equal UNREAD.
 """
 
 import ast
@@ -27,6 +29,14 @@ OPTIONS = {
     "fareyflow.surd.QuadraticSurd.enclosure.bits": "src/ uses both 96 and 120",
 }
 
+_BENCH_CALL = ("perfbench/workloads.py passes it positionally, so it goes together with "
+               "that call, in a change to the benchmark")
+UNREAD = {
+    "fareyflow.torus_he.hermitian.second_fundamental_form.conn": _BENCH_CALL,
+    "fareyflow.torus_he.hermitian.chern_weil_check.H": _BENCH_CALL,
+}
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def _with_default(args: ast.arguments) -> list:
     positional = args.posonlyargs + args.args
@@ -35,23 +45,35 @@ def _with_default(args: ast.arguments) -> list:
     return [a.arg for a in named]
 
 
-def settable_parameters() -> set:
-    out = set()
-
+def functions():
+    """(qualified name, node) of every function in src/, nested ones included."""
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, prefix + "." + child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = prefix + "." + child.name
-                out.update(name + "." + arg for arg in _with_default(child.args))
-                visit(child, name)
+                yield from visit(child, prefix + "." + child.name)
+            elif isinstance(child, FUNCS):
+                yield prefix + "." + child.name, child
+                yield from visit(child, prefix + "." + child.name)
             else:
-                visit(child, prefix)
+                yield from visit(child, prefix)
 
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
-        visit(ast.parse(path.read_text()), module.removesuffix(".__init__"))
+        yield from visit(ast.parse(path.read_text()), module.removesuffix(".__init__"))
+
+
+def settable_parameters() -> set:
+    return {name + "." + arg for name, node in functions() for arg in _with_default(node.args)}
+
+
+def unread_parameters() -> set:
+    out = set()
+    for name, node in functions():
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        names = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        out.update(name + "." + p for p in params if p not in names)
     return out
 
 
@@ -59,3 +81,9 @@ def test_every_settable_parameter_is_an_option():
     found = settable_parameters()
     assert sorted(found - set(OPTIONS)) == [], "settable parameters not in OPTIONS"
     assert sorted(set(OPTIONS) - found) == [], "in OPTIONS but gone or required"
+
+
+def test_every_parameter_is_read():
+    found = unread_parameters()
+    assert sorted(found - set(UNREAD)) == [], "parameters their function never reads"
+    assert sorted(set(UNREAD) - found) == [], "in UNREAD but read or gone"

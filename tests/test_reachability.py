@@ -86,7 +86,6 @@ ALLOWED = {
 _FOREIGN = "library surface: an operand of a foreign type goes back to Python's operators"
 _GENERAL = ("general-metric path: only tests pass a metric other than identity_metric, "
             "and the identity-path tests compare against it")
-_RECORD = "robustness: `run` journals any params dict, so a record may hold a "
 
 ALLOWED_STATEMENTS = {
     # the continued-fraction and surd library surface
@@ -104,10 +103,6 @@ ALLOWED_STATEMENTS = {
         "library surface: lagrange_estimate forms periodic tails itself",
     ("fareyflow.contfrac.tail_value", "return _enclose(_fold_finite(digits))"):
         "library surface: lagrange_estimate refuses finite sources",
-    ("fareyflow.surd.QuadraticSurd.sign", "return 1"):
-        "library surface: a sign both parts share, which no toured comparison forms",
-    ("fareyflow.surd.QuadraticSurd.sign", "return -1"):
-        "library surface: a sign both parts share, which no toured comparison forms",
     ("fareyflow.surd.QuadraticSurd._coerce", "return NotImplemented"): _FOREIGN,
     ("fareyflow.surd.QuadraticSurd.__add__", "return o"): _FOREIGN,
     ("fareyflow.surd.QuadraticSurd.__mul__", "return o"): _FOREIGN,
@@ -137,16 +132,9 @@ ALLOWED_STATEMENTS = {
     # robustness: branches for failures that no toured input provokes
     ("fareyflow.torus_he.donaldson.donaldson_flow", "step *= 0.5"):
         "robustness: metric_log refuses a trial metric, and the step halves",
-    ("fareyflow.coulomb.coulomb_fix", "break"):
-        "robustness: the last sweep ends unconverged after the stall forecast let it run",
-    ("fareyflow.reporting._plain", 'return {"p": value.numerator, "q": value.denominator}'):
-        _RECORD + "Fraction, kept exact",
-    ("fareyflow.reporting._plain", 'return {"re": value.real, "im": value.imag}'):
-        _RECORD + "complex number",
-    ("fareyflow.reporting._plain", "return _plain(dataclasses.asdict(value))"):
-        _RECORD + "dataclass",
     ("fareyflow.reporting._plain", "return value.item()"):
-        _RECORD + "numpy scalar (test_record_plains_numpy_scalars_and_rejects_arrays)",
+        "robustness: `run` journals any params dict, so a record may hold a numpy "
+        "scalar (test_record_plains_numpy_scalars_and_rejects_arrays)",
 }
 
 

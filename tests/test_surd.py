@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fareyflow.surd import QuadraticSurd, RatInterval, squarefree_split
 
@@ -38,6 +39,34 @@ def test_comparisons_exact():
     assert r2 == QuadraticSurd(0, 2, 2, 2)
     with pytest.raises(ValueError):
         _ = r2 < QuadraticSurd(0, 1, 3, 1)   # different fields
+
+
+def _sign_oracle(a: int, b: int, D: int) -> int:
+    """Sign of a + b sqrt(D) in decimal arithmetic precise enough to decide it:
+    with M = |a| + |b| sqrt(D), |a + b sqrt(D)| = |a^2 - b^2 D| / |a - b sqrt(D)|
+    >= 1/M, while the rounding error stays below 2 M 10^(1 - prec)."""
+    m = abs(a) + abs(b) * (math.isqrt(D) + 1)
+    with localcontext() as ctx:
+        ctx.prec = 2 * len(str(m)) + 5
+        v = Decimal(a) + Decimal(b) * Decimal(D).sqrt()
+    return (v > 0) - (v < 0)
+
+
+SQUAREFREE = [2, 3, 5, 7, 10, 30030, 1_000_000_007, 2 * 3 * 1_000_000_007]
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]), st.integers(1, 10 ** 40),
+       st.integers(1, 10 ** 40), st.sampled_from(SQUAREFREE), st.integers(-3, 3),
+       st.booleans(), st.integers(1, 10 ** 12))
+def test_sign_matches_decimal_oracle(signs, a, b, D, offset, near, c):
+    if near:        # |a| next to |b| sqrt(D), where the two parts nearly cancel
+        a = max(1, math.isqrt(b * b * D) + offset)
+    a, b = signs[0] * a, signs[1] * b
+    s = QuadraticSurd(a, b, D, c)
+    assert (s.a, s.b, s.D) == (a // math.gcd(a, b, c), b // math.gcd(a, b, c), D)
+    assert s.sign() == _sign_oracle(a, b, D)
+    assert QuadraticSurd(a, b, D, -c).sign() == -_sign_oracle(a, b, D)
 
 
 def test_enclosure_contains_value():

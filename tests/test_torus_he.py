@@ -20,6 +20,7 @@ from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
                                 second_fundamental_form, theta_section,
                                 threshold_probe)
 from fareyflow.torus_he.fields import mm, rho_norm_field
+from fareyflow.torus_he.hermitian import _form_norm_sq
 from fareyflow.torus_he.model import _theta_raw
 
 
@@ -213,7 +214,7 @@ def test_theta_line_chern_weil_identity_path_bitwise(model21):
     sec = theta_section(tw, g, (0, 0))
     fast, slow = (second_fundamental_form(sec, K, conn) for K in (H0, H))
     # and with |beta|^2 formed once more from each beta in its own metric
-    again = [dataclasses.replace(b, norm_sq=b.beta.norm_sq_field(K))
+    again = [dataclasses.replace(b, norm_sq=_form_norm_sq(b.beta, K))
              for b, K in ((fast, H0), (slow, H))]
     for beta in ((fast, slow), again):
         cw = [chern_weil_check(b, K, Fraction(1, 2), 0, 1) for b, K in zip(beta, (H0, H))]
