@@ -136,8 +136,7 @@ def _run_stability(p):
     cf = parse_theta(p["theta"])
     S = stability.KClass(*_parse_pair(p["S"]))
     S0 = stability.KClass(*_parse_pair(p["S0"]))
-    theta_val = cf.value() if cf.source in ("finite", "periodic") else cf.value_interval()
-    params = stability.WellApproxParams(Fraction(p["L"]), theta_val, int(p["genus"]))
+    params = stability.WellApproxParams(Fraction(p["L"]), cf.value(), int(p["genus"]))
     v = stability.well_approx_check(S, S0, params)
     out = {"S": [S.deg, S.rk], "S0": [S0.deg, S0.rk], "L": str(params.L),
            "passes": v.passes, "lhs": float(v.lhs), "rhs": float(v.rhs),

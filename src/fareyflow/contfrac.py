@@ -35,6 +35,15 @@ class Enclosure(RatInterval):
     def __float__(self) -> float:
         return float(self.exact) if self.exact is not None else float(self.mid)
 
+    def __add__(self, other):
+        """Shift by a rational; an exact value stays exact."""
+        if self.exact is not None:
+            return _enclose(self.exact + other)
+        q = Fraction(other)
+        return Enclosure(self.lo + q, self.hi + q)
+
+    __radd__ = __add__
+
 
 def _enclose(value: Fraction | QuadraticSurd) -> Enclosure:
     if isinstance(value, QuadraticSurd):         # periodic, so irrational
@@ -91,23 +100,17 @@ class ContinuedFraction:
         """Digits a_0 .. a_n."""
         return [self.digit(i) for i in range(n + 1)]
 
-    def value(self) -> Fraction | QuadraticSurd:
-        """Exact value; raises for truncated sources (use value_interval)."""
-        if self.source == "finite":
-            return _fold_finite([self.a0, *self.tail])
-        if self.source == "periodic":
+    def value(self) -> Fraction | QuadraticSurd | RatInterval:
+        """The exact value of a finite or periodic source; for a truncated
+        source, a rigorous interval around the real its digits were read from."""
+        if self.period:
             return _periodic_tail_surd(self, 0)
-        raise ValueError("truncated continued fraction has no exact value")
-
-    def value_interval(self) -> RatInterval:
-        if self.source == "finite":
-            v = _fold_finite([self.a0, *self.tail])
-            return RatInterval(v, v)
-        if self.source == "periodic":
-            return _periodic_tail_surd(self, 0).enclosure()
-        iv = _cylinder([self.a0, *self.tail])
+        digits = [self.a0, *self.tail]
+        if self.exact:
+            return _fold_finite(digits)
+        iv = _cylinder(digits)
         if self.error_bound is not None:
-            v = _fold_finite([self.a0, *self.tail])
+            v = _fold_finite(digits)
             lo = max(iv.lo, v - self.error_bound)
             hi = min(iv.hi, v + self.error_bound)
             if lo <= hi:
@@ -222,21 +225,24 @@ def _expand_interval(lo: Fraction, hi: Fraction, max_depth: int) -> ContinuedFra
 # convergents and semiconvergents
 
 
-def _fold_finite(digits) -> Fraction:
-    v = Fraction(digits[-1])
-    for a in reversed(digits[:-1]):
-        v = a + 1 / v
-    return v
+def _recurrence(digits):
+    """(p_i, q_i, p_{i-1}, q_{i-1}) for i = 0 .. n of a digit word a_0 .. a_n, by
+    p_i = a_i p_{i-1} + p_{i-2} (q alike) from p/q = 0/1 at i = -2, 1/0 at i = -1."""
+    p, q, pm1, qm1 = 1, 0, 0, 1
+    for a in digits:
+        p, q, pm1, qm1 = a * p + pm1, a * q + qm1, p, q
+        yield p, q, pm1, qm1
 
 
 def _convergent_pair(digits) -> tuple[int, int, int, int]:
-    """(p_n, q_n, p_{n-1}, q_{n-1}) for a finite digit word."""
-    pm1, qm1 = 1, 0
-    p, q = digits[0], 1
-    for a in digits[1:]:
-        p, pm1 = a * p + pm1, p
-        q, qm1 = a * q + qm1, q
-    return p, q, pm1, qm1
+    """(p_n, q_n, p_{n-1}, q_{n-1}) for a nonempty digit word a_0 .. a_n."""
+    *_, last = _recurrence(digits)
+    return last
+
+
+def _fold_finite(digits) -> Fraction:
+    p, q, _, _ = _convergent_pair(digits)
+    return Fraction(p, q)
 
 
 def _cylinder(digits) -> RatInterval:
@@ -249,31 +255,24 @@ def _cylinder(digits) -> RatInterval:
 
 def convergents(cf: ContinuedFraction, n: int) -> list[Convergent]:
     """beta_0 .. beta_n = p_i/q_i by the standard three-term recurrence."""
+    if n < 0:
+        raise ValueError("convergent index n = %d is negative" % n)
     if n > cf.available:
         raise ValueError("requested %d convergents but only %d digits available"
                          % (n, len(cf.tail)))
-    out = []
-    pm1, qm1 = 1, 0
-    p, q = cf.a0, 1
-    out.append(Convergent(p, q))
-    for i in range(1, n + 1):
-        a = cf.digit(i)
-        p, pm1 = a * p + pm1, p
-        q, qm1 = a * q + qm1, q
-        out.append(Convergent(p, q))
-    return out
+    return [Convergent(p, q) for p, q, _, _ in _recurrence(cf.digits(n))]
 
 
 def semiconvergents(cf: ContinuedFraction, i: int, m_max: int) -> list[Fraction]:
     """beta_{i,m} = (p_i + m p_{i+1})/(q_i + m q_{i+1}) for m = 0..m_max."""
+    if i < 0:
+        raise ValueError("semiconvergent index i = %d is negative" % i)
     if i + 2 > cf.available:
         raise ValueError("semiconvergents at index %d need digit %d" % (i, i + 2))
     a_next = cf.digit(i + 2)
     if not 0 <= m_max <= a_next:
         raise ValueError("m_max = %d out of range [0, a_%d = %d]" % (m_max, i + 2, a_next))
-    cs = convergents(cf, i + 1)
-    pi, qi = cs[i].p, cs[i].q
-    pj, qj = cs[i + 1].p, cs[i + 1].q
+    pj, qj, pi, qi = _convergent_pair(cf.digits(i + 1))
     return [Fraction(pi + m * pj, qi + m * qj) for m in range(m_max + 1)]
 
 
@@ -283,7 +282,7 @@ def semiconvergents(cf: ContinuedFraction, i: int, m_max: int) -> list[Fraction]
 
 def _pure_periodic_value(word) -> QuadraticSurd:
     """Exact value of the purely periodic continued fraction with this word."""
-    p, q, pm1, qm1 = _convergent_pair(list(word))
+    p, q, pm1, qm1 = _convergent_pair(word)
     # x = (p x + pm1)/(q x + qm1)  =>  q x^2 + (qm1 - p) x - pm1 = 0
     A, B, C = q, qm1 - p, -pm1
     disc = B * B - 4 * A * C
@@ -319,8 +318,7 @@ def tail_value(cf: ContinuedFraction, k: int, depth: int) -> Enclosure:
     digits = [cf.digit(i) for i in range(k, len(cf.tail) + 1)]
     if cf.source == "finite":
         return _enclose(_fold_finite(digits))
-    use = digits[:depth + 2]
-    iv = _cylinder(use)
+    iv = _cylinder(digits[:depth + 2])
     return Enclosure(iv.lo, iv.hi)
 
 
@@ -354,12 +352,8 @@ class LagrangeEstimate:
 
 
 def _reversed_ratio(cf: ContinuedFraction, s: int) -> Fraction:
-    """[0; a_{s-1}, ..., a_1] = q_{s-2}/q_{s-1} (0 when s <= 1)."""
-    if s <= 1:
-        return Fraction(0)
-    qm1, q = 0, 1
-    for i in range(1, s):
-        qm1, q = q, cf.digit(i) * q + qm1
+    """[0; a_{s-1}, ..., a_1] = q_{s-2}/q_{s-1} (0 when s = 1), for s >= 1."""
+    _, q, _, qm1 = _convergent_pair(cf.digits(s - 1))
     return Fraction(qm1, q)
 
 
@@ -411,12 +405,7 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
         if s + 1 > cf.available:
             truncated = True
             break
-        R = _reversed_ratio(cf, s)
-        if cf.source == "periodic":
-            terms.append(_enclose(_periodic_tail_surd(cf, s) + R))
-        else:
-            T = tail_value(cf, s, tail_depth)
-            terms.append(Enclosure(T.lo + R, T.hi + R))
+        terms.append(tail_value(cf, s, tail_depth) + _reversed_ratio(cf, s))
 
     running: list[RatInterval] = []
     lo = hi = None
@@ -428,17 +417,10 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
     attainable = None
     if cf.source == "periodic":
         classes = _parity_classes(cf, parity)
-        best = None
-        for _, T, R, _ in classes:
-            cand = T + R
-            if best is None or cand > best:
-                best = cand
+        best = max(T + R for _, T, R, _ in classes)
         estimate = _enclose(best)
-        attainable = False
-        for _, T, R_inf, s in classes:
-            if T + R_inf == best and _reversed_ratio(cf, s) > R_inf:
-                attainable = True
-                break
+        attainable = any(T + R_inf == best and _reversed_ratio(cf, s) > R_inf
+                         for _, T, R_inf, s in classes)
     elif running:
         estimate = Enclosure(running[-1].lo, running[-1].hi)
     else:
@@ -685,6 +667,8 @@ def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
         raise ValueError("parity must be 'even' or 'odd'")
     if depth <= burn_in:
         raise ValueError("depth must exceed burn_in = %d" % burn_in)
+    if samples < 0:
+        raise ValueError("samples must be >= 0, got %d" % samples)
     reference = gauss_kuzmin_density(digit)
     if samples == 0:
         return DigitDensity(digit, parity, None, reference, None, 0, 0)

@@ -383,7 +383,7 @@ def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
     """
     g = A.grid
     f_l2 = grid_norms(curvature(A), "L^2")
-    if f_l2 > eps0:
+    if not f_l2 <= eps0:            # a NaN norm is refused too
         raise ValueError("curvature %.4f exceeds the smallness threshold %.4f"
                          % (f_l2, eps0))
     r = A.rank

@@ -190,11 +190,9 @@ class SubsequenceReport:
 
 
 def _theta_value(theta: ContinuedFraction):
-    if theta.source == "periodic":
-        return theta.value()
     if theta.source == "finite":
         raise ValueError("theta must be irrational (periodic or truncated)")
-    return theta.value_interval()
+    return theta.value()
 
 
 def select_subsequence(theta: ContinuedFraction, params: WellApproxParams,

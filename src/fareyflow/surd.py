@@ -155,16 +155,11 @@ class QuadraticSurd:
 
     # --- floor and rational enclosures -------------------------------------
     def floor(self) -> int:
-        a, b, c, D = self.a, self.b, self.c, self.D
-        if b == 0:
-            return a // c
-        root = math.isqrt(b * b * D)
-        # b sqrt(D) is irrational, so num_lo < a + b sqrt(D) < num_lo + 1 and the
-        # value has the floor of num_lo / c
-        num_lo = a + (root if b > 0 else -(root + 1))
-        return num_lo // c
+        # an irrational b sqrt(D) lies strictly between consecutive integers, so
+        # the value has the floor of the 0-bit enclosure's lower end
+        return math.floor(self.enclosure(0).lo)
 
-    def enclosure(self, bits: int = 96) -> "RatInterval":
+    def enclosure(self, bits: int) -> "RatInterval":
         """Rational interval of width about 2**-bits containing the value."""
         if self.b == 0:
             v = Fraction(self.a, self.c)

@@ -69,6 +69,8 @@ CLI_EXITS = [
     (["farey", "--triangle", "1/3,3/4,2/1"], 2),            # not unimodular
     (["coulomb", "--N", "16", "--samples", "1", "--curvature", "0.5"], 2),  # no fix
     (["torus-he", "--degree", "2"], 2),                     # gcd(2, 2) = 2
+    (["convergents", "--depth", "-1"], 2),                  # a negative index
+    (["density", "--samples", "-5"], 2),                    # a negative count
     ([], 1),
     (["nosuch"], 1),
     (["farey", "--triangle", "1/2,1/1"], 1),

@@ -79,6 +79,17 @@ def test_failed_run_appends_error_record(tmp_path):
     assert views[0] == views[1]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["convergents", "--depth", "-1"], "ValueError: convergent index n = -1 is negative"),
+    (["density", "--samples", "-5"], "ValueError: samples must be >= 0, got -5"),
+], ids=["convergents", "density"])
+def test_negative_counts_are_refused(tmp_path, argv, error):
+    j = str(tmp_path / "j.jsonl")
+    assert main(["--out", j] + argv) == 2
+    rec, = read_journal(j)
+    assert rec["verdict"] == "error" and rec["outputs"] == {"error": error}
+
+
 def test_lagrange_without_a_term_journals_an_error(tmp_path):
     # decimal:0.5 expands to [0] alone: even term 0 needs a_1 and a_2
     j = str(tmp_path / "j.jsonl")

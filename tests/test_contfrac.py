@@ -8,8 +8,8 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from fareyflow.cli import main
-from fareyflow.contfrac import (_LANES, ContinuedFraction, DigitDensity,
-                                _euclid_tally, cf_expand, convergents,
+from fareyflow.contfrac import (_LANES, ContinuedFraction, DigitDensity, Enclosure,
+                                _euclid_tally, _reversed_ratio, cf_expand, convergents,
                                 gauss_digit_density, gauss_kuzmin_density,
                                 lagrange_estimate, semiconvergents, tail_value)
 from fareyflow.reporting import read_journal, stable_view
@@ -20,6 +20,7 @@ SQRT2 = QuadraticSurd(0, 1, 2, 1)
 
 
 def fold(digits):
+    """[a_0; a_1, ..., a_n] folded from the back: the oracle of the recurrence."""
     v = Fraction(digits[-1])
     for a in reversed(digits[:-1]):
         v = a + 1 / v
@@ -118,6 +119,26 @@ def test_convergents_depth_error_names_available():
         convergents(ContinuedFraction(1, (2, 3)), 5)
 
 
+def test_negative_indices_are_refused():
+    cf = ContinuedFraction(3, (7, 15, 1, 292))
+    with pytest.raises(ValueError, match="index n = -1 is negative"):
+        convergents(cf, -1)
+    with pytest.raises(ValueError, match="index i = -1 is negative"):
+        semiconvergents(cf, -1, 1)
+
+
+@settings(max_examples=200)
+@given(st.integers(-5, 5), st.lists(st.integers(1, 10 ** 6), max_size=12))
+def test_recurrence_matches_backward_fold(a0, tail):
+    cf = ContinuedFraction(a0, tuple(tail))
+    digits = [a0, *tail]
+    assert cf.value() == fold(digits)
+    assert convergents(cf, len(tail))[-1].fraction == fold(digits)
+    for s in range(1, len(tail) + 2):
+        # [0; a_{s-1}, ..., a_1], which is [0] = 0 at s = 1
+        assert _reversed_ratio(cf, s) == fold([0, *reversed(digits[1:s])])
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=6),
        st.integers(0, 3))
@@ -169,6 +190,19 @@ def test_semiconvergent_endpoints(period, i):
 
 # ----------------------------------------------------------------------------
 # tails
+
+
+def test_enclosure_shift_keeps_exact_value():
+    q = Fraction(2, 7)
+    t = tail_value(cf_expand(SQRT2, 8), 1, 10)          # exactly 1 + sqrt(2)
+    for shifted in (t + q, q + t):
+        assert isinstance(shifted, Enclosure) and shifted.exact == SQRT2 + 1 + q
+        assert shifted.lo < shifted.exact < shifted.hi
+    point = Enclosure(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    assert point + q == q + point == Enclosure(Fraction(13, 21), Fraction(13, 21),
+                                               Fraction(13, 21))
+    bare = Enclosure(Fraction(1), Fraction(2))
+    assert bare + q == q + bare == Enclosure(1 + q, 2 + q)
 
 
 def test_tail_values_exact():
@@ -323,6 +357,8 @@ def test_density_deterministic_and_within_noise():
 
 
 def test_density_validation():
+    with pytest.raises(ValueError, match="samples must be >= 0, got -5"):
+        gauss_digit_density(-5, 100, 1, "odd", seed=1)
     with pytest.raises(ValueError):
         gauss_digit_density(10, 5, 1, "odd", seed=1)
     with pytest.raises(ValueError):

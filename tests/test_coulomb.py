@@ -235,6 +235,19 @@ def test_coulomb_refuses_hermitian_part_before_solving(grid, monkeypatch):
             coulomb_fix(A, tol=1e-6)
 
 
+def test_coulomb_refuses_nan_curvature_before_solving(monkeypatch):
+    """A NaN entry makes the curvature norm NaN, which no smallness check
+    passes: the fix refuses it with the measured value and solves nothing."""
+    def no_solve(*args):
+        raise AssertionError("a Neumann solve ran")
+
+    monkeypatch.setattr("fareyflow.coulomb.neumann_poisson", no_solve)
+    A = random_gauge_field(SquareGrid(16), 1, 0, 0.03)
+    A.ax[5, 5] = np.nan
+    with pytest.raises(ValueError, match="curvature nan exceeds the smallness threshold"):
+        coulomb_fix(A, tol=1e-6)
+
+
 def test_coulomb_zero_field(grid):
     M = grid.N + 1
     A0 = GaugeField(grid, np.zeros((M, M, 1, 1), complex),

@@ -26,7 +26,6 @@ OPTIONS = {
         "the Lehmer oracle test sweeps 8-768 bits across the one-word boundary",
     "fareyflow.coulomb.coulomb_fix.eps0":
         "the CLI's --eps0 sets it; the benchmark workload and criterion 12 use the default",
-    "fareyflow.surd.QuadraticSurd.enclosure.bits": "src/ uses both 96 and 120",
 }
 
 _BENCH_CALL = ("perfbench/workloads.py passes it positionally, so it goes together with "

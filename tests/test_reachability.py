@@ -91,16 +91,8 @@ ALLOWED_STATEMENTS = {
     # the continued-fraction and surd library surface
     ("fareyflow.contfrac._enclose", "value = Fraction(value)"):
         "library surface: tail_value of a finite source",
-    ("fareyflow.contfrac.ContinuedFraction.value_interval",
-     "v = _fold_finite([self.a0, *self.tail])"):
-        "library surface: the point interval of a finite source",
-    ("fareyflow.contfrac.ContinuedFraction.value_interval",
-     "return _periodic_tail_surd(self, 0).enclosure()"):
-        "library surface: an enclosure of a periodic source, whose callers take value()",
     ("fareyflow.contfrac.cf_expand", "eps = Fraction(4 * math.ulp(abs(x) or 1.0))"):
         "library surface: a float theta (the tests expand math.pi); the CLI reads decimals",
-    ("fareyflow.contfrac.tail_value", "return _enclose(_periodic_tail_surd(cf, k))"):
-        "library surface: lagrange_estimate forms periodic tails itself",
     ("fareyflow.contfrac.tail_value", "return _enclose(_fold_finite(digits))"):
         "library surface: lagrange_estimate refuses finite sources",
     ("fareyflow.surd.QuadraticSurd._coerce", "return NotImplemented"): _FOREIGN,
@@ -110,8 +102,6 @@ ALLOWED_STATEMENTS = {
     ("fareyflow.surd.QuadraticSurd.__repr__",
      'return "QuadraticSurd(%d/%d)" % (self.a, self.c)'):
         "library surface: the repr of a rational surd",
-    ("fareyflow.surd.QuadraticSurd.floor", "return a // c"):
-        "library surface: the floor of a rational surd; cf_expand makes those fractions",
     ("fareyflow.surd.QuadraticSurd.enclosure", "v = Fraction(self.a, self.c)"):
         "library surface: the point enclosure of a rational surd",
     ("fareyflow.surd.RatInterval.scale", "return RatInterval(self.hi * k, self.lo * k)"):

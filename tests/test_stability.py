@@ -189,7 +189,7 @@ def test_even_convergents_never_exceed_theta(theta):
             theta = cf_expand(theta, 40)
         except ValueError:
             assume(False)            # the interval is too wide for a0
-        value, n = theta.value_interval(), len(theta.tail)
+        value, n = theta.value(), len(theta.tail)
     else:
         value, n = theta.value(), 40
     for c in convergents(theta, n)[::2]:

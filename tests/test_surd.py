@@ -76,20 +76,25 @@ def test_enclosure_contains_value():
     assert iv.lo <= s < iv.hi             # exact containment
 
 
-@given(st.integers(-50, 50), st.integers(-20, 20), st.integers(1, 30),
-       st.integers(-50, 50), st.integers(1, 30))
-def test_floor_matches_interval(a, b, c, a2, c2):
-    s = QuadraticSurd(a, b, 5, c)
+@settings(max_examples=400)
+@given(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]), st.integers(0, 10 ** 40),
+       st.integers(0, 10 ** 40), st.sampled_from(SQUAREFREE), st.integers(-3, 3),
+       st.booleans(), st.integers(1, 10 ** 12), st.integers(-50, 50), st.integers(1, 30))
+def test_floor_matches_interval(signs, a, b, D, offset, near, c, a2, c2):
+    if near:        # a + b sqrt(D) within a few units of an integer: the value
+        a = math.isqrt(b * b * D) + offset      # lies within a few 1/c of one
+    s = QuadraticSurd(signs[0] * a, signs[1] * b, D, c)
     n = s.floor()
     assert n <= s < n + 1
-    t = QuadraticSurd(a2, 1, 5, c2)
-    # field arithmetic against rational interval arithmetic
+    t = QuadraticSurd(a2, 1, D, c2)
+    # field arithmetic against rational interval arithmetic: both enclosures
+    # lie within 2**-96 of their values, so the slack holds at any magnitude
     prod = s * t
-    i1, i2 = s.enclosure(), t.enclosure()
+    i1, i2 = s.enclosure(96), t.enclosure(96)
     lo = min(i1.lo * i2.lo, i1.lo * i2.hi, i1.hi * i2.lo, i1.hi * i2.hi)
     hi = max(i1.lo * i2.lo, i1.lo * i2.hi, i1.hi * i2.lo, i1.hi * i2.hi)
-    assert lo - Fraction(1, 2 ** 60) <= prod.enclosure().lo
-    assert prod.enclosure().hi <= hi + Fraction(1, 2 ** 60)
+    assert lo - Fraction(1, 2 ** 60) <= prod.enclosure(96).lo
+    assert prod.enclosure(96).hi <= hi + Fraction(1, 2 ** 60)
 
 
 @given(st.fractions(min_value=-10, max_value=10),
