@@ -251,9 +251,10 @@ def _run_coulomb(p):
             rows.append({"seed": seed, "rank": int(p["rank"]), "error": str(exc)})
             ok = False
         fix_s.append(round(time.perf_counter() - t0, 4))
-        histories.append(None if rep is None else rep.history)
         if rep is None:
+            histories.append(None)
             continue
+        histories.append(rep.history)
         if p.get("dump_trajectory"):
             rep.dump_trajectory_csv(p["dump_trajectory"], seed=seed, rank=int(p["rank"]))
         rows.append({"seed": seed, "rank": int(p["rank"]),
@@ -355,14 +356,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(subcommand: str, params: dict, out_path) -> tuple[dict, int]:
     """Dispatch one run, append its record, and return (record, exit code).
 
-    A run that raises ValueError/RuntimeError still appends a record, with
-    verdict "error" and the exception message, before the exception goes on.
+    A run that raises ValueError/RuntimeError/ZeroDivisionError (`--L 1/0`)
+    still appends a record, with verdict "error" and the exception message,
+    before the exception goes on.
     A runner may return a fifth item, the volatile `trace`/`timings` fields.
     """
     t0 = time.perf_counter()
     try:
         outputs, residuals, verdict, identity, *extra = RUNNERS[subcommand](params)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
         write_report(ReportRecord(op=subcommand, params=params,
                                   outputs={"error": "%s: %s" % (type(exc).__name__, exc)},
                                   residuals={}, verdict="error",
@@ -397,7 +399,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
     print("%s: %s (journal: %s)" % (ns.subcommand, record["verdict"], ns.out))

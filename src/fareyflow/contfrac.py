@@ -1,5 +1,5 @@
-"""Continued fractions with exact digits: convergents, semiconvergents, tail
-values, parity-restricted Lagrange numbers, and Gauss-map digit statistics.
+"""Continued fractions with exact digits: convergents, tail values,
+parity-restricted Lagrange numbers, and Gauss-map digit statistics.
 
 Digits, convergents and periodic tails are handled with exact big-integer /
 rational arithmetic.  Only inputs truncated from a real carry uncertainty,
@@ -24,9 +24,9 @@ _ENCLOSE_BITS = 120          # precision of the rational enclosure of an irratio
 
 @dataclass(frozen=True)
 class Enclosure(RatInterval):
-    """Rational interval, optionally carrying the exact value it encloses."""
+    """Rational interval, optionally carrying the exact surd it encloses."""
 
-    exact: Fraction | QuadraticSurd | None = None
+    exact: QuadraticSurd | None = None
 
     @property
     def width(self) -> Fraction:
@@ -45,12 +45,9 @@ class Enclosure(RatInterval):
     __radd__ = __add__
 
 
-def _enclose(value: Fraction | QuadraticSurd) -> Enclosure:
-    if isinstance(value, QuadraticSurd):         # periodic, so irrational
-        iv = value.enclosure(_ENCLOSE_BITS)
-        return Enclosure(iv.lo, iv.hi, value)
-    value = Fraction(value)
-    return Enclosure(value, value, value)
+def _enclose(value: QuadraticSurd) -> Enclosure:
+    iv = value.enclosure(_ENCLOSE_BITS)
+    return Enclosure(iv.lo, iv.hi, value)
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,6 @@ class Convergent:
             raise ValueError("convergent denominator must be positive")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError("convergent %d/%d is not reduced" % (self.p, self.q))
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 # ----------------------------------------------------------------------------
@@ -222,7 +215,7 @@ def _expand_interval(lo: Fraction, hi: Fraction, max_depth: int) -> ContinuedFra
 
 
 # ----------------------------------------------------------------------------
-# convergents and semiconvergents
+# convergents
 
 
 def _recurrence(digits):
@@ -263,19 +256,6 @@ def convergents(cf: ContinuedFraction, n: int) -> list[Convergent]:
     return [Convergent(p, q) for p, q, _, _ in _recurrence(cf.digits(n))]
 
 
-def semiconvergents(cf: ContinuedFraction, i: int, m_max: int) -> list[Fraction]:
-    """beta_{i,m} = (p_i + m p_{i+1})/(q_i + m q_{i+1}) for m = 0..m_max."""
-    if i < 0:
-        raise ValueError("semiconvergent index i = %d is negative" % i)
-    if i + 2 > cf.available:
-        raise ValueError("semiconvergents at index %d need digit %d" % (i, i + 2))
-    a_next = cf.digit(i + 2)
-    if not 0 <= m_max <= a_next:
-        raise ValueError("m_max = %d out of range [0, a_%d = %d]" % (m_max, i + 2, a_next))
-    pj, qj, pi, qi = _convergent_pair(cf.digits(i + 1))
-    return [Fraction(pi + m * pj, qi + m * qj) for m in range(m_max + 1)]
-
-
 # ----------------------------------------------------------------------------
 # tail values
 
@@ -303,21 +283,23 @@ def _periodic_tail_surd(cf: ContinuedFraction, k: int) -> QuadraticSurd:
 
 
 def tail_value(cf: ContinuedFraction, k: int, depth: int) -> Enclosure:
-    """Rigorous enclosure of the tail [a_k; a_{k+1}, ...].
+    """Rigorous enclosure of the tail [a_k; a_{k+1}, ...] of an irrational source.
 
-    Periodic sources give the exact quadratic value; finite sources the exact
-    rational; truncated sources a cylinder interval built from up to depth+1
-    recorded digits (deeper enclosures nest inside shallower ones).
+    Periodic sources give the exact quadratic value; truncated sources a
+    cylinder interval built from up to depth+1 recorded digits (deeper
+    enclosures nest inside shallower ones).  A finite source is refused.
     """
     if k < 0:
         raise ValueError("tail position must be >= 0")
+    if depth < 0:
+        raise ValueError("tail depth must be >= 0, got %d" % depth)
     if cf.source == "periodic":
         return _enclose(_periodic_tail_surd(cf, k))
+    if cf.source == "finite":
+        raise ValueError("tail values are defined for irrational sources")
     if k > cf.available:
         raise IndexError("tail at %d exceeds available depth %d" % (k, len(cf.tail)))
     digits = [cf.digit(i) for i in range(k, len(cf.tail) + 1)]
-    if cf.source == "finite":
-        return _enclose(_fold_finite(digits))
     iv = _cylinder(digits[:depth + 2])
     return Enclosure(iv.lo, iv.hi)
 

@@ -1,4 +1,4 @@
-"""Primitive integral vectors, Farey geodesics and triangles, Stern-Brocot walks.
+"""Primitive integral vectors, mediants, Farey triangles, Stern-Brocot walks.
 
 A reduced fraction p/q (q >= 0, gcd = 1) doubles as the primitive integral
 vector (p, q); q = 0 encodes the point at infinity 1/0.  All tests here are
@@ -47,14 +47,6 @@ class PrimitiveVector:
     def is_infinite(self) -> bool:
         return self.q == 0
 
-    @property
-    def fraction(self) -> Fraction | None:
-        return None if self.q == 0 else Fraction(self.p, self.q)
-
-    def charge(self) -> complex:
-        """The point -p + i q in the closed upper half plane."""
-        return complex(-self.p, self.q)
-
     def _key(self):
         # order as extended rationals with infinity largest
         return (1, 0) if self.q == 0 else (0, Fraction(self.p, self.q))
@@ -78,14 +70,6 @@ def mediant(a, b) -> PrimitiveVector:
     """(p_a + p_b)/(q_a + q_b), reduced."""
     a, b = _as_vec(a), _as_vec(b)
     return PrimitiveVector.make(a.p + b.p, a.q + b.q)
-
-
-def is_farey_geodesic(a, b) -> bool:
-    """True iff the pair is unimodular: p_b q_a - q_b p_a = 1 with a < b."""
-    a, b = _as_vec(a), _as_vec(b)
-    if b < a:
-        a, b = b, a
-    return b.p * a.q - b.q * a.p == 1
 
 
 def is_farey_triangle(left, middle, right) -> tuple[bool, str | None]:
@@ -170,10 +154,3 @@ def enumerate_triangles(max_q: int):
         yield FareyTriangle(a, m, b)
         stack.append((a, m))
         stack.append((m, b))
-
-
-def translate(tri: FareyTriangle, k: int) -> FareyTriangle:
-    """Shift all vertices by the integer k (p -> p + k q)."""
-    return FareyTriangle(PrimitiveVector.make(tri.left.p + k * tri.left.q, tri.left.q),
-                         PrimitiveVector.make(tri.middle.p + k * tri.middle.q, tri.middle.q),
-                         PrimitiveVector.make(tri.right.p + k * tri.right.q, tri.right.q))

@@ -1,6 +1,6 @@
-"""Central-charge and slope arithmetic for the integral stability condition on
-a curve: Euler pairings, lattice-point counts, the well-approximation
-inequality, and selection of well-approximated even convergents.
+"""Slope arithmetic for the integral stability condition on a curve: (degree,
+rank) classes, lattice-point counts, the well-approximation inequality, and
+selection of well-approximated even convergents.
 
 All verdicts are decided with exact rationals or quadratic surds; an interval
 value for theta yields three-valued answers (True / False / None) rather than
@@ -30,10 +30,6 @@ class KClass:
         if self.deg == 0 and self.rk == 0:
             raise ValueError("the zero class has no slope")
 
-    @property
-    def charge(self) -> complex:
-        return complex(-self.deg, self.rk)
-
 
 @dataclass(frozen=True)
 class WellApproxParams:
@@ -52,25 +48,9 @@ class WellApproxParams:
             raise ValueError("genus must be >= 1")
 
 
-def slope(c: KClass) -> Fraction | float:
-    """deg/rk as an exact rational, +inf for torsion classes (rk = 0)."""
-    if c.rk == 0:
-        return math.inf
+def slope(c: KClass) -> Fraction:
+    """deg/rk as an exact rational; a torsion class (rk = 0) has none."""
     return Fraction(c.deg, c.rk)
-
-
-def euler_pairing(F: KClass, E: KClass, g: int) -> int:
-    """chi(F, E) = deg(E) rk(F) - deg(F) rk(E) + rk(F) rk(E) (1 - g)."""
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    return E.deg * F.rk - F.deg * E.rk + F.rk * E.rk * (1 - g)
-
-
-def hom_one_dim(F: KClass, E: KClass, g: int) -> int:
-    """h^1(F, E) = -chi(F, E) for stable pairs with mu(F) > mu(E) (h^0 = 0)."""
-    if not slope(F) > slope(E):
-        raise ValueError("h^1 shortcut needs mu(F) > mu(E)")
-    return -euler_pairing(F, E, g)
 
 
 def _column_bounds(a: int, b: int, d: int) -> tuple:
@@ -226,20 +206,3 @@ def select_subsequence(theta: ContinuedFraction, params: WellApproxParams,
             passes = prod < 1
         entries.append(SubsequenceEntry(i, c.p, c.q, prod, passes))
     return SubsequenceReport(L, entries)
-
-
-def min_destabilizing_gap(S: KClass) -> Fraction:
-    """Brute-force min of rk(S0) (mu(S) - mu(S0)) over 1 <= rk(S0) < rk(S),
-    mu(S0) < mu(S).  Equals 1/rk(S) for a primitive class."""
-    if S.rk < 2:
-        raise ValueError("need rk(S) >= 2")
-    mu = slope(S)
-    best = None
-    for r0 in range(1, S.rk):
-        d0 = math.floor(mu * r0)
-        if Fraction(d0, r0) == mu:
-            d0 -= 1
-        gap = r0 * (mu - Fraction(d0, r0))
-        if best is None or gap < best:
-            best = gap
-    return best

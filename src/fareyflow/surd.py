@@ -93,12 +93,10 @@ class QuadraticSurd:
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return QuadraticSurd(q.numerator, 0, self.D or 2, q.denominator)
-        return NotImplemented
+        raise TypeError("cannot combine a surd with %s" % type(other).__name__)
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
         D = self.D or o.D or 2
         return QuadraticSurd(self.a * o.c + o.a * self.c,
                              self.b * o.c + o.b * self.c, D, self.c * o.c)
@@ -109,16 +107,13 @@ class QuadraticSurd:
         return QuadraticSurd(-self.a, -self.b, self.D or 2, self.c)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return self.__add__(-o) if o is not NotImplemented else o
+        return self.__add__(-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
         D = self.D or o.D or 2
         a = self.a * o.a + self.b * o.b * D
         b = self.a * o.b + self.b * o.a
@@ -144,9 +139,6 @@ class QuadraticSurd:
 
     def __gt__(self, other):
         return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
 
     def __repr__(self):
         if self.b == 0:
@@ -187,9 +179,6 @@ class RatInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other):
         q = Fraction(other)
         return RatInterval(self.lo + q, self.hi + q)
@@ -200,10 +189,9 @@ class RatInterval:
         return self + (-Fraction(other))
 
     def scale(self, k) -> "RatInterval":
+        """The interval times a factor k >= 0."""
         k = Fraction(k)
-        if k >= 0:
-            return RatInterval(self.lo * k, self.hi * k)
-        return RatInterval(self.hi * k, self.lo * k)
+        return RatInterval(self.lo * k, self.hi * k)
 
     # three-valued strict comparisons: True/False when provable, None otherwise
     def provably_lt(self, x) -> bool | None:

@@ -71,6 +71,8 @@ CLI_EXITS = [
     (["torus-he", "--degree", "2"], 2),                     # gcd(2, 2) = 2
     (["convergents", "--depth", "-1"], 2),                  # a negative index
     (["density", "--samples", "-5"], 2),                    # a negative count
+    (["lagrange", "--tail-depth", "-3"], 2),                # a negative tail depth
+    (["sequence", "--L", "1/0"], 2),                        # a zero denominator
     ([], 1),
     (["nosuch"], 1),
     (["farey", "--triangle", "1/2,1/1"], 1),

@@ -82,12 +82,22 @@ def test_failed_run_appends_error_record(tmp_path):
 @pytest.mark.parametrize("argv, error", [
     (["convergents", "--depth", "-1"], "ValueError: convergent index n = -1 is negative"),
     (["density", "--samples", "-5"], "ValueError: samples must be >= 0, got -5"),
-], ids=["convergents", "density"])
+    (["lagrange", "--tail-depth", "-3"], "ValueError: tail depth must be >= 0, got -3"),
+], ids=["convergents", "density", "lagrange"])
 def test_negative_counts_are_refused(tmp_path, argv, error):
     j = str(tmp_path / "j.jsonl")
     assert main(["--out", j] + argv) == 2
     rec, = read_journal(j)
     assert rec["verdict"] == "error" and rec["outputs"] == {"error": error}
+
+
+@pytest.mark.parametrize("sub", ["lagrange", "stability", "sequence"])
+def test_zero_denominator_L_journals_an_error(tmp_path, sub):
+    j = str(tmp_path / "j.jsonl")
+    assert main(["--out", j, sub, "--L", "1/0"]) == 2
+    rec, = read_journal(j)
+    assert rec["verdict"] == "error"
+    assert rec["outputs"] == {"error": "ZeroDivisionError: Fraction(1, 0)"}
 
 
 def test_lagrange_without_a_term_journals_an_error(tmp_path):

@@ -11,7 +11,7 @@ from fareyflow.cli import main
 from fareyflow.contfrac import (_LANES, ContinuedFraction, DigitDensity, Enclosure,
                                 _euclid_tally, _reversed_ratio, cf_expand, convergents,
                                 gauss_digit_density, gauss_kuzmin_density,
-                                lagrange_estimate, semiconvergents, tail_value)
+                                lagrange_estimate, tail_value)
 from fareyflow.reporting import read_journal, stable_view
 from fareyflow.surd import QuadraticSurd
 
@@ -95,7 +95,7 @@ def test_surd_period_against_sympy(a, b, D, c):
 
 
 # ----------------------------------------------------------------------------
-# convergents / semiconvergents
+# convergents
 
 
 def test_convergents_fibonacci():
@@ -123,8 +123,9 @@ def test_negative_indices_are_refused():
     cf = ContinuedFraction(3, (7, 15, 1, 292))
     with pytest.raises(ValueError, match="index n = -1 is negative"):
         convergents(cf, -1)
-    with pytest.raises(ValueError, match="index i = -1 is negative"):
-        semiconvergents(cf, -1, 1)
+    # a negative depth would slice the tail's digits from the end
+    with pytest.raises(ValueError, match="tail depth must be >= 0, got -3"):
+        tail_value(cf_expand("3.14159265358979323846", 40), 1, -3)
 
 
 @settings(max_examples=200)
@@ -133,7 +134,8 @@ def test_recurrence_matches_backward_fold(a0, tail):
     cf = ContinuedFraction(a0, tuple(tail))
     digits = [a0, *tail]
     assert cf.value() == fold(digits)
-    assert convergents(cf, len(tail))[-1].fraction == fold(digits)
+    last = convergents(cf, len(tail))[-1]
+    assert Fraction(last.p, last.q) == fold(digits)
     for s in range(1, len(tail) + 2):
         # [0; a_{s-1}, ..., a_1], which is [0] = 0 at s = 1
         assert _reversed_ratio(cf, s) == fold([0, *reversed(digits[1:s])])
@@ -152,40 +154,16 @@ def test_convergent_identities_periodic(period, a0):
         det = cs[i].p * cs[i + 1].q - cs[i + 1].p * cs[i].q
         assert det == (-1) ** (i + 1)
     # even convergents increase strictly below theta, odd decrease above
-    evens = [cs[i].fraction for i in range(0, 13, 2)]
-    odds = [cs[i].fraction for i in range(1, 13, 2)]
+    evens = [Fraction(c.p, c.q) for c in cs[0::2]]
+    odds = [Fraction(c.p, c.q) for c in cs[1::2]]
     assert all(e1 < e2 for e1, e2 in zip(evens, evens[1:]))
     assert all(o1 > o2 for o1, o2 in zip(odds, odds[1:]))
     assert all(theta > e for e in evens) and all(theta < o for o in odds)
     # |theta - p_i/q_i| < 1/(q_i q_{i+1}), exactly decided
     for i in range(12):
-        diff = theta - cs[i].fraction
+        diff = theta - Fraction(cs[i].p, cs[i].q)
         diff = diff if diff.sign() > 0 else -diff
         assert diff < Fraction(1, cs[i].q * cs[i + 1].q)
-
-
-def test_semiconvergents_golden_like():
-    cf = ContinuedFraction(0, (1,) * 8)
-    assert semiconvergents(cf, 0, 1) == [Fraction(0, 1), Fraction(1, 2)]
-
-
-def test_semiconvergents_pi():
-    cf = ContinuedFraction(3, (7, 15, 1, 292))
-    assert semiconvergents(cf, 0, 2) == [Fraction(3), Fraction(25, 8), Fraction(47, 15)]
-    assert semiconvergents(cf, 0, 0) == [Fraction(3)]
-    with pytest.raises(ValueError, match="out of range"):
-        semiconvergents(cf, 0, 16)
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.lists(st.integers(1, 6), min_size=2, max_size=5), st.integers(0, 4))
-def test_semiconvergent_endpoints(period, i):
-    cf = ContinuedFraction(1, (), tuple(period))
-    cs = convergents(cf, i + 2)
-    m_max = cf.digit(i + 2)
-    ss = semiconvergents(cf, i, m_max)
-    assert ss[0] == cs[i].fraction
-    assert ss[-1] == cs[i + 2].fraction
 
 
 # ----------------------------------------------------------------------------
@@ -198,9 +176,6 @@ def test_enclosure_shift_keeps_exact_value():
     for shifted in (t + q, q + t):
         assert isinstance(shifted, Enclosure) and shifted.exact == SQRT2 + 1 + q
         assert shifted.lo < shifted.exact < shifted.hi
-    point = Enclosure(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    assert point + q == q + point == Enclosure(Fraction(13, 21), Fraction(13, 21),
-                                               Fraction(13, 21))
     bare = Enclosure(Fraction(1), Fraction(2))
     assert bare + q == q + bare == Enclosure(1 + q, 2 + q)
 
@@ -208,8 +183,8 @@ def test_enclosure_shift_keeps_exact_value():
 def test_tail_values_exact():
     assert float(tail_value(cf_expand(SQRT2, 8), 1, 10)) == pytest.approx(1 + math.sqrt(2), abs=1e-12)
     assert float(tail_value(cf_expand(GOLDEN, 8), 0, 10)) == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
-    t = tail_value(ContinuedFraction(7), 0, 5)
-    assert t.exact == Fraction(7) and t.width == 0
+    with pytest.raises(ValueError, match="irrational sources"):
+        tail_value(ContinuedFraction(7), 0, 5)
 
 
 def test_tail_enclosures_nest_and_bound():
@@ -218,7 +193,7 @@ def test_tail_enclosures_nest_and_bound():
     for depth in (2, 4, 6, 8):
         t = tail_value(cf, 1, depth)
         if prev is not None:
-            assert prev.contains_interval(t)
+            assert prev.lo <= t.lo and t.hi <= prev.hi
         prev = t
         # width <= 1/(q_depth q_{depth+1}) of the tail's own convergents
         tail_digits = [cf.digit(i) for i in range(1, 1 + depth + 2)]

@@ -51,24 +51,11 @@ PACKAGE = ROOT / "src" / "fareyflow"
 TOUR = ROOT / "tests" / "entry_tour.py"
 
 ALLOWED = {
-    # the Farey, stability and continued-fraction library surface
-    "fareyflow.farey.is_farey_geodesic": "library surface: is a pair of slopes unimodular",
-    "fareyflow.farey.translate": "library surface: integer shift of a Farey triangle",
-    "fareyflow.farey.PrimitiveVector.charge": "library surface: the charge -p + i q",
-    "fareyflow.farey.PrimitiveVector.fraction": "library surface: the slope as a Fraction",
-    "fareyflow.stability.euler_pairing": "library surface: the Euler form chi(F, E)",
-    "fareyflow.stability.hom_one_dim": "library surface: h^1(F, E) of a stable pair",
-    "fareyflow.stability.min_destabilizing_gap": "library surface: brute-force slope gap",
-    "fareyflow.stability.KClass.charge": "library surface: the charge -deg + i rk",
-    "fareyflow.surd.RatInterval.contains_interval": "library surface: interval inclusion",
-    "fareyflow.surd.QuadraticSurd.__ge__": "library surface: the exact order >= beside < and >",
-    "fareyflow.contfrac.semiconvergents": "library surface: the intermediate fractions",
-    "fareyflow.contfrac.Convergent.fraction": "library surface: p/q as a Fraction",
     # documented or test-facing helpers
     "fareyflow.torus_he.fields.load_grid_csv": "the reader of --dump-grid files that README documents",
-    "fareyflow.coulomb.div_residuals": "library surface: the two residuals of a field, which "
-                                       "coulomb_fix forms from the d*A it solves; the "
-                                       "benchmark's tracer wraps it by name",
+    "fareyflow.coulomb.div_residuals": "the benchmark's tracer (perfbench/tracer.py) looks it "
+                                       "up by name, so `--trace 1` needs it; it goes when the "
+                                       "tracer wraps _residual_norms (ROADMAP item 1)",
     # branches and guards the tour does not take
     "fareyflow.fiber.comm": "the general-metric branch of MetricField.chern_dz; "
                             "the identity-path test compares against it",
@@ -83,34 +70,26 @@ ALLOWED = {
     "fareyflow.stability.SubsequenceReport.passing": "criterion 5",
 }
 
-_FOREIGN = "library surface: an operand of a foreign type goes back to Python's operators"
 _GENERAL = ("general-metric path: only tests pass a metric other than identity_metric, "
             "and the identity-path tests compare against it")
 
 ALLOWED_STATEMENTS = {
-    # the continued-fraction and surd library surface
-    ("fareyflow.contfrac._enclose", "value = Fraction(value)"):
-        "library surface: tail_value of a finite source",
+    # inputs that only tests give the exact-arithmetic layer
     ("fareyflow.contfrac.cf_expand", "eps = Fraction(4 * math.ulp(abs(x) or 1.0))"):
-        "library surface: a float theta (the tests expand math.pi); the CLI reads decimals",
-    ("fareyflow.contfrac.tail_value", "return _enclose(_fold_finite(digits))"):
-        "library surface: lagrange_estimate refuses finite sources",
-    ("fareyflow.surd.QuadraticSurd._coerce", "return NotImplemented"): _FOREIGN,
-    ("fareyflow.surd.QuadraticSurd.__add__", "return o"): _FOREIGN,
-    ("fareyflow.surd.QuadraticSurd.__mul__", "return o"): _FOREIGN,
-    ("fareyflow.surd.QuadraticSurd.__eq__", "return NotImplemented"): _FOREIGN,
+        "a float theta: six tests expand math.pi and other floats; the CLI reads decimals",
+    ("fareyflow.surd.QuadraticSurd.__eq__", "return NotImplemented"):
+        "a foreign operand compares unequal instead of raising: dataclass equality of "
+        "two Enclosures compares an `exact` surd with None",
     ("fareyflow.surd.QuadraticSurd.__repr__",
      'return "QuadraticSurd(%d/%d)" % (self.a, self.c)'):
-        "library surface: the repr of a rational surd",
+        "the repr of a rational surd, which can be built (surd:1,1,4,2 folds a square D); "
+        "the irrational format would print sqrt(0)",
     ("fareyflow.surd.QuadraticSurd.enclosure", "v = Fraction(self.a, self.c)"):
-        "library surface: the point enclosure of a rational surd",
-    ("fareyflow.surd.RatInterval.scale", "return RatInterval(self.hi * k, self.lo * k)"):
-        "library surface: a negative factor; select_subsequence scales by L q^2 > 0",
-    # the Farey and stability library surface
+        "the point enclosure of a rational surd: floor() of a surd with b = 0 reads it "
+        "(test_floor_matches_interval draws b = 0); cf_expand expands a rational surd "
+        "as its Fraction",
     ("fareyflow.farey.stern_brocot_path", "p, q = r"):
-        "library surface: a (p, q) target, which must be reduced",
-    ("fareyflow.stability.slope", "return math.inf"):
-        "library surface: the slope of a torsion class (rk = 0)",
+        "a (p, q) target is refused when unreduced, which _as_vec would reduce silently",
     # general-metric paths and test-only inputs
     ("fareyflow.torus_he.fields.MetricField.dual",
      "return np.matmul(dagger(cols), self.data)"): _GENERAL,

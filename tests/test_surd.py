@@ -1,4 +1,5 @@
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -39,6 +40,13 @@ def test_comparisons_exact():
     assert r2 == QuadraticSurd(0, 2, 2, 2)
     with pytest.raises(ValueError):
         _ = r2 < QuadraticSurd(0, 1, 3, 1)   # different fields
+    # a surd combines with ints, Fractions and surds only, in either order
+    for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.gt):
+        for foreign in (1.5, "1"):
+            with pytest.raises(TypeError):
+                op(r2, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, r2)
 
 
 def _sign_oracle(a: int, b: int, D: int) -> int:
@@ -73,7 +81,7 @@ def test_enclosure_contains_value():
     s = QuadraticSurd(-3, 2, 7, 5)
     iv = s.enclosure(80)
     assert iv.hi - iv.lo <= Fraction(1, 2 ** 78)
-    assert iv.lo <= s < iv.hi             # exact containment
+    assert not s < iv.lo and s < iv.hi    # exact containment
 
 
 @settings(max_examples=400)
@@ -85,7 +93,7 @@ def test_floor_matches_interval(signs, a, b, D, offset, near, c, a2, c2):
         a = math.isqrt(b * b * D) + offset      # lies within a few 1/c of one
     s = QuadraticSurd(signs[0] * a, signs[1] * b, D, c)
     n = s.floor()
-    assert n <= s < n + 1
+    assert not s < n and s < n + 1
     t = QuadraticSurd(a2, 1, D, c2)
     # field arithmetic against rational interval arithmetic: both enclosures
     # lie within 2**-96 of their values, so the slack holds at any magnitude
@@ -115,3 +123,5 @@ def test_interval_ops():
     assert a.provably_lt(1) is True
     assert a.provably_lt(Fraction(2, 5)) is None
     assert b.provably_gt(5) is False
+    with pytest.raises(ValueError, match="out of order"):
+        a.scale(-1)                       # the factor must be >= 0
