@@ -39,7 +39,7 @@ print("  sup/mean of |beta|^2 = %.5f; minimum %.2e at node (%d, %d) "
 # restricted metric on the line subbundle: conformal determinant normalization
 h_s = np.einsum("xya,xya->xy", sec.data.conj(), sec.data).real
 from fareyflow.torus_he import ConnectionField, MetricField, TwistData, identity_metric
-tw1 = TwistData.clock_shift(1, 0)
+tw1 = TwistData(1, 0)
 Hs = MetricField(grid, tw1, h_s[..., None, None].astype(complex))
 zero = np.zeros((grid.N, grid.N), complex)
 res = conformal_normalize(Hs, identity_metric(grid, tw1), 0,

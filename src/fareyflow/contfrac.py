@@ -138,7 +138,10 @@ def cf_expand(x, max_depth: int) -> ContinuedFraction:
     detected exactly by repetition of the Gauss-map state.  Floats and decimal
     strings are treated as intervals; digits stop (with the `exhausted` flag)
     as soon as the next digit is ambiguous within the input's precision: 4
-    ulp around a float, half a unit of the last decimal place of a string.
+    ulp around a float, half a unit of the last decimal place of a string,
+    its exponent counted ("0.314159e1" ends in the fifth place).  A string
+    whose last digit is in the units place or above ("3", "3.", "3e2") and a
+    fraction ("1/3") are exact.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -154,10 +157,11 @@ def cf_expand(x, max_depth: int) -> ContinuedFraction:
         return _expand_interval(v - eps, v + eps, max_depth)
     if isinstance(x, str):
         v = Fraction(x)
-        places = len(x.split(".")[1]) if "." in x else 0
-        radius = Fraction(1, 2 * 10 ** places) if places else Fraction(0)
-        if radius == 0:
+        mantissa, _, exponent = x.lower().partition("e")
+        places = len(mantissa.partition(".")[2]) - int(exponent or 0)
+        if places <= 0:
             return _expand_fraction(v)
+        radius = Fraction(1, 2 * 10 ** places)
         return _expand_interval(v - radius, v + radius, max_depth)
     raise TypeError("cannot expand %r" % (x,))
 

@@ -202,9 +202,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
     descent property; positivity is exact.  The step starts at STEP_INIT,
     halves whenever the functional would rise by more than DESCENT_SLACK
     relative (a smaller rise is accepted) or positivity is lost to roundoff,
-    and grows gently up to STEP_MAX after accepted steps.  The filter needs
-    the clock/shift clutching of `TwistData.clock_shift`; other clutching
-    raises `WeylTransform`'s ValueError.
+    and grows gently up to STEP_MAX after accepted steps.
 
     K0's `curvature_defect` is formed once per flow, on a second
     MetricField over K0's data, so K0 caches only the square-root pair that
@@ -217,7 +215,6 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
     """
     grid, twist = K0.grid, K0.twist
     wt = WeylTransform(twist, grid)
-    K0.require_positive()
     source = curvature_defect(MetricField(grid, twist, K0.data), conn, mu)
     symbol = 1.0 / (1.0 + abs(_einstein_constant(mu))
                     - 0.5 * grid.laplace_symbol(*wt.freqs))

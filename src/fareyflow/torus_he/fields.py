@@ -82,15 +82,6 @@ class MetricField(EndoField):
         """Exactly I at every node; set only by `identity_metric`."""
         return self._identity
 
-    def min_eigenvalue(self) -> float:
-        return float(fiber.eigvalsh(self.data).min())
-
-    def require_positive(self):
-        m = self.min_eigenvalue()
-        if m <= 0:
-            raise ValueError("metric field is not positive (min eigenvalue %.3e)" % m)
-        return self
-
     def inv(self) -> np.ndarray:
         """H^-1 per node."""
         if self._inv is None:

@@ -32,13 +32,10 @@ class ModelBundle(NamedTuple):
 
 def build_model_bundle(r: int, d: int, grid: TorusGrid) -> ModelBundle:
     """Clutching data, constant-curvature connection, and reference metric."""
-    if r < 1:
-        raise ValueError("rank must be >= 1")
     if math.gcd(r, d) != 1:
         raise ValueError("need gcd(rank, degree) = 1 for an irreducible "
                          "constant-curvature model, got (%d, %d)" % (r, d))
-    twist = TwistData.clock_shift(r, d)
-    twist.check()
+    twist = TwistData(r, d)
     c = d / r
     conn = ConnectionField(grid, twist, 2j * np.pi * c * grid.Y,
                            2j * np.pi * c * grid.tau.real * grid.Y)

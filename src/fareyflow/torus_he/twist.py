@@ -15,13 +15,11 @@ centered differences see globally smooth data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-
-CLUTCH_TOL = 1e-12   # unitarity and commutation residual `TwistData.check` accepts
 
 
 def clock_matrix(r: int) -> np.ndarray:
@@ -38,40 +36,28 @@ def shift_matrix(r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwistData:
-    """Constant clutching unitaries for a rank-r, degree-d bundle."""
+    """Clock/shift clutching of the rank-r, degree-d bundle."""
 
     rank: int
     degree: int
-    U: np.ndarray = field(repr=False)
-    V: np.ndarray = field(repr=False)
 
-    @classmethod
-    def clock_shift(cls, rank: int, degree: int) -> "TwistData":
-        if rank < 1:
+    def __post_init__(self):
+        if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        U = clock_matrix(rank)
-        V = np.linalg.matrix_power(shift_matrix(rank).conj().T, degree % rank) \
-            if degree % rank else np.eye(rank, dtype=complex)
-        return cls(rank, degree, U, V)
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        return clock_matrix(self.rank)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        r, d = self.rank, self.degree
+        return np.linalg.matrix_power(shift_matrix(r).conj().T, d % r) \
+            if d % r else np.eye(r, dtype=complex)
 
     @property
     def mu(self) -> Fraction:
         return Fraction(self.degree, self.rank)
-
-    @property
-    def commutator_phase(self) -> complex:
-        return np.exp(2j * np.pi * self.degree / self.rank)
-
-    def check(self) -> float:
-        """Max residual of unitarity and the commutation relation; above
-        CLUTCH_TOL it raises."""
-        eye = np.eye(self.rank)
-        r = max(np.abs(self.U @ self.U.conj().T - eye).max(),
-                np.abs(self.V @ self.V.conj().T - eye).max(),
-                np.abs(self.V @ self.U - self.commutator_phase * self.U @ self.V).max())
-        if r > CLUTCH_TOL:
-            raise ValueError("clutching data inconsistent (residual %.2e)" % r)
-        return float(r)
 
     def section_phase(self, grid) -> np.ndarray:
         """Scalar automorphy phase multiplying V at the y-seam.
@@ -87,8 +73,8 @@ class TwistData:
     @cached_property
     def gathers(self) -> dict:
         """(perm, phase) of U, U^dag, V, V^dag keyed by (axis, upward): the
-        matrix a value crosses a seam with.  Clutching must be monomial, so
-        M B M^dag is a gather times phases; else ValueError."""
+        matrix a value crosses a seam with.  Both are monomial, so M B M^dag
+        is a gather times phases."""
         return {(axis, up): _monomial(M if up else M.conj().T)
                 for axis, M in ((0, self.U), (1, self.V)) for up in (True, False)}
 
@@ -99,11 +85,8 @@ class TwistData:
 
 
 def _monomial(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) with M[a, perm[a]] = phase[a] and every other entry 0."""
+    """(perm, phase) of a monomial M: M[a, perm[a]] = phase[a]."""
     perm = np.abs(M).argmax(axis=1)
-    mass = float(np.abs(M[perm[:, None] != np.arange(len(M))]).sum())
-    if mass > 0:
-        raise ValueError("clutching matrix is not monomial (off-pattern mass %.3e)" % mass)
     return perm, M[np.arange(len(M)), perm]
 
 
@@ -149,7 +132,7 @@ def d4(F: np.ndarray, axis: int, h: float, seam) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Weyl components: for clock/shift twists every endomorphism field expands as
+# Weyl components: every endomorphism field expands as
 # sum_{j,k} sigma_jk(x, y) C^j S^k where the scalar components obey Bloch
 # conditions sigma(x+1, y) = zeta^k sigma, sigma(x, y+1) = zeta^(j d) sigma.
 # Removing the Bloch phase makes them plainly periodic, which gives exact
@@ -159,8 +142,6 @@ def d4(F: np.ndarray, axis: int, h: float, seam) -> np.ndarray:
 class WeylTransform:
     def __init__(self, twist: TwistData, grid):
         r = twist.rank
-        if not np.allclose(twist.U, clock_matrix(r)):
-            raise ValueError("Weyl components need the clock/shift realization")
         C, S = clock_matrix(r), shift_matrix(r)
         basis = np.empty((r, r, r, r), complex)
         for j in range(r):

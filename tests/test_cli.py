@@ -139,6 +139,16 @@ def test_rational_surd_theta_matches_rational(tmp_path):
     assert surd["outputs"]["digits"] == rational["outputs"]["digits"] == [1, 2]
 
 
+def test_decimal_exponent_theta_matches_plain(tmp_path):
+    # the exponent counts toward the last digit place, so both spellings fix
+    # the value to the same +-5e-6 and journal the same digits
+    j = str(tmp_path / "j.jsonl")
+    for theta in ("decimal:0.314159e1@12", "decimal:3.14159@12"):
+        assert main(["--out", j, "convergents", "--theta", theta]) == 0
+    scaled, plain = read_journal(j)
+    assert scaled["outputs"]["digits"] == plain["outputs"]["digits"] == [3, 7]
+
+
 def test_lagrange_record_contents(tmp_path):
     j = str(tmp_path / "j.jsonl")
     assert main(["--out", j, "lagrange", "--theta", "periodic:1|1",

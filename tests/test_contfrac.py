@@ -72,6 +72,13 @@ def test_expand_decimal_string():
     cf = cf_expand("3.14159", 20)
     assert cf.digits(1) == [3, 7]
     assert cf.source == "real-truncated"
+    # the exponent counts toward the last digit place: every spelling of the
+    # literal has the same radius 5e-6, hence the same digits and bound
+    for spelling in ("3.14159e0", "0.314159e1", "314159e-5", "31415.9E-4"):
+        other = cf_expand(spelling, 20)
+        assert (other.a0, other.tail, other.error_bound, other.source) == \
+            (cf.a0, cf.tail, cf.error_bound, cf.source)
+    assert cf_expand("3e2", 20).source == cf_expand("3.", 20).source == "finite"
 
 
 @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))

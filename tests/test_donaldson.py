@@ -8,11 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import roll_reference as ref
 from fareyflow import fiber
-from fareyflow.torus_he import (ConnectionField, EndoField, FlowResult,
-                                MetricField, TorusGrid, TwistData,
+from fareyflow.torus_he import (EndoField, FlowResult, MetricField, TorusGrid,
                                 build_model_bundle, curvature_defect,
                                 donaldson_flow, donaldson_functional, he_residual,
-                                i_lambda_F_metric, identity_metric, metric_log,
+                                i_lambda_F_metric, metric_log,
                                 phi_multiplier, random_twisted_hermitian)
 from fareyflow.torus_he.donaldson import _pairing
 
@@ -231,6 +230,18 @@ def test_flow_fixed_point(setup):
     grid, tw, conn, H0 = setup
     fr = donaldson_flow(H0, Fraction(1, 2), conn, tol=1e-6, max_iter=50)
     assert fr.iterations == 0 and fr.converged
+    # a K0 that is not positive definite is refused at the first read of its
+    # square root, with the measured minimum eigenvalue
+    g = TorusGrid(1j, 16)
+    for r in (1, 2, 3):
+        tw_r, conn_r, _ = build_model_bundle(r, 1, g)
+        lam = np.ones(r)
+        lam[0] = -1.0
+        K0 = MetricField(g, tw_r, np.broadcast_to(np.diag(lam).astype(complex),
+                                                  (16, 16, r, r)).copy())
+        with pytest.raises(ValueError, match=r"not positive definite "
+                                             r"\(min eigenvalue -1\.000e\+00\)"):
+            donaldson_flow(K0, Fraction(1, r), conn_r, tol=1e-6, max_iter=5)
 
 
 def test_flow_rank1_matches_poisson():
@@ -301,18 +312,6 @@ def test_flow_result_uphill_counts():
     down = FlowResult(None, [1.0] * 3, [0.0, -1.0, -2.0], [0.1] * 2, 2, True)
     assert down.uphill_steps() == 0 and down.uphill_rise() == 0.0
     assert down.monotone_defect() == 0.0
-
-
-def test_flow_requires_clock_shift_clutching():
-    """The flow's one scheme is Weyl-preconditioned; other clutching raises
-    instead of running another scheme."""
-    grid = TorusGrid(1j, 16)
-    eye = np.eye(2, dtype=complex)
-    tw = TwistData(2, 0, eye, eye)
-    zero = np.zeros((grid.N, grid.N), complex)
-    with pytest.raises(ValueError, match="clock/shift"):
-        donaldson_flow(identity_metric(grid, tw), 0, ConnectionField(grid, tw, zero, zero),
-                       tol=1e-6, max_iter=2000)
 
 
 def test_flow_options_are_keyword_only(setup):

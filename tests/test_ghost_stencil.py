@@ -47,7 +47,7 @@ def test_ghost_layers_match_roll_reference(rank):
     for N in (16, 64):
         g = TorusGrid(0.3 + 1.1j, N)
         for degree in DEGREES:
-            tw = TwistData.clock_shift(rank, degree)
+            tw = TwistData(rank, degree)
             F = _random(rng, (N, N, rank, rank))
             seam = endo_seam(tw)
             for axis in (0, 1):
@@ -67,7 +67,7 @@ def test_connection_seam_matches_roll_reference(rank):
     for N in (16, 64):
         g = TorusGrid(0.3 + 1.1j, N)
         for degree in DEGREES:
-            tw = TwistData.clock_shift(rank, degree)
+            tw = TwistData(rank, degree)
             a = _random(rng, (N, N))
             A = a[..., None, None] * eye
             for jump in (2j * np.pi * degree / rank, SEAM_CONST):
@@ -88,7 +88,7 @@ def test_seam_probes_match_roll_reference(rank):
     rng = np.random.default_rng(200 + rank)
     N = 16
     for degree in DEGREES:
-        tw = TwistData.clock_shift(rank, degree)
+        tw = TwistData(rank, degree)
         F = _random(rng, (N, N, rank, rank))
         seam = endo_seam(tw)
         jump = max(float(np.abs(stencil(F, axis, ref.PROBE, seam) - F).max())

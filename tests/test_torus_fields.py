@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,30 @@ import roll_reference as ref
 from fareyflow.torus_he import (ConnectionField, MetricField, TorusGrid,
                                 TwistData, WeylTransform, build_model_bundle,
                                 dump_grid_csv, load_grid_csv, theta_section)
-from fareyflow.torus_he.twist import clock_matrix, d4, endo_seam, shift_matrix
+from fareyflow.torus_he.twist import d4, endo_seam
 
 
 def test_twist_commutation():
-    for r, d in [(1, 0), (2, 1), (3, 2), (5, 3), (8, -3)]:
-        tw = TwistData.clock_shift(r, d)
-        assert tw.check() < 1e-12
-        phase = np.exp(2j * np.pi * d / r)
-        assert np.abs(tw.V @ tw.U - phase * tw.U @ tw.V).max() < 1e-12
+    for r in range(1, 9):
+        eye = np.eye(r)
+        for d in range(-8, 9):
+            tw = TwistData(r, d)
+            for M in (tw.U, tw.V):
+                assert np.abs(M @ M.conj().T - eye).max() < 1e-12
+                assert np.all(np.count_nonzero(M, axis=0) == 1)
+                assert np.all(np.count_nonzero(M, axis=1) == 1)
+            phase = np.exp(2j * np.pi * d / r)
+            assert np.abs(tw.V @ tw.U - phase * tw.U @ tw.V).max() < 1e-12
+            for (axis, up), (perm, ph) in tw.gathers.items():
+                M = (tw.U, tw.V)[axis]
+                M = M if up else M.conj().T
+                assert M[np.arange(r), perm].tobytes() == ph.tobytes()
+
+
+def test_twist_equality_and_hash():
+    assert TwistData(2, 1) == TwistData(2, 1)
+    assert hash(TwistData(2, 1)) == hash(TwistData(2, 1))
+    assert TwistData(2, 1) != TwistData(2, 3)
 
 
 def test_grid_validation():
@@ -59,7 +76,7 @@ def _random_twisted(grid, twist, seed, modes=2):
 
 
 def test_twisted_fd4_derivative_and_spectral_oracle():
-    tw = TwistData.clock_shift(3, 2)
+    tw = TwistData(3, 2)
     seam = endo_seam(tw)
     errs = {0: [], 1: []}
     for N in (32, 64):
@@ -72,22 +89,17 @@ def test_twisted_fd4_derivative_and_spectral_oracle():
     for axis in (0, 1):
         order = np.log2(errs[axis][0] / errs[axis][1])
         assert 3.5 < order < 4.5
-    # clutching that is not monomial is rejected with its measured off-pattern mass
-    cs, sn = np.cos(0.3), np.sin(0.3)
-    rot = np.array([[cs, -sn, 0], [sn, cs, 0], [0, 0, 1]], complex)
-    bad = TwistData(3, 0, rot, np.eye(3, dtype=complex))
-    with pytest.raises(ValueError, match=r"off-pattern mass %.3e" % (2 * sn)):
-        d4(F, 0, g.h, endo_seam(bad))
 
 
 def test_seam_roundtrip_and_jump():
-    tw = TwistData.clock_shift(2, 1)
+    tw = TwistData(2, 1)
     g = TorusGrid(1j, 64)
     F, _, _ = _random_twisted(g, tw, seed=1, modes=1)
     assert ref.endo_seam_roundtrip(F, tw) < 1e-13
     assert ref.endo_seam_jump(F, tw) < 1e-4      # O(h^6) interpolation floor for mode-1 data
     # corrupted clutching: the jump probe must blow up to O(1)
-    bad = TwistData(2, 1, np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+    eye = np.eye(2, dtype=complex)
+    bad = SimpleNamespace(rank=2, degree=1, U=eye, V=eye)
     assert ref.endo_seam_jump(F, bad) > 1e-2
 
 
@@ -113,20 +125,20 @@ def test_connection_rejects_matrix_components():
 
 def test_metric_validation():
     g = TorusGrid(1j, 32)
-    tw = TwistData.clock_shift(2, 1)
+    tw = TwistData(2, 1)
     bad = np.zeros((32, 32, 2, 2), complex)
     bad[..., 0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
         MetricField(g, tw, bad)
     npd = np.broadcast_to(np.diag([1.0, -1.0]).astype(complex), (32, 32, 2, 2)).copy()
     with pytest.raises(ValueError, match="positive"):
-        MetricField(g, tw, npd).require_positive()
+        MetricField(g, tw, npd).sqrt_pair()
 
 
 def test_rho_le_frobenius_random():
     from fareyflow.torus_he.fields import rho_norm_field
     g = TorusGrid(1j, 32)
-    tw = TwistData.clock_shift(2, 1)
+    tw = TwistData(2, 1)
     rng = np.random.default_rng(3)
     H = MetricField(g, tw, np.broadcast_to(np.eye(2, dtype=complex), (32, 32, 2, 2)).copy()
                     + 0.0)

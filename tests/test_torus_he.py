@@ -101,7 +101,7 @@ def test_identity_metric_carries_exact_factors():
     # I, its factors and gamma = 0 are read-only broadcasts of one r x r
     # block: building them allocates O(r^2), not a (128, 128, 8, 8) field
     # (about 50 MB once copied and scanned for Hermiticity)
-    g, tw = TorusGrid(1j, 128), TwistData.clock_shift(8, 3)
+    g, tw = TorusGrid(1j, 128), TwistData(8, 3)
     tracemalloc.start()
     try:
         H = identity_metric(g, tw)
@@ -122,7 +122,7 @@ def test_identity_metric_carries_exact_factors():
 
 
 def test_hermiticity_check_reads_every_distinct_value():
-    g, tw = TorusGrid(1j, 16), TwistData.clock_shift(3, 1)
+    g, tw = TorusGrid(1j, 16), TwistData(3, 1)
     shape = (16, 16, 3, 3)
     # a broadcast block is checked once, and still refused with its defect
     block = np.eye(3, dtype=complex)
@@ -341,16 +341,15 @@ def test_sff_full_inclusion_vanishes(model21):
 
 
 def test_sff_parallel_summand_vanishes():
-    # constant orthogonal summand of the flat trivial rank-2 bundle
+    # constant orthogonal summand of the flat degree-0 rank-2 bundle: the
+    # clock fixes e0 and the shift^0 is I, so e0 is a global parallel section
     g = TorusGrid(1j, 32)
-    eye = np.eye(2, dtype=complex)
-    tw = TwistData(2, 0, eye, eye)
+    tw = TwistData(2, 0)
     H0 = identity_metric(g, tw)
     zero = np.zeros((g.N, g.N), complex)
     conn = ConnectionField(g, tw, zero, zero)
     col = np.zeros((g.N, g.N, 2), complex)
-    col[..., 0] = 1 / math.sqrt(2)
-    col[..., 1] = 1 / math.sqrt(2)
+    col[..., 0] = 1
     sff = second_fundamental_form(SectionField(g, tw, col), H0, conn)
     assert np.abs(sff.norm_sq).max() < 1e-24
 
@@ -489,7 +488,7 @@ def test_conformal_matches_logdet_route(model21):
     g, tw, conn, H0 = model21
     sec = theta_section(tw, g, (0, 0))
     h_s = np.einsum("xya,xya->xy", sec.data.conj(), sec.data).real
-    tw1 = TwistData.clock_shift(1, 0)
+    tw1 = TwistData(1, 0)
     Hs = MetricField(g, tw1, h_s[..., None, None].astype(complex))
     H0s = identity_metric(g, tw1)
     zero = np.zeros((g.N, g.N), complex)
