@@ -85,11 +85,10 @@ def _parse_tau(text: str) -> complex:
 
 
 def _run_lagrange(p):
-    cf = parse_theta(p["theta"], depth=2 * int(p["depth"]) + int(p["tail_depth"]) + 4)
+    cf = parse_theta(p["theta"], depth=2 * p["depth"] + p["tail_depth"] + 4)
     L = Fraction(p["L"]) if p["L"] not in (None, "") else None
-    est = lagrange_estimate(cf, p["parity"], int(p["depth"]), int(p["tail_depth"]),
-                            check_L=L)
-    n_digits = min(2 * int(p["depth"]) + 2, cf.available)
+    est = lagrange_estimate(cf, p["parity"], p["depth"], p["tail_depth"], check_L=L)
+    n_digits = min(2 * p["depth"] + 2, cf.available)
     cs = convergents(cf, n_digits)
     out = {
         "digits": cf.digits(min(n_digits, 40)),
@@ -102,14 +101,15 @@ def _run_lagrange(p):
         out["lagrange"]["exact"] = repr(est.estimate.exact)
     if L is not None:
         out["lagrange"]["definition_pass_indices"] = est.definition_indices
+        out["lagrange"]["definition_undecided_indices"] = est.definition_undecided
     verdict = "pass" if (est.depth > 0 and not est.truncated) else "fail"
     return out, {"enclosure_width": float(est.estimate.width)}, verdict, \
         "limsup of forward-tail plus reversed-tail sums over one parity class"
 
 
 def _run_convergents(p):
-    cf = parse_theta(p["theta"], depth=int(p["depth"]) + 2)
-    n = min(int(p["depth"]), cf.available)
+    cf = parse_theta(p["theta"], depth=p["depth"] + 2)
+    n = min(p["depth"], cf.available)
     cs = convergents(cf, n)
     dets = [cs[i].p * cs[i + 1].q - cs[i + 1].p * cs[i].q for i in range(len(cs) - 1)]
     ok = all(d == (-1) ** (i + 1) for i, d in enumerate(dets))
@@ -136,7 +136,7 @@ def _run_stability(p):
     cf = parse_theta(p["theta"])
     S = stability.KClass(*_parse_pair(p["S"]))
     S0 = stability.KClass(*_parse_pair(p["S0"]))
-    params = stability.WellApproxParams(Fraction(p["L"]), cf.value(), int(p["genus"]))
+    params = stability.WellApproxParams(Fraction(p["L"]), cf.value(), p["genus"])
     v = stability.well_approx_check(S, S0, params)
     out = {"S": [S.deg, S.rk], "S0": [S0.deg, S0.rk], "L": str(params.L),
            "passes": v.passes, "lhs": float(v.lhs), "rhs": float(v.rhs),
@@ -147,7 +147,7 @@ def _run_stability(p):
 
 
 def _run_sequence(p):
-    count = int(p["count"])
+    count = p["count"]
     cf = parse_theta(p["theta"], depth=2 * count + 40)
     rep = stability.select_subsequence(cf, stability.WellApproxParams(Fraction(p["L"])),
                                        count)
@@ -162,8 +162,8 @@ def _run_sequence(p):
 
 def _torus_setup(p):
     from .torus_he import TorusGrid, build_model_bundle
-    grid = TorusGrid(_parse_tau(p["tau"]), int(p["N"]))
-    bundle = build_model_bundle(int(p["rank"]), int(p["degree"]), grid)
+    grid = TorusGrid(_parse_tau(p["tau"]), p["N"])
+    bundle = build_model_bundle(p["rank"], p["degree"], grid)
     return grid, bundle
 
 
@@ -177,7 +177,7 @@ def _run_torus_he(p):
     t2 = time.perf_counter()
     out = {"rank": twist.rank, "degree": twist.degree, "N": grid.N,
            "einstein_factor": _einstein_constant(twist.mu)}
-    verdict = "pass" if res < float(p["tol"]) else "fail"
+    verdict = "pass" if res < p["tol"] else "fail"
     extra = {"timings": {"setup_s": round(t1 - t0, 4), "residual_s": round(t2 - t1, 4)}}
     return out, {"he_residual": res}, verdict, \
         "i Lambda F equals 2 pi deg/rk times the identity for the model metric", extra
@@ -198,7 +198,7 @@ def _run_chern_weil(p):
         dump_grid_csv(p["dump_grid"], sff.beta, grid, twist)
     out = {"rank": twist.rank, "degree": twist.degree, "N": grid.N,
            "lhs": lhs, "rhs": rhs, "sup_over_mean": probe.ratio}
-    verdict = "pass" if rel < float(p["tol"]) else "fail"
+    verdict = "pass" if rel < p["tol"] else "fail"
     extra = {"timings": {"setup_s": round(t1 - t0, 4), "sff_s": round(t2 - t1, 4)}}
     return out, {"relative_error": rel,
                  "section_automorphy": sec.automorphy_residual}, verdict, \
@@ -210,15 +210,13 @@ def _run_donaldson(p):
     from .torus_he import MetricField, donaldson_flow, random_twisted_hermitian
     t0 = time.perf_counter()
     grid, (twist, conn, H0) = _torus_setup(p)
-    s = random_twisted_hermitian(grid, twist, int(p["seed"]),
-                                 amplitude=float(p["amplitude"]))
+    s = random_twisted_hermitian(grid, twist, p["seed"], amplitude=p["amplitude"])
     K = MetricField(grid, twist, fiber.herm_apply(fiber.exp(1.0), s.data))
     t1 = time.perf_counter()
-    fr = donaldson_flow(K, twist.mu, conn, tol=float(p["tol"]),
-                        max_iter=int(p["max_iter"]))
+    fr = donaldson_flow(K, twist.mu, conn, tol=p["tol"], max_iter=p["max_iter"])
     t2 = time.perf_counter()
     out = {"rank": twist.rank, "degree": twist.degree, "N": grid.N,
-           "seed": int(p["seed"]), "iterations": fr.iterations,
+           "seed": p["seed"], "iterations": fr.iterations,
            "converged": fr.converged,
            "functional_start": fr.functional[1] if len(fr.functional) > 1 else 0.0,
            "functional_end": fr.functional[-1]}
@@ -235,20 +233,19 @@ def _run_donaldson(p):
 def _run_coulomb(p):
     import numpy as np
     import scipy.fft    # loaded before the timed fixes: each fix_s times only its fix
-    grid = coulomb.SquareGrid(int(p["N"]))
+    grid = coulomb.SquareGrid(p["N"])
     rows, ratios, histories, fix_s = [], [], [], []
     ok = True
-    for k in range(int(p["samples"])):
-        seed = int(p["seed"]) + k
-        A = coulomb.random_gauge_field(grid, int(p["rank"]), seed,
-                                       curvature_target=float(p["curvature"]))
+    for k in range(p["samples"]):
+        seed = p["seed"] + k
+        A = coulomb.random_gauge_field(grid, p["rank"], seed,
+                                       curvature_target=p["curvature"])
         t0 = time.perf_counter()
         try:
-            _, _, rep = coulomb.coulomb_fix(A, tol=float(p["tol"]),
-                                            eps0=float(p["eps0"]))
+            _, _, rep = coulomb.coulomb_fix(A, tol=p["tol"], eps0=p["eps0"])
         except (RuntimeError, ValueError) as exc:
             rep = None
-            rows.append({"seed": seed, "rank": int(p["rank"]), "error": str(exc)})
+            rows.append({"seed": seed, "rank": p["rank"], "error": str(exc)})
             ok = False
         fix_s.append(round(time.perf_counter() - t0, 4))
         if rep is None:
@@ -256,15 +253,15 @@ def _run_coulomb(p):
             continue
         histories.append(rep.history)
         if p.get("dump_trajectory"):
-            rep.dump_trajectory_csv(p["dump_trajectory"], seed=seed, rank=int(p["rank"]))
-        rows.append({"seed": seed, "rank": int(p["rank"]),
+            rep.dump_trajectory_csv(p["dump_trajectory"], seed=seed, rank=p["rank"])
+        rows.append({"seed": seed, "rank": p["rank"],
                      "eps": rep.curvature_l2, "iterations": rep.iterations,
                      "d_star_residual": rep.div_residual,
                      "boundary_residual": rep.boundary_residual,
                      "ratio": rep.ratio})
         ratios.append(rep.ratio)
     spread = float(np.max(ratios) / np.median(ratios)) if ratios else float("inf")
-    out = {"N": grid.N, "rank": int(p["rank"]), "samples": rows,
+    out = {"N": grid.N, "rank": p["rank"], "samples": rows,
            "ratio_max_over_median": spread}
     verdict = "pass" if ok and spread < 5 else "fail"
     extra = {"trace": {"history": histories}, "timings": {"fix_s": fix_s}}
@@ -275,9 +272,8 @@ def _run_coulomb(p):
 
 def _run_density(p):
     t0 = time.perf_counter()
-    d = contfrac.gauss_digit_density(int(p["samples"]), int(p["depth"]),
-                                     int(p["digit"]), p["parity"], int(p["seed"]),
-                                     burn_in=int(p["burn_in"]))
+    d = contfrac.gauss_digit_density(p["samples"], p["depth"], p["digit"], p["parity"],
+                                     p["seed"], burn_in=p["burn_in"])
     extra = {"trace": {"euclid_steps": d.euclid_steps,
                        "short_expansions": d.short_expansions, "batches": d.batches,
                        "helper_batches": d.helper_batches,
@@ -317,12 +313,15 @@ RUNNERS = {
 
 
 def load_config(subcommand: str, flag_params: dict, config_path: str | None) -> dict:
-    """Defaults, overridden by the config-file section, overridden by flags."""
+    """Defaults, overridden by the config-file section, overridden by flags;
+    then each value whose default is an int or a float gets that type, by
+    whichever route it came (flags and file values arrive as strings)."""
     if subcommand not in DEFAULTS:
         raise UsageError("unknown subcommand %r" % subcommand)
     params = dict(DEFAULTS[subcommand])
     if config_path:
         cp = configparser.ConfigParser()
+        cp.optionxform = str        # keys keep their case: L, S, S0, N
         read = cp.read(config_path)
         if not read:
             raise UsageError("config file %r not found" % config_path)
@@ -335,6 +334,14 @@ def load_config(subcommand: str, flag_params: dict, config_path: str | None) -> 
     for key, val in flag_params.items():
         if val is not None:
             params[key] = val
+    for key, default in DEFAULTS[subcommand].items():
+        kind = type(default)
+        if kind in (int, float):
+            try:
+                params[key] = kind(params[key])
+            except ValueError:
+                raise UsageError("%s = %r is not a valid %s"
+                                 % (key, params[key], kind.__name__)) from None
     return params
 
 
@@ -347,9 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand")
     for name, defaults in DEFAULTS.items():
         p = sub.add_parser(name, exit_on_error=False)
-        for key, default in defaults.items():
-            p.add_argument("--" + key.replace("_", "-"), default=None,
-                           type=str if default is None else type(default))
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"), default=None)
     return ap
 
 

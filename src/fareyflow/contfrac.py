@@ -65,7 +65,6 @@ class ContinuedFraction:
     period: tuple[int, ...] = ()
     exact: bool = True
     error_bound: Fraction | None = None
-    exhausted: bool = False
 
     def __post_init__(self):
         if any(a < 1 for a in self.tail) or any(a < 1 for a in self.period):
@@ -136,10 +135,10 @@ def cf_expand(x, max_depth: int) -> ContinuedFraction:
 
     Rationals terminate exactly.  Quadratic surds get their eventual period
     detected exactly by repetition of the Gauss-map state.  Floats and decimal
-    strings are treated as intervals; digits stop (with the `exhausted` flag)
-    as soon as the next digit is ambiguous within the input's precision: 4
-    ulp around a float, half a unit of the last decimal place of a string,
-    its exponent counted ("0.314159e1" ends in the fifth place).  A string
+    strings are treated as intervals; digits stop as soon as the next digit
+    is ambiguous within the input's precision: 4 ulp around a float, half a
+    unit of the last decimal place of a string, its exponent counted
+    ("0.314159e1" ends in the fifth place, "3.14159 " too).  A string
     whose last digit is in the units place or above ("3", "3.", "3e2") and a
     fraction ("1/3") are exact.
     """
@@ -157,7 +156,7 @@ def cf_expand(x, max_depth: int) -> ContinuedFraction:
         return _expand_interval(v - eps, v + eps, max_depth)
     if isinstance(x, str):
         v = Fraction(x)
-        mantissa, _, exponent = x.lower().partition("e")
+        mantissa, _, exponent = x.strip().lower().partition("e")
         places = len(mantissa.partition(".")[2]) - int(exponent or 0)
         if places <= 0:
             return _expand_fraction(v)
@@ -198,7 +197,6 @@ def _expand_surd(x: QuadraticSurd) -> ContinuedFraction:
 def _expand_interval(lo: Fraction, hi: Fraction, max_depth: int) -> ContinuedFraction:
     orig_lo, orig_hi = lo, hi
     digits: list[int] = []
-    exhausted = True
     for _ in range(max_depth + 1):
         alo, ahi = lo.__floor__(), hi.__floor__()
         if alo != ahi:
@@ -208,14 +206,11 @@ def _expand_interval(lo: Fraction, hi: Fraction, max_depth: int) -> ContinuedFra
         if lo <= 0:          # remainder interval touches zero: next digit unknowable
             break
         lo, hi = 1 / hi, 1 / lo
-    else:
-        exhausted = False
     if not digits:
         raise ValueError("input interval too wide for even one digit")
     v = _fold_finite(digits)
     bound = max(v - orig_lo, orig_hi - v)
-    return ContinuedFraction(digits[0], tuple(digits[1:]), exact=False,
-                             error_bound=bound, exhausted=exhausted)
+    return ContinuedFraction(digits[0], tuple(digits[1:]), exact=False, error_bound=bound)
 
 
 # ----------------------------------------------------------------------------
@@ -317,15 +312,14 @@ class LagrangeEstimate:
     """Finite-depth estimate of a parity-restricted Lagrange number.
 
     `terms` are the per-index values t_i = (forward tail) + (reversed tail);
-    the parity Lagrange number is limsup t_i.  `running` traces the prefix
-    maximum of the term enclosures.  For periodic sources `estimate.exact`
-    is the exact quadratic limsup and `attainable` is decided by inspecting
-    one representative per period class; otherwise both stay heuristic.
+    the parity Lagrange number is limsup t_i.  For periodic sources
+    `estimate.exact` is the exact quadratic limsup and `attainable` is decided
+    by inspecting one representative per period class; otherwise both stay
+    heuristic.
     """
 
     parity: str
     terms: list[Enclosure]
-    running: list[RatInterval]
     estimate: Enclosure
     attainable: bool | None = None
     truncated: bool = False
@@ -393,13 +387,6 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
             break
         terms.append(tail_value(cf, s, tail_depth) + _reversed_ratio(cf, s))
 
-    running: list[RatInterval] = []
-    lo = hi = None
-    for t in terms:
-        lo = t.lo if lo is None else max(lo, t.lo)
-        hi = t.hi if hi is None else max(hi, t.hi)
-        running.append(RatInterval(lo, hi))
-
     attainable = None
     if cf.source == "periodic":
         classes = _parity_classes(cf, parity)
@@ -407,8 +394,8 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
         estimate = _enclose(best)
         attainable = any(T + R_inf == best and _reversed_ratio(cf, s) > R_inf
                          for _, T, R_inf, s in classes)
-    elif running:
-        estimate = Enclosure(running[-1].lo, running[-1].hi)
+    elif terms:
+        estimate = Enclosure(max(t.lo for t in terms), max(t.hi for t in terms))
     else:
         raise ValueError("no term to estimate from: term 0 needs %d digits after a_0, "
                          "the source has %d" % (base + 1, cf.available))
@@ -428,8 +415,8 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
                 elif verdict is None:
                     undecided.append(i)
 
-    return LagrangeEstimate(parity, terms, running, estimate, attainable,
-                            truncated, passing, undecided)
+    return LagrangeEstimate(parity, terms, estimate, attainable, truncated, passing,
+                            undecided)
 
 
 # ----------------------------------------------------------------------------

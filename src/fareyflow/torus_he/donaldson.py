@@ -272,16 +272,17 @@ def random_twisted_hermitian(grid, twist, seed: int, amplitude: float) -> EndoFi
     """
     rng = np.random.default_rng(seed)
     wt = WeylTransform(twist, grid)
-    N, r = grid.N, twist.rank
+    N, r, K = grid.N, twist.rank, FIELD_MAX_MODE
+    # one draw, ordered by entry (j, k), mode (m, n), real/imaginary part; the
+    # modes are summed in that order, coefficient times wave (numpy's complex
+    # product is not bitwise symmetric), so the field keeps its bits
+    draw = rng.normal(size=(r, r, 2 * K + 1, 2 * K + 1, 2))
+    coef = draw[..., 0] + 1j * draw[..., 1]
     sig = np.zeros((N, N, r, r), complex)
-    for j in range(r):
-        for k in range(r):
-            poly = np.zeros((N, N), complex)
-            for m in range(-FIELD_MAX_MODE, FIELD_MAX_MODE + 1):
-                for n in range(-FIELD_MAX_MODE, FIELD_MAX_MODE + 1):
-                    c = rng.normal() + 1j * rng.normal()
-                    poly += c * np.exp(2j * np.pi * (m * grid.X + n * grid.Y))
-            sig[..., j, k] = poly
+    for m in range(-K, K + 1):
+        for n in range(-K, K + 1):
+            wave = np.exp(2j * np.pi * (m * grid.X + n * grid.Y))
+            sig += coef[:, :, m + K, n + K] * wave[..., None, None]
     sig *= np.conj(wt.debloch)
     raw = _hermitize(wt.assemble(sig))
     sup = float(np.abs(fiber.eigvalsh(raw)).max())

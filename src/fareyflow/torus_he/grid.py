@@ -30,7 +30,6 @@ class TorusGrid:
         self.h = 1.0 / N
         x = np.arange(N) / N
         self.X, self.Y = np.meshgrid(x, x, indexing="ij")
-        self.Z = self.X + tau * self.Y
         # dz = c1 dx + c2 dy pullbacks: d/dz and d/dzbar in grid coordinates
         two_iv = 2j * self.v
         self.cz = (1 - tau / two_iv, 1 / two_iv)      # d_z  = cz[0] d_x + cz[1] d_y

@@ -48,6 +48,7 @@ CLI_RUNS = [
     ["sequence", "--theta", "decimal:0.6180339887@30"],     # interval products
     ["lagrange", "--theta", "periodic:0,2|1,3"],            # a preperiod
     ["--config", "{out}/run.cfg", "farey"],                 # CONFIG's triangle
+    ["--config", "{out}/run.cfg", "convergents"],           # CONFIG's number
     ["chern-weil", "--N", "32", "--dump-grid", "{out}/grid.csv"],
     ["torus-he", "--rank", "3"],
     ["donaldson", "--rank", "1"],
@@ -76,8 +77,11 @@ CLI_EXITS = [
     ([], 1),
     (["nosuch"], 1),
     (["farey", "--triangle", "1/2,1/1"], 1),
+    (["--config", "{out}/run.cfg", "density"], 1),          # CONFIG's 1e3 samples
 ]
-CONFIG = "[farey]\ntriangle = 1/1,-2/-1,1/0\n"    # uncanonical vertices
+CONFIG = ("[farey]\ntriangle = 1/1,-2/-1,1/0\n"    # uncanonical vertices
+          "[convergents]\ndepth = 6\n"             # typed as --depth 6 is
+          "[density]\nsamples = 1e3\n")            # not an int: a usage error
 DEMOS = ["coulomb_gauge.py", "farey_charges.py", "lagrange_parity.py",
          "torus_bundle_geometry.py"]
 WORKLOADS = ["coulomb_gauge", "torus_flow", "torus_geometry", "exact_arith"]

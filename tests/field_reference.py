@@ -5,12 +5,17 @@
 - `weight`: the quadrature weight 1/N^2 of every node;
 - `gram`: the L^2 Gram matrix of a block of section columns;
 - `section_basis`: the d theta sections of a model bundle as one block;
-- `a_zbar`: the d_zbar coefficient of the central background connection.
+- `a_zbar`: the d_zbar coefficient of the central background connection;
+- `random_twisted_hermitian_loop`: the random field drawn and summed one
+  scalar coefficient at a time.
 """
 
 import numpy as np
 
-from fareyflow.torus_he import SectionField, theta_section
+from fareyflow import fiber
+from fareyflow.torus_he import EndoField, SectionField, theta_section
+from fareyflow.torus_he.donaldson import FIELD_MAX_MODE, _hermitize
+from fareyflow.torus_he.twist import WeylTransform
 
 
 def spectral_laplacian(grid, f):
@@ -40,3 +45,24 @@ def a_zbar(conn):
     """(0,1)-coefficient of A = (a_x dx + a_y dy) Id, as an (N, N) field."""
     c = conn.grid.czb
     return c[0] * conn.ax + c[1] * conn.ay
+
+
+def random_twisted_hermitian_loop(grid, twist, seed, amplitude):
+    """random_twisted_hermitian with one rng.normal() call per real number,
+    each Bloch scalar of entry (j, k) summed mode by mode."""
+    rng = np.random.default_rng(seed)
+    wt = WeylTransform(twist, grid)
+    N, r, K = grid.N, twist.rank, FIELD_MAX_MODE
+    sig = np.zeros((N, N, r, r), complex)
+    for j in range(r):
+        for k in range(r):
+            poly = np.zeros((N, N), complex)
+            for m in range(-K, K + 1):
+                for n in range(-K, K + 1):
+                    c = rng.normal() + 1j * rng.normal()
+                    poly += c * np.exp(2j * np.pi * (m * grid.X + n * grid.Y))
+            sig[..., j, k] = poly
+    sig *= np.conj(wt.debloch)
+    raw = _hermitize(wt.assemble(sig))
+    sup = float(np.abs(fiber.eigvalsh(raw)).max())
+    return EndoField(grid, twist, raw * (amplitude / sup))

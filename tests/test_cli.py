@@ -27,11 +27,12 @@ def test_parse_theta_notations():
 
 def test_load_config_layers(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[lagrange]\ndepth = 7\nparity = odd\n")
+    cfg.write_text("[lagrange]\ndepth = 7\ntail-depth = 9\nparity = odd\n")
     params = load_config("lagrange", {"parity": "even", "theta": None,
-                                      "depth": None, "tail_depth": None, "L": None},
+                                      "depth": None, "tail_depth": "11", "L": None},
                          str(cfg))
-    assert params["depth"] == "7"          # file overrides default
+    assert params["depth"] == 7            # file overrides default, typed as it
+    assert params["tail_depth"] == 11      # flag overrides file, typed as it
     assert params["parity"] == "even"      # flag overrides file
     with pytest.raises(UsageError):
         load_config("lagrange", {}, str(tmp_path / "missing.cfg"))
@@ -43,16 +44,35 @@ def test_load_config_layers(tmp_path):
         load_config("unknown-sub", {}, None)
 
 
-def test_every_default_has_a_flag_of_its_type():
+def test_every_default_has_a_flag_of_its_type(tmp_path):
+    # the flag and the config-file key of every parameter resolve to the
+    # default's type and value
     from fareyflow.cli import DEFAULTS, _build_parser
     ap = _build_parser()
+    cfg = tmp_path / "run.cfg"
     for sub, defaults in DEFAULTS.items():
         for key, default in defaults.items():
             value = "1" if default is None else str(default)
-            ns = ap.parse_args([sub, "--" + key.replace("_", "-"), value])
-            got = getattr(ns, key)
-            assert type(got) is (str if default is None else type(default)), (sub, key)
-            assert got == (value if default is None else default)
+            flag = "--" + key.replace("_", "-")
+            ns = vars(ap.parse_args([sub, flag, value]))
+            flags = {k: v for k, v in ns.items() if k not in ("subcommand", "out", "config")}
+            cfg.write_text("[%s]\n%s = %s\n" % (sub, key, value))
+            for got in (load_config(sub, flags, None)[key],
+                        load_config(sub, {}, str(cfg))[key]):
+                assert type(got) is (str if default is None else type(default)), (sub, key)
+                assert got == (value if default is None else default)
+
+
+@pytest.mark.parametrize("route", ["flag", "file"])
+def test_malformed_number_is_a_usage_error(tmp_path, capsys, route):
+    # by either route: exit 1, the key and the value named, no record
+    j, cfg = tmp_path / "j.jsonl", tmp_path / "run.cfg"
+    cfg.write_text("[density]\nsamples = 1e3\n")
+    argv = (["density", "--samples", "1e3"] if route == "flag"
+            else ["--config", str(cfg), "density"])
+    assert main(["--out", str(j)] + argv) == 1
+    assert "samples = '1e3' is not a valid int" in capsys.readouterr().err
+    assert not j.exists()
 
 
 def test_exit_codes(tmp_path):
@@ -120,13 +140,17 @@ def test_record_plains_numpy_scalars_and_rejects_arrays():
 
 def test_journal_records_same_hash(tmp_path):
     j = str(tmp_path / "j.jsonl")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[convergents]\ntheta = periodic:1|2\ndepth = 6\n")
     assert main(["--out", j, "convergents", "--theta", "periodic:1|2", "--depth", "6"]) == 0
     assert main(["--out", j, "convergents", "--theta", "periodic:1|2", "--depth", "6"]) == 0
+    assert main(["--out", j, "--config", str(cfg), "convergents"]) == 0
     recs = read_journal(j)
-    assert len(recs) == 2
-    assert recs[0]["config_hash"] == recs[1]["config_hash"]
+    assert len(recs) == 3
+    assert recs[0]["config"] == recs[2]["config"] == {"theta": "periodic:1|2", "depth": 6}
+    assert recs[0]["config_hash"] == recs[1]["config_hash"] == recs[2]["config_hash"]
     assert recs[0]["schema"] == 1
-    assert stable_view(recs[0]) == stable_view(recs[1])
+    assert stable_view(recs[0]) == stable_view(recs[1]) == stable_view(recs[2])
     assert "timestamp" in recs[0] and "timestamp" not in stable_view(recs[0])
 
 
@@ -147,6 +171,19 @@ def test_decimal_exponent_theta_matches_plain(tmp_path):
         assert main(["--out", j, "convergents", "--theta", theta]) == 0
     scaled, plain = read_journal(j)
     assert scaled["outputs"]["digits"] == plain["outputs"]["digits"] == [3, 7]
+
+
+def test_lagrange_record_journals_undecided_indices(tmp_path):
+    # a truncated theta decides some definition indices and leaves the rest
+    # undecided; without --L the record carries neither list
+    j = str(tmp_path / "j.jsonl")
+    theta = ["lagrange", "--theta", "decimal:1.6180339887@30"]
+    assert main(["--out", j] + theta + ["--L", "2.236"]) == 2
+    assert main(["--out", j] + theta) == 2
+    with_L, without = (rec["outputs"]["lagrange"] for rec in read_journal(j))
+    assert with_L["definition_pass_indices"] == [5, 6]
+    assert with_L["definition_undecided_indices"] == [7, 8, 9, 10]
+    assert not {"definition_pass_indices", "definition_undecided_indices"} & set(without)
 
 
 def test_lagrange_record_contents(tmp_path):

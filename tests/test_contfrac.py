@@ -63,18 +63,20 @@ def test_expand_float_records_bound():
 
 def test_expand_float_exhaustion_flag():
     cf = cf_expand(0.5, 40)
-    assert cf.exhausted            # interval hits the rational 1/2
+    assert (cf.a0, cf.tail) == (0, ())     # interval hits the rational 1/2
     deep = cf_expand(math.sqrt(2), 5)
-    assert not deep.exhausted and len(deep.tail) == 5
+    assert len(deep.tail) == 5
 
 
 def test_expand_decimal_string():
     cf = cf_expand("3.14159", 20)
     assert cf.digits(1) == [3, 7]
     assert cf.source == "real-truncated"
-    # the exponent counts toward the last digit place: every spelling of the
-    # literal has the same radius 5e-6, hence the same digits and bound
-    for spelling in ("3.14159e0", "0.314159e1", "314159e-5", "31415.9E-4"):
+    # the exponent counts toward the last digit place and surrounding
+    # whitespace toward none: every spelling of the literal has the same
+    # radius 5e-6, hence the same digits and bound
+    for spelling in ("3.14159e0", "0.314159e1", "314159e-5", "31415.9E-4",
+                     "3.14159 ", "3.14159\n"):
         other = cf_expand(spelling, 20)
         assert (other.a0, other.tail, other.error_bound, other.source) == \
             (cf.a0, cf.tail, cf.error_bound, cf.source)
@@ -274,18 +276,13 @@ def test_lagrange_growing_even_digits():
     assert all(t.lo >= 1 for t in even.terms + odd.terms)
 
 
-def test_lagrange_running_trace_is_prefix_max():
-    cf = cf_expand(math.pi, 40)
-    est = lagrange_estimate(cf, "even", 8, 10)
-    for i in range(1, len(est.running)):
-        assert est.running[i].hi >= est.running[i - 1].hi
-        assert est.running[i].lo >= est.running[i - 1].lo
-
-
 def test_lagrange_insufficient_digits_flags_partial():
     cf = ContinuedFraction(1, (2, 3, 4, 5), exact=False)
     est = lagrange_estimate(cf, "even", 10, 5)
     assert est.truncated and est.depth < 11
+    # a truncated source is estimated by the largest term endpoints
+    assert (est.estimate.lo, est.estimate.hi) == \
+        (max(t.lo for t in est.terms), max(t.hi for t in est.terms))
 
 
 @pytest.mark.parametrize("parity, needed", [("even", 2), ("odd", 3)])
