@@ -234,7 +234,7 @@ def _run_coulomb(p):
     import numpy as np
     import scipy.fft    # loaded before the timed fixes: each fix_s times only its fix
     grid = coulomb.SquareGrid(p["N"])
-    rows, ratios, histories, fix_s = [], [], [], []
+    rows, ratios, histories, compat, fix_s = [], [], [], [], []
     ok = True
     for k in range(p["samples"]):
         seed = p["seed"] + k
@@ -250,8 +250,10 @@ def _run_coulomb(p):
         fix_s.append(round(time.perf_counter() - t0, 4))
         if rep is None:
             histories.append(None)
+            compat.append(None)
             continue
         histories.append(rep.history)
+        compat.append(rep.compat_defect)
         if p.get("dump_trajectory"):
             rep.dump_trajectory_csv(p["dump_trajectory"], seed=seed, rank=p["rank"])
         rows.append({"seed": seed, "rank": p["rank"],
@@ -264,7 +266,8 @@ def _run_coulomb(p):
     out = {"N": grid.N, "rank": p["rank"], "samples": rows,
            "ratio_max_over_median": spread}
     verdict = "pass" if ok and spread < 5 else "fail"
-    extra = {"trace": {"history": histories}, "timings": {"fix_s": fix_s}}
+    extra = {"trace": {"history": histories, "compat_defect": compat},
+             "timings": {"fix_s": fix_s}}
     return out, {"ratio_spread": spread}, verdict, \
         "gauge-fixed field obeys the divergence-free and normal-trace conditions " \
         "with a sample-stable norm ratio", extra

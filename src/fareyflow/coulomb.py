@@ -213,8 +213,10 @@ def _edge_cos_pair_correction(wl: np.ndarray, wr: np.ndarray, x: np.ndarray) -> 
     return np.tensordot(modes, np.cos(kx.T), (1, 0)).swapaxes(1, 2)
 
 
-def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid) -> np.ndarray:
-    """Solve Lap(a) = rhs with d_nu a = w on the boundary, mean(a) = 0.
+def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray],
+                    grid: SquareGrid) -> tuple[np.ndarray, float]:
+    """Solve Lap(a) = rhs with d_nu a = w on the boundary, mean(a) = 0;
+    returns (a, the worst compatibility defect over scale).
 
     rhs[x, y, ...] and the edge data w[e][s, ...] share their trailing axes,
     a batch of independent real solves.  Compatibility (integral of rhs
@@ -232,6 +234,7 @@ def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid)
     entries = np.concatenate([rhs.reshape(M * M, -1), *w.values()])
     scale = np.maximum(1.0, np.abs(entries).max(axis=0))
     worst = np.argmax(np.abs(defect) / scale)
+    compat = float(abs(defect[worst]) / scale[worst])
     if abs(defect[worst]) > COMPAT_TOL * scale[worst]:
         raise ValueError("incompatible div-curl data: volume minus flux = %.3e" % defect[worst])
     rhs = rhs - defect            # restore exact compatibility
@@ -268,7 +271,7 @@ def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid)
     # oscillatory edge data via harmonic extensions (no cross-edge pollution)
     a = a + _edge_cos_pair_correction(rem["left"], rem["right"], grid.x)
     a = a + _edge_cos_pair_correction(rem["bottom"], rem["top"], grid.x).swapaxes(0, 1)
-    return (a - np.tensordot(grid.w2, a, 2)).reshape(rhs_shape)
+    return (a - np.tensordot(grid.w2, a, 2)).reshape(rhs_shape), compat
 
 
 # ----------------------------------------------------------------------------
@@ -282,6 +285,7 @@ class CoulombReport:
     boundary_residual: float
     curvature_l2: float
     a_w12: float
+    compat_defect: float         # worst Neumann compatibility defect over scale, 0 if no sweep
     history: list[tuple[float, float]] | None = None   # (div, boundary) per sweep
 
     @property
@@ -324,10 +328,10 @@ def _residual_norms(A: GaugeField, dstar: np.ndarray) -> tuple[float, float]:
 
 
 def _expm_skew(chi: np.ndarray) -> np.ndarray:
-    """Exact unitary exponential exp(chi) = exp(i herm) of a skew-Hermitian
-    field, herm = -i chi (closed form at rank 2, eigh at rank >= 3)."""
-    herm = -1j * 0.5 * (chi - dagger(chi))
-    return fiber.herm_apply(fiber.exp(1j), herm)
+    """Exact unitary exponential exp(chi) = exp(i herm) of an exactly
+    skew-Hermitian field (as `_skew_field` builds it), herm = -i chi (closed
+    form at rank 2, eigh at rank >= 3)."""
+    return fiber.herm_apply(fiber.exp(1j), -1j * chi)
 
 
 def _skew_coords(F: np.ndarray) -> np.ndarray:
@@ -350,11 +354,13 @@ def _skew_field(c: np.ndarray, r: int) -> np.ndarray:
     return F
 
 
-def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid) -> np.ndarray:
+def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray],
+                     grid: SquareGrid) -> tuple[np.ndarray, float]:
     """Neumann solve, then Richardson-correct against the composed 4th-order
     difference operators so the update cancels the residual as the gauge
-    sweep will actually measure it."""
-    chi = neumann_poisson(rho, w, grid)
+    sweep will actually measure it.  Returns (chi, the worst compatibility
+    defect over scale of its solves)."""
+    chi, compat = neumann_poisson(rho, w, grid)
     h = grid.h
     for _ in range(N_REFINE):
         gx = diff4(chi, 0, h)
@@ -362,8 +368,11 @@ def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray], grid: SquareGrid
         lap = diff4(gx, 0, h) + diff4(gy, 1, h)
         rb = {"left": w["left"] + gx[0], "right": w["right"] - gx[-1],
               "bottom": w["bottom"] + gy[:, 0], "top": w["top"] - gy[:, -1]}
-        chi = chi + neumann_poisson(rho - lap, rb, grid)
-    return chi
+        step, defect = neumann_poisson(rho - lap, rb, grid)
+        chi += step
+        compat = max(compat, defect)
+        del step                # before the next pass forms its differences
+    return chi, compat
 
 
 def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
@@ -390,7 +399,7 @@ def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
     M = g.N + 1
     u_total = np.broadcast_to(np.eye(r, dtype=complex), (M, M, r, r)).copy()
     A_cur = A
-    history = []
+    history, compat = [], 0.0
     for it in range(MAX_SWEEPS + 1):
         dstar = _d_star(A_cur)
         div_l2, bdry = _residual_norms(A_cur, dstar)
@@ -398,7 +407,7 @@ def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
         if div_l2 < tol and bdry < tol:
             a_w12 = grid_norms(A_cur, "W^{1,2}")
             return u_total, A_cur, CoulombReport(it, div_l2, bdry, f_l2, a_w12,
-                                                 history)
+                                                 compat, history)
         # at it == MAX_SWEEPS, rate ** 0 == 1, so any finite residual raises here
         worse = max(div_l2, bdry)
         rate = worse / max(history[-2]) if it else 0.0
@@ -409,7 +418,8 @@ def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
                                % (worse, rate, it, tol, MAX_SWEEPS - it,
                                   ["(%.2e, %.2e)" % hb for hb in history]))
         wdata = {e: _skew_coords(v) for e, v in A_cur.normal_trace().items()}
-        chi = _skew_field(_neumann_refined(_skew_coords(dstar), wdata, g), r)
+        chi, defect = _neumann_refined(_skew_coords(dstar), wdata, g)   # coordinates
+        chi, compat = _skew_field(chi, r), max(compat, defect)
         u_total = mm(_expm_skew(chi), u_total)
         A_cur = gauge_act(u_total, A)
     raise RuntimeError("Coulomb iteration did not reach %.1e in %d sweeps; "
@@ -441,8 +451,7 @@ def random_gauge_field(grid: SquareGrid, rank: int, seed: int,
         return f * window
 
     def herm():
-        B = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
-        return 0.5 * (B + B.conj().T)
+        return fiber.hermitize(rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank)))
 
     ax = sum(smooth()[..., None, None] * herm() for _ in range(2)) * 1j
     ay = sum(smooth()[..., None, None] * herm() for _ in range(2)) * 1j

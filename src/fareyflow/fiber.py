@@ -48,6 +48,11 @@ def dagger(A: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(A, -1, -2))
 
 
+def hermitize(A: np.ndarray) -> np.ndarray:
+    """The Hermitian part (A + A^dag) / 2."""
+    return 0.5 * (A + dagger(A))
+
+
 def _is_rank(A: np.ndarray, B: np.ndarray, r: int) -> bool:
     return A.shape[-2:] == B.shape[-2:] == (r, r)
 

@@ -34,14 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import fiber
-from ..fiber import dagger, mm
+from ..fiber import dagger, hermitize, mm
 from .fields import EndoField, MetricField
 from .hermitian import _einstein_constant, curvature_defect
 from .twist import WeylTransform
-
-
-def _hermitize(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + dagger(A))
 
 
 # |x| below which phi(x) - 1/2 is summed as a series
@@ -141,7 +137,7 @@ def donaldson_functional(K: MetricField, s: EndoField, defect: np.ndarray) -> fl
     closed form at ranks 1 and 2.
     """
     _check_selfadjoint(K, s.data)
-    s_hat = _hermitize(K.conjugate_half(s.data))
+    s_hat = hermitize(K.conjugate_half(s.data))
     quad = 2 * K.grid.v * _pairing(s_hat, K.conjugate_half(s.d_zbar()))
     lin = np.einsum("...ab,...ba->...", defect, s.data).real
     return float((quad + lin).mean())
@@ -156,7 +152,7 @@ def metric_log(H: MetricField, K: MetricField) -> EndoField:
     first call and cached on K.
     """
     half, inv_half = K.sqrt_pair()
-    h_hat = _hermitize(mm(inv_half, mm(H.data, inv_half)))
+    h_hat = hermitize(mm(inv_half, mm(H.data, inv_half)))
     log_hat = fiber.herm_apply(fiber.LOG, h_hat)
     return EndoField(K.grid, K.twist, mm(inv_half, mm(log_hat, half)))
 
@@ -227,19 +223,19 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
     H, defect = K0, source
 
     for it in range(max_iter + 1):
-        G_hat = _hermitize(H.conjugate_half(defect))
+        G_hat = hermitize(H.conjugate_half(defect))
         res = float(np.abs(fiber.eigvalsh(G_hat)).max())
         residuals.append(res)
         functional.append(m_cur)
         if res < tol or it == max_iter:
             break
 
-        direction = _hermitize(wt.apply_symbol(G_hat, symbol))
+        direction = hermitize(wt.apply_symbol(G_hat, symbol))
         half = H.sqrt_pair()[0]
         accepted = False
         for _ in range(60):
             expd = fiber.herm_apply(fiber.exp(-step), direction)
-            trial = MetricField(grid, twist, _hermitize(mm(half, mm(expd, half))))
+            trial = MetricField(grid, twist, hermitize(mm(half, mm(expd, half))))
             try:
                 s_new = metric_log(trial, K0)
             except ValueError:
@@ -284,7 +280,7 @@ def random_twisted_hermitian(grid, twist, seed: int, amplitude: float) -> EndoFi
             wave = np.exp(2j * np.pi * (m * grid.X + n * grid.Y))
             sig += coef[:, :, m + K, n + K] * wave[..., None, None]
     sig *= np.conj(wt.debloch)
-    raw = _hermitize(wt.assemble(sig))
+    raw = hermitize(wt.assemble(sig))
     sup = float(np.abs(fiber.eigvalsh(raw)).max())
     data = raw * (amplitude / sup) if sup else raw
     return EndoField(grid, twist, data)

@@ -35,16 +35,32 @@ class EndoField:
             raise ValueError("expected shape %r, got %r" % ((N, N, r, r), self.data.shape))
 
     def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d_z, d_zbar) from one pair of 4th-order stencils (d_x, d_y)."""
+        """(d_z, d_zbar) from one pair of 4th-order stencils (d_x, d_y): d_x
+        is folded into both combinations before d_y is formed, and each
+        stencil's own output holds its d_zbar term."""
         g, seam = self.grid, endo_seam(self.twist)
-        dx, dy = (d4(self.data, axis, g.h, seam) for axis in (0, 1))
-        return g.cz[0] * dx + g.cz[1] * dy, g.czb[0] * dx + g.czb[1] * dy
+        dx = d4(self.data, 0, g.h, seam)
+        dz = g.cz[0] * dx
+        dzb = np.multiply(g.czb[0], dx, out=dx)
+        dy = d4(self.data, 1, g.h, seam)
+        dz += g.cz[1] * dy
+        dzb += np.multiply(g.czb[1], dy, out=dy)
+        return dz, dzb
+
+    def _combination(self, c: tuple) -> np.ndarray:
+        """c[0] d_x + c[1] d_y, each product formed in its stencil's output."""
+        g, seam = self.grid, endo_seam(self.twist)
+        dx = d4(self.data, 0, g.h, seam)
+        out = np.multiply(c[0], dx, out=dx)
+        dy = d4(self.data, 1, g.h, seam)
+        out += np.multiply(c[1], dy, out=dy)
+        return out
 
     def d_z(self) -> np.ndarray:
-        return self.wirtinger()[0]
+        return self._combination(self.grid.cz)
 
     def d_zbar(self) -> np.ndarray:
-        return self.wirtinger()[1]
+        return self._combination(self.grid.czb)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

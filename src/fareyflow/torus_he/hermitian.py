@@ -110,6 +110,8 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     norm field |beta|^2 = 2 v tr(H^-1 b^dag H b).  The central background
     `conn` commutes with pi, so only the metric's gamma enters d_H pi.
     """
+    # each operand is dropped once read, so the form holds at most about 5.5
+    # (N, N, r, r) fields at a time
     cols = incl.columns
     svals = incl.sigma_min_field()
     worst = np.unravel_index(np.argmin(svals), svals.shape)
@@ -119,12 +121,16 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     cols_h = H.dual(cols)                                     # C^dag H, (m, r)
     gram_inv = fiber.inv(np.matmul(cols_h, cols))
     pi = np.matmul(np.matmul(cols, gram_inv), cols_h)
+    del svals, cols_h, gram_inv
     pi_field = EndoField(H.grid, H.twist, pi)
 
     dz, dzb = pi_field.wirtinger()
     one_minus = np.eye(H.twist.rank) - pi
+    dzb = mm(one_minus, dzb)
+    holo = float(np.abs(dzb).max())
+    del dzb
     b = mm(one_minus, H.chern_dz(dz, pi))
-    holo = float(np.abs(mm(one_minus, dzb)).max())
+    del dz, one_minus
     return SecondFundamentalForm(b, pi_field, _form_norm_sq(b, H), holo)
 
 

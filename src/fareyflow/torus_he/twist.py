@@ -8,8 +8,9 @@ gather times phases.  Endomorphism-valued fields wrap seams by conjugation
 and connection components pick up an additive constant across the y-seam;
 section values carry the scalar automorphy phase `TwistData.section_phase`,
 but no section is differentiated, so they have no ghost rule.  `ghost_pad`
-pads a field once along an axis with ghost layers filled by its kind's rule,
-and a stencil is one weighted sum of slices of the padded array, so 4th-order
+pads a field along an axis with ghost layers filled by its kind's rule.  `d4`
+reads the field in place away from the seams and pads only the rows next to
+them, accumulating its four weighted rows into one output, so 4th-order
 centered differences see globally smooth data.
 """
 
@@ -119,16 +120,43 @@ def ghost_pad(F: np.ndarray, axis: int, w: int, seam) -> np.ndarray:
                            seam(_rows(F, axis, 0, w), axis, True)], axis=axis)
 
 
-def stencil(F: np.ndarray, axis: int, weights: dict, seam) -> np.ndarray:
-    """sum_s weights[s] F(node + s) along `axis`, reading ghosts past the seams."""
-    w, N = max(abs(s) for s in weights), F.shape[axis]
-    P = ghost_pad(F, axis, w, seam)
-    return sum(c * _rows(P, axis, w + s, w + s + N) for s, c in weights.items())
+def _weighted_sum(row, out: np.ndarray) -> None:
+    """((0 + row(-2)) - 8 row(-1) + 8 row(1)) - row(2), accumulated in that
+    order into `out`, with one scratch array for the products by 8.
+
+    Starting from 0 + row(-2) makes every zero of the sum +0, so the signs of
+    zero in the rows and in the products by 8 do not reach the result.
+    """
+    scratch = np.empty_like(out)
+    np.add(row(-2), 0, out=out)
+    out -= np.multiply(row(-1), 8, out=scratch)
+    out += np.multiply(row(1), 8, out=scratch)
+    out -= row(2)
 
 
 def d4(F: np.ndarray, axis: int, h: float, seam) -> np.ndarray:
-    """4th-order centered d/dx (axis 0) or d/dy (axis 1)."""
-    return stencil(F, axis, {-2: 1, -1: -8, 1: 8, 2: -1}, seam) / (12 * h)
+    """4th-order centered d/dx (axis 0) or d/dy (axis 1), reading ghosts past
+    the seams: (F(node - 2) - 8 F(node - 1) + 8 F(node + 1) - F(node + 2)) / 12 h.
+
+    Away from the seams the sum is one shifted sum over the flattened field,
+    so every write is contiguous; the two rows on each side of the seam,
+    which that sum skips or gets wrong, come from the 8 edge rows padded with
+    their ghosts.
+    """
+    N = F.shape[axis]
+    F = np.ascontiguousarray(F)
+    edges = ghost_pad(np.concatenate([_rows(F, axis, 0, 4), _rows(F, axis, N - 4, N)], axis),
+                      axis, 2, seam)
+    out = np.empty(F.shape, np.result_type(F, edges))
+    step = F.strides[axis] // F.itemsize
+    flat, lo, hi = F.reshape(-1), 2 * step, F.size - 2 * step
+    _weighted_sum(lambda s: flat[lo + s * step:hi + s * step], out.reshape(-1)[lo:hi])
+    sums = np.empty_like(_rows(edges, axis, 0, 8))       # rows 0, 1 and N-2, N-1 at 0, 1, 6, 7
+    _weighted_sum(lambda s: _rows(edges, axis, 2 + s, 10 + s), sums)
+    _rows(out, axis, 0, 2)[...] = _rows(sums, axis, 0, 2)
+    _rows(out, axis, N - 2, N)[...] = _rows(sums, axis, 6, 8)
+    out /= 12 * h
+    return out
 
 
 # ----------------------------------------------------------------------------

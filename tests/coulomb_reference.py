@@ -24,4 +24,4 @@ def split_solve(dstar, trace, grid):
     """The refined Neumann potential of d*A and the normal traces, one
     column per real and imaginary part of each matrix entry."""
     w = {e: split(v) for e, v in trace.items()}
-    return join(_neumann_refined(split(dstar), w, grid))
+    return join(_neumann_refined(split(dstar), w, grid)[0])

@@ -14,7 +14,7 @@ import numpy as np
 
 from fareyflow import fiber
 from fareyflow.torus_he import EndoField, SectionField, theta_section
-from fareyflow.torus_he.donaldson import FIELD_MAX_MODE, _hermitize
+from fareyflow.torus_he.donaldson import FIELD_MAX_MODE
 from fareyflow.torus_he.twist import WeylTransform
 
 
@@ -63,6 +63,6 @@ def random_twisted_hermitian_loop(grid, twist, seed, amplitude):
                     poly += c * np.exp(2j * np.pi * (m * grid.X + n * grid.Y))
             sig[..., j, k] = poly
     sig *= np.conj(wt.debloch)
-    raw = _hermitize(wt.assemble(sig))
+    raw = fiber.hermitize(wt.assemble(sig))
     sup = float(np.abs(fiber.eigvalsh(raw)).max())
     return EndoField(grid, twist, raw * (amplitude / sup))

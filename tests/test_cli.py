@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fareyflow.cli import UsageError, load_config, main, parse_theta
+from fareyflow.coulomb import COMPAT_TOL
 from fareyflow.reporting import ReportRecord, read_journal, stable_view
 
 
@@ -278,10 +279,13 @@ def test_coulomb_record_trace_and_timings(tmp_path):
     a, b = recs
     rows = a["outputs"]["samples"]
     history, fix_s = a["trace"]["history"], a["timings"]["fix_s"]
-    assert len(history) == len(fix_s) == len(rows) == 2
-    for row, hist in zip(rows, history):
+    compat = a["trace"]["compat_defect"]
+    assert len(history) == len(fix_s) == len(rows) == len(compat) == 2
+    for row, hist, defect in zip(rows, history, compat):
         assert len(hist) == row["iterations"] + 1
         assert hist[-1] == [row["d_star_residual"], row["boundary_residual"]]
+        # the worst Neumann compatibility defect the sweeps measured, under COMPAT_TOL
+        assert row["iterations"] >= 1 and 0 < defect <= COMPAT_TOL
     assert all(t >= 0 for t in fix_s)
     assert a["trace"] == b["trace"]
     # the volatile fields leave the stable view and the config hash as before

@@ -163,23 +163,27 @@ def test_neumann_solver(grid):
     a_true = np.cos(np.pi * grid.X) * np.cos(3 * np.pi * grid.Y)
     rhs = -(np.pi ** 2 + 9 * np.pi ** 2) * a_true
     zero_w = {e: np.zeros(grid.N + 1) for e in ("left", "right", "bottom", "top")}
-    a = neumann_poisson(rhs, zero_w, grid)
+    a, compat = neumann_poisson(rhs, zero_w, grid)
     assert np.abs(a - (a_true - np.sum(a_true * grid.w2))).max() < 1e-12
     with pytest.raises(ValueError, match="incompatible"):
         neumann_poisson(np.ones((grid.N + 1, grid.N + 1)), zero_w, grid)
+    # a flux defect below COMPAT_TOL is solved away and reported over its scale
+    planted = 1e-7 * np.abs(rhs).max()
+    assert compat < 1e-15
+    assert neumann_poisson(rhs + planted, zero_w, grid)[1] == pytest.approx(1e-7, rel=1e-6)
     # oscillatory Neumann data on all four edges, reproduced to rounding
     for N in (32, 64, 128):
         g = SquareGrid(N)
         u, rhs, w = _neumann_case(g, 3)
-        assert np.abs(neumann_poisson(rhs, w, g) - u).max() < 1e-12
+        assert np.abs(neumann_poisson(rhs, w, g)[0] - u).max() < 1e-12
     # trailing axes are a batch: equal to column-by-column solves
     cases = [_neumann_case(grid, n) for n in (3, 4, 5, 6)]
     M = grid.N + 1
     rhs = np.stack([c[1] for c in cases], -1).reshape(M, M, 2, 2)
     w = {e: np.stack([c[2][e] for c in cases], -1).reshape(M, 2, 2) for e in zero_w}
-    a = neumann_poisson(rhs, w, grid).reshape(M, M, 4)
+    a = neumann_poisson(rhs, w, grid)[0].reshape(M, M, 4)
     for k, (u, rk, wk) in enumerate(cases):
-        assert np.abs(a[..., k] - neumann_poisson(rk, wk, grid)).max() < 1e-13
+        assert np.abs(a[..., k] - neumann_poisson(rk, wk, grid)[0]).max() < 1e-13
         assert np.abs(a[..., k] - u).max() < 1e-12
     # the compatibility check is per entry: one bad column raises
     rhs[..., 1, 0] += 1.0
@@ -201,7 +205,7 @@ def test_packed_sweep_solve_matches_split_columns(grid):
         dstar, trace = _d_star(A), A.normal_trace()
         assert np.array_equal(_skew_field(_skew_coords(dstar), r), dstar)
         w = {e: _skew_coords(v) for e, v in trace.items()}
-        chi = _skew_field(_neumann_refined(_skew_coords(dstar), w, grid), r)
+        chi = _skew_field(_neumann_refined(_skew_coords(dstar), w, grid)[0], r)
         ref = split_solve(dstar, trace, grid)
         assert np.array_equal(chi, -_dagger(chi))
         assert np.abs(chi - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -268,6 +272,45 @@ def test_coulomb_pure_gauge_recovers_zero(grid):
     u, Ac, rep = coulomb_fix(A, tol=1e-6)
     assert rep.div_residual < 1e-6 and rep.boundary_residual < 1e-6
     assert max(np.abs(Ac.ax).max(), np.abs(Ac.ay).max()) < 1e-4
+
+
+def _manufactured_coulomb(grid, gauge):
+    """(A0, A): the rank-1 Coulomb field A0 = i (d_y psi, -d_x psi) of the
+    stream function psi = 0.004 w (1 + cos(pi x) sin(2 pi y) / 2), and A0
+    moved by the gauge exp(i phi), A = A0 - i d phi, with phi = gauge w
+    (cos(pi x) + sin(pi y) / 2).  w = (sin(pi x) sin(pi y))^4 vanishes to 4th
+    order at the boundary, as `random_gauge_field`'s data do, so d*A0 = 0 and
+    A0 is 0 on the boundary; every derivative is taken in closed form."""
+    pi, sin, cos = np.pi, np.sin, np.cos
+    X, Y = grid.X, grid.Y
+    S = sin(pi * X) * sin(pi * Y)
+    w, wx, wy = S ** 4, 4 * pi * S ** 3 * cos(pi * X) * sin(pi * Y), \
+        4 * pi * S ** 3 * sin(pi * X) * cos(pi * Y)
+    g = 1 + 0.5 * cos(pi * X) * sin(2 * pi * Y)
+    gx, gy = -0.5 * pi * sin(pi * X) * sin(2 * pi * Y), pi * cos(pi * X) * cos(2 * pi * Y)
+    q = cos(pi * X) + 0.5 * sin(pi * Y)
+    qx, qy = -pi * sin(pi * X), 0.5 * pi * cos(pi * Y)
+    a0x, a0y = 0.004j * (wy * g + w * gy), -0.004j * (wx * g + w * gx)
+    phx, phy = gauge * (wx * q + w * qx), gauge * (wy * q + w * qy)
+    field = lambda fx, fy: GaugeField(grid, fx[..., None, None], fy[..., None, None])
+    return field(a0x, a0y), field(a0x - 1j * phx, a0y - 1j * phy)
+
+
+def test_coulomb_fix_converges_to_the_exact_gauge_at_order_four():
+    """An order check of the fix against an exact answer: A0 moved by a known
+    gauge is fixed at N = 32, 64 and 128, and the rho-L^2 error of the fixed
+    field against A0 falls at order 4 +- 0.8.  The residuals a fix can reach
+    are the 4th-order discretisation floor (two sweeps take d*A from 1.37 to
+    1.5e-3, 8.7e-5 and 6.1e-6), so tol follows it as 2e-3 (32/N)^4."""
+    errs = []
+    for N in (32, 64, 128):
+        grid = SquareGrid(N)
+        A0, A = _manufactured_coulomb(grid, 0.1)
+        u, Ac, rep = coulomb_fix(A, tol=2e-3 * (32 / N) ** 4)
+        assert rep.history[0][0] > 0.5 and rep.iterations >= 1
+        errs.append(grid_norms(GaugeField(grid, Ac.ax - A0.ax, Ac.ay - A0.ay), "L^2"))
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(abs(p - 4) <= 0.8 for p in orders), (errs, orders)
 
 
 def test_coulomb_options_are_keyword_only(grid):

@@ -19,9 +19,11 @@ from fareyflow.torus_he import (ConnectionField, EndoField, MetricField,
                                 metric_log, random_twisted_hermitian,
                                 second_fundamental_form, theta_section,
                                 threshold_probe)
+from fareyflow.torus_he import fields
 from fareyflow.torus_he.fields import mm, rho_norm_field
 from fareyflow.torus_he.hermitian import _form_norm_sq
 from fareyflow.torus_he.model import _theta_raw
+from fareyflow.torus_he.twist import d4
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +184,8 @@ def test_model_residual_reads_no_metric_factor(r, d, monkeypatch):
     # the identity metric's residual is read from the scalar curvature: it
     # forms no (N, N, r, r) curvature field, operator-norm eigensolve, stencil
     # of gamma = 0 or square-root pair, and equals both the operator-norm
-    # oracle and the general path bit for bit
+    # oracle and the general path bit for bit; d4 still differentiates the
+    # connection's (N, N) scalar components
     g = TorusGrid(1j, 32)
     tw, conn, H0 = build_model_bundle(r, d, g)
     mu = Fraction(d, r)
@@ -193,9 +196,14 @@ def test_model_residual_reads_no_metric_factor(r, d, monkeypatch):
     def refuse(*args):
         raise AssertionError("formed a matrix field for the identity metric")
 
+    def scalar_d4(F, *args):
+        if F.ndim != 2:
+            refuse()
+        return d4(F, *args)
+
     monkeypatch.setattr(ConnectionField, "i_lambda_F", refuse)
     monkeypatch.setattr(fiber, "op_norm", refuse)
-    monkeypatch.setattr(EndoField, "wirtinger", refuse)
+    monkeypatch.setattr(fields, "d4", scalar_d4)
     monkeypatch.setattr(MetricField, "sqrt_pair", refuse)
     assert he_residual(conn, H0, mu).hex() == oracle.hex() == general.hex()
 
@@ -232,6 +240,26 @@ def test_theta_line_chern_weil_identity_path_bitwise(model21):
     for beta in ((fast, slow), again):
         cw = [chern_weil_check(b, K, Fraction(1, 2), 0, 1) for b, K in zip(beta, (H0, H))]
         assert [x.hex() for x in cw[0]] == [x.hex() for x in cw[1]]
+
+
+def test_theta_line_form_transient_memory():
+    # in units of one (128, 128, 2, 2) complex field: beta, pi and |beta|^2
+    # stay (2.1), and at no time does the form hold more than 6 (it peaks at
+    # 5.5): the stencils accumulate in place and pad only the edge rows, the
+    # projection's factors go before any derivative, and d_zbar pi is reduced
+    # to its residual before beta is formed
+    g = TorusGrid(1j, 128)
+    tw, conn, H0 = build_model_bundle(2, 1, g)
+    sec = theta_section(tw, g, (0, 0))
+    tracemalloc.start()
+    try:
+        sff = second_fundamental_form(sec, H0, conn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = sff.beta.nbytes
+    assert field == 128 * 128 * 4 * 16
+    assert peak <= 6 * field, peak / field
 
 
 def test_residual_of_conformal_weight_vs_spectral_laplacian():
