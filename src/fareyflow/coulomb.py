@@ -6,11 +6,12 @@ The square is sampled inclusively at (j/N, k/N), j, k = 0..N.  Derivatives
 are 4th-order finite differences (one-sided at the boundary).  Each gauge
 sweep solves a Neumann problem for its divergence potential in a cosine
 basis, whose parity matches the even reflection of the normal-derivative
-condition, plus explicit harmonic corrections for the edge data.  The solver
-treats trailing array axes as a batch of independent real solves, so a
-sweep's u(r)-valued data goes through one call in its r^2 real coordinates
-(`_skew_coords`), and the potential is rebuilt from them skew-Hermitian by
-construction (`_skew_field`).
+condition, plus explicit harmonic corrections for the edge data w[edge, s]:
+outward normal derivatives on the edges left, right, bottom, top (x = 0, 1,
+y = 0, 1).  The solver treats trailing array axes as a batch of independent
+real solves, so a sweep's u(r)-valued data goes through one call in its r^2
+real coordinates (`_skew_coords`), and the potential is rebuilt from them
+skew-Hermitian by construction (`_skew_field`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ SKEW_TOL = 1e-12     # relative skew-Hermitian defect the rho norm of a gauge fi
 UNITARY_TOL = 1e-8   # unitarity defect a gauge transform may have
 MAX_SWEEPS = 25      # Coulomb sweeps before the fix gives up
 GAUGE_MAX_MODE = 2   # highest sine/cosine mode of random_gauge_field
-_EDGES = ("left", "right", "bottom", "top")
 
 
 class SquareGrid:
@@ -69,6 +69,11 @@ def diff4(F: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _outward_trace(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """iota_nu (fx dx + fy dy) on the edges left, right, bottom, top (outward normal)."""
+    return np.stack([-fx[0], fx[-1], -fy[:, 0], fy[:, -1]])
+
+
 # ----------------------------------------------------------------------------
 # fields
 
@@ -96,10 +101,9 @@ class GaugeField:
     def rank(self) -> int:
         return self.ax.shape[-1]
 
-    def normal_trace(self) -> dict[str, np.ndarray]:
-        """iota_nu A on the four edges (outward normal)."""
-        return {"left": -self.ax[0], "right": self.ax[-1],
-                "bottom": -self.ay[:, 0], "top": self.ay[:, -1]}
+    def normal_trace(self) -> np.ndarray:
+        """iota_nu A on the four edges, as `_outward_trace` stacks it."""
+        return _outward_trace(self.ax, self.ay)
 
 
 @dataclass
@@ -213,26 +217,29 @@ def _edge_cos_pair_correction(wl: np.ndarray, wr: np.ndarray, x: np.ndarray) -> 
     return np.tensordot(modes, np.cos(kx.T), (1, 0)).swapaxes(1, 2)
 
 
-def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray],
+def neumann_poisson(rhs: np.ndarray, w: np.ndarray,
                     grid: SquareGrid) -> tuple[np.ndarray, float]:
     """Solve Lap(a) = rhs with d_nu a = w on the boundary, mean(a) = 0;
     returns (a, the worst compatibility defect over scale).
 
-    rhs[x, y, ...] and the edge data w[e][s, ...] share their trailing axes,
-    a batch of independent real solves.  Compatibility (integral of rhs
-    equals boundary flux) is checked per entry up to COMPAT_TOL times that
-    entry's scale; the measured defect is spread as a constant so the
-    expansion is exactly solvable, and larger defects raise.
+    w[edge, s, ...] holds the outward d_nu a on the edges left, right,
+    bottom, top at s = 0..N along each; a leading shape other than (4, N + 1)
+    raises ValueError.  rhs[x, y, ...] and w share their trailing axes, a
+    batch of independent real solves.  Compatibility (integral of rhs equals
+    boundary flux) is checked per entry up to COMPAT_TOL times that entry's
+    scale; the measured defect is spread as a constant so the expansion is
+    exactly solvable, and larger defects raise.
     """
     M = grid.N + 1
+    if w.shape[:2] != (4, M):
+        raise ValueError("edge data has shape %r, not (4, %d, ...)" % (w.shape, M))
     rhs_shape = rhs.shape
     rhs = rhs.reshape(M, M, -1)
-    w = {e: w[e].reshape(M, -1) for e in _EDGES}
+    w = w.reshape(4, M, -1)
     X, Y = grid.X[..., None], grid.Y[..., None]
-    flux = sum(grid.w1 @ w[e] for e in _EDGES)
+    flux = sum(grid.w1 @ w)
     defect = np.tensordot(grid.w2, rhs, 2) - flux
-    entries = np.concatenate([rhs.reshape(M * M, -1), *w.values()])
-    scale = np.maximum(1.0, np.abs(entries).max(axis=0))
+    scale = np.max([np.abs(rhs).max(axis=(0, 1)), np.abs(w).max(axis=(0, 1))], 0, initial=1.0)
     worst = np.argmax(np.abs(defect) / scale)
     compat = float(abs(defect[worst]) / scale[worst])
     if abs(defect[worst]) > COMPAT_TOL * scale[worst]:
@@ -240,11 +247,10 @@ def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray],
     rhs = rhs - defect            # restore exact compatibility
 
     # quadratic particular solution absorbing the mean of rhs
-    c0 = flux
-    a = c0 * (X ** 2 + Y ** 2) / 4.0
-    w = {"left": w["left"], "right": w["right"] - c0 / 2,
-         "bottom": w["bottom"], "top": w["top"] - c0 / 2}
-    rhs = rhs - c0
+    a = flux * (X ** 2 + Y ** 2) / 4.0
+    w = w.copy()
+    w[1::2] -= flux / 2           # a's outward derivative on right and top (0 on the others)
+    rhs = rhs - flux
 
     # cosine solve with homogeneous Neumann data
     C = _cos_coeffs(_cos_coeffs(rhs.swapaxes(0, 1)).swapaxes(0, 1))
@@ -255,22 +261,18 @@ def neumann_poisson(rhs: np.ndarray, w: dict[str, np.ndarray],
     C[0, 0] = 0.0
     a = a + _cos_synth(_cos_synth(C.swapaxes(0, 1)).swapaxes(0, 1))
 
-    # edge means: three independent harmonic polynomials span the zero-sum data
-    means = np.array([grid.w1 @ w[e] for e in _EDGES])
+    # edge means: three harmonic polynomials (rows: d_nu per edge) span the zero-sum data
     basis = np.array([[-1.0, 1.0, 0.0, 0.0],
                       [0.0, 0.0, -1.0, 1.0],
                       [0.5, 0.5, -0.5, -0.5]])
-    coef, *_ = np.linalg.lstsq(basis.T, means, rcond=None)
+    coef, *_ = np.linalg.lstsq(basis.T, grid.w1 @ w, rcond=None)
     a = a + coef[0] * (X - 0.5) + coef[1] * (Y - 0.5) \
         + coef[2] * ((X - 0.5) ** 2 - (Y - 0.5) ** 2) / 2.0
-    rem = {"left": w["left"] - (-coef[0] + coef[2] * 0.5),
-           "right": w["right"] - (coef[0] + coef[2] * 0.5),
-           "bottom": w["bottom"] - (-coef[1] - coef[2] * 0.5),
-           "top": w["top"] - (coef[1] - coef[2] * 0.5)}
+    rem = w - (basis.T @ coef)[:, None]
 
     # oscillatory edge data via harmonic extensions (no cross-edge pollution)
-    a = a + _edge_cos_pair_correction(rem["left"], rem["right"], grid.x)
-    a = a + _edge_cos_pair_correction(rem["bottom"], rem["top"], grid.x).swapaxes(0, 1)
+    a = a + _edge_cos_pair_correction(rem[0], rem[1], grid.x)
+    a = a + _edge_cos_pair_correction(rem[2], rem[3], grid.x).swapaxes(0, 1)
     return (a - np.tensordot(grid.w2, a, 2)).reshape(rhs_shape), compat
 
 
@@ -286,7 +288,7 @@ class CoulombReport:
     curvature_l2: float
     a_w12: float
     compat_defect: float         # worst Neumann compatibility defect over scale, 0 if no sweep
-    history: list[tuple[float, float]] | None = None   # (div, boundary) per sweep
+    history: list[tuple[float, float]]   # (div, boundary) per sweep
 
     @property
     def ratio(self) -> float:
@@ -299,7 +301,7 @@ class CoulombReport:
             w = csv.writer(fh)
             if fh.tell() == 0:
                 w.writerow(["seed", "rank", "sweep", "div_residual", "boundary_residual"])
-            for i, (dv, bd) in enumerate(self.history or []):
+            for i, (dv, bd) in enumerate(self.history):
                 w.writerow([seed, rank, i, repr(dv), repr(bd)])
 
 
@@ -323,7 +325,7 @@ def _residual_norms(A: GaugeField, dstar: np.ndarray) -> tuple[float, float]:
     g = A.grid
     interior = _rho_skew(dstar)
     l2 = float(np.sqrt(np.sum(interior ** 2 * g.w2)))
-    bdry = max(float(_rho_skew(v[1:-1]).max()) for v in A.normal_trace().values())
+    bdry = max(float(_rho_skew(v[1:-1]).max()) for v in A.normal_trace())
     return l2, bdry
 
 
@@ -354,8 +356,7 @@ def _skew_field(c: np.ndarray, r: int) -> np.ndarray:
     return F
 
 
-def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray],
-                     grid: SquareGrid) -> tuple[np.ndarray, float]:
+def _neumann_refined(rho: np.ndarray, w: np.ndarray, grid: SquareGrid) -> tuple[np.ndarray, float]:
     """Neumann solve, then Richardson-correct against the composed 4th-order
     difference operators so the update cancels the residual as the gauge
     sweep will actually measure it.  Returns (chi, the worst compatibility
@@ -363,12 +364,9 @@ def _neumann_refined(rho: np.ndarray, w: dict[str, np.ndarray],
     chi, compat = neumann_poisson(rho, w, grid)
     h = grid.h
     for _ in range(N_REFINE):
-        gx = diff4(chi, 0, h)
-        gy = diff4(chi, 1, h)
+        gx, gy = diff4(chi, 0, h), diff4(chi, 1, h)
         lap = diff4(gx, 0, h) + diff4(gy, 1, h)
-        rb = {"left": w["left"] + gx[0], "right": w["right"] - gx[-1],
-              "bottom": w["bottom"] + gy[:, 0], "top": w["top"] - gy[:, -1]}
-        step, defect = neumann_poisson(rho - lap, rb, grid)
+        step, defect = neumann_poisson(rho - lap, w - _outward_trace(gx, gy), grid)
         chi += step
         compat = max(compat, defect)
         del step                # before the next pass forms its differences
@@ -417,8 +415,7 @@ def coulomb_fix(A: GaugeField, *, tol: float, eps0: float = 0.1):
                                "%.1e in the %d sweeps left; residual history: %s"
                                % (worse, rate, it, tol, MAX_SWEEPS - it,
                                   ["(%.2e, %.2e)" % hb for hb in history]))
-        wdata = {e: _skew_coords(v) for e, v in A_cur.normal_trace().items()}
-        chi, defect = _neumann_refined(_skew_coords(dstar), wdata, g)   # coordinates
+        chi, defect = _neumann_refined(_skew_coords(dstar), _skew_coords(A_cur.normal_trace()), g)
         chi, compat = _skew_field(chi, r), max(compat, defect)
         u_total = mm(_expm_skew(chi), u_total)
         A_cur = gauge_act(u_total, A)

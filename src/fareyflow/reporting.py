@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -17,13 +18,16 @@ VOLATILE_KEYS = ("timestamp", "elapsed_s", "trace", "timings")
 
 
 def _plain(value):
-    """JSON-friendly rendering with deterministic formatting."""
+    """JSON-friendly rendering with deterministic formatting; a non-finite
+    float, numpy's too, becomes None (null), as JSON.stringify writes it."""
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        return value.item()
+        return _plain(value.item())
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -40,9 +44,7 @@ class ReportRecord:
     residuals: dict
     verdict: str                   # "pass" | "fail" | "error"
     identity: str                  # plain-language statement of what was checked
-    timestamp: str = ""
     elapsed_s: float = 0.0
-    schema: int = SCHEMA_VERSION
     trace: dict | None = None      # per-iteration trajectories (volatile)
     timings: dict | None = None    # phase -> seconds (volatile)
 
@@ -50,8 +52,8 @@ class ReportRecord:
         volatile = {k: _plain(v) for k, v in (("trace", self.trace),
                                              ("timings", self.timings)) if v is not None}
         return {
-            "schema": self.schema,
-            "timestamp": self.timestamp or time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "schema": SCHEMA_VERSION,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "elapsed_s": round(self.elapsed_s, 4),
             "op": self.op,
             "config_hash": config_hash(self.op, self.params),
@@ -67,7 +69,7 @@ class ReportRecord:
 def write_report(record: ReportRecord, sink) -> dict:
     """Append one JSON line; returns the written dict."""
     data = record.to_dict()
-    line = json.dumps(data, sort_keys=True)
+    line = json.dumps(data, sort_keys=True, allow_nan=False)
     try:
         with open(sink, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")

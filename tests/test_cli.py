@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from fareyflow.cli import UsageError, load_config, main, parse_theta
 from fareyflow.coulomb import COMPAT_TOL
-from fareyflow.reporting import ReportRecord, read_journal, stable_view
+from fareyflow.reporting import ReportRecord, read_journal, stable_view, write_report
 
 
 def test_parse_theta_notations():
@@ -137,6 +138,20 @@ def test_record_plains_numpy_scalars_and_rejects_arrays():
     assert data["config"] == {"n": 3} and type(data["outputs"]["x"]) is float
     with pytest.raises(ValueError, match="size 1"):
         ReportRecord("op", {}, {"x": np.zeros(2)}, {}, "pass", "").to_dict()
+
+
+def test_record_writes_non_finite_floats_as_null(tmp_path):
+    outputs = {"a": math.inf, "b": [np.float64(-np.inf), np.nan], "c": np.float32(np.nan),
+               "d": 1.5}
+    data = write_report(ReportRecord("op", {}, outputs, {}, "fail", ""), tmp_path / "j.jsonl")
+    assert data["outputs"] == {"a": None, "b": [None, None], "c": None, "d": 1.5}
+    # a coulomb run with no fixed sample has no ratio spread: null, and still a failure
+    j = tmp_path / "c.jsonl"
+    assert main(["--out", str(j), "coulomb", "--samples", "0"]) == 2
+    (line,) = j.read_text().splitlines()
+    rec = json.loads(line, parse_constant=pytest.fail)
+    assert rec["outputs"]["ratio_max_over_median"] is None
+    assert rec["residuals"] == {"ratio_spread": None} and rec["verdict"] == "fail"
 
 
 def test_journal_records_same_hash(tmp_path):

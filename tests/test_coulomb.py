@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,24 +146,24 @@ def test_skew_rho_rejects_non_skew_fields(grid):
 
 def _neumann_case(g, n):
     """Mean-zero u = cos(pi x) cos(n pi y) plus, from each edge, the harmonic
-    extension of one cosine mode; returns (u, Lap u, outward d_nu u).  Both
-    the volume and the trapezoid flux integrals vanish exactly."""
+    extension of one cosine mode; returns (u, Lap u, outward d_nu u on the
+    edges left, right, bottom, top).  Both the volume and the trapezoid flux
+    integrals vanish exactly."""
     X, Y, x = g.X, g.Y, g.x
-    kl, kr, kb, kt = np.pi * np.array([n + 1, n - 1, n, n - 2])
+    k = np.pi * np.array([n + 1, n - 1, n, n - 2])
+    kl, kr, kb, kt = k
     ch = np.cosh
     u = (np.cos(np.pi * X) * np.cos(n * np.pi * Y)
          + ch(kl * (1 - X)) * np.cos(kl * Y) / ch(kl) + ch(kr * X) * np.cos(kr * Y) / ch(kr)
          + ch(kb * (1 - Y)) * np.cos(kb * X) / ch(kb) + ch(kt * Y) * np.cos(kt * X) / ch(kt))
     rhs = -(1 + n ** 2) * np.pi ** 2 * np.cos(np.pi * X) * np.cos(n * np.pi * Y)
-    w = {e: k * np.tanh(k) * np.cos(k * x)
-         for e, k in zip(("left", "right", "bottom", "top"), (kl, kr, kb, kt))}
-    return u - np.sum(u * g.w2), rhs, w
+    return u - np.sum(u * g.w2), rhs, (k * np.tanh(k))[:, None] * np.cos(np.outer(k, x))
 
 
 def test_neumann_solver(grid):
     a_true = np.cos(np.pi * grid.X) * np.cos(3 * np.pi * grid.Y)
     rhs = -(np.pi ** 2 + 9 * np.pi ** 2) * a_true
-    zero_w = {e: np.zeros(grid.N + 1) for e in ("left", "right", "bottom", "top")}
+    zero_w = np.zeros((4, grid.N + 1))
     a, compat = neumann_poisson(rhs, zero_w, grid)
     assert np.abs(a - (a_true - np.sum(a_true * grid.w2))).max() < 1e-12
     with pytest.raises(ValueError, match="incompatible"):
@@ -180,7 +181,7 @@ def test_neumann_solver(grid):
     cases = [_neumann_case(grid, n) for n in (3, 4, 5, 6)]
     M = grid.N + 1
     rhs = np.stack([c[1] for c in cases], -1).reshape(M, M, 2, 2)
-    w = {e: np.stack([c[2][e] for c in cases], -1).reshape(M, 2, 2) for e in zero_w}
+    w = np.stack([c[2] for c in cases], -1).reshape(4, M, 2, 2)
     a = neumann_poisson(rhs, w, grid)[0].reshape(M, M, 4)
     for k, (u, rk, wk) in enumerate(cases):
         assert np.abs(a[..., k] - neumann_poisson(rk, wk, grid)[0]).max() < 1e-13
@@ -189,6 +190,18 @@ def test_neumann_solver(grid):
     rhs[..., 1, 0] += 1.0
     with pytest.raises(ValueError, match=r"incompatible.* = 1\.000e\+00"):
         neumann_poisson(rhs, w, grid)
+
+
+def test_neumann_refuses_edge_data_of_another_shape(grid):
+    """Edge data leads with its (4, N + 1) edge and node axes; any other
+    leading shape, a transposed array included, is refused with its shape
+    rather than reshaped."""
+    M = grid.N + 1
+    rhs = np.zeros((M, M, 3))
+    for shape in ((M, 4, 3), (4, M - 1, 3), (3, M, 3), (4,)):
+        with pytest.raises(ValueError, match=r"edge data has shape %s" % re.escape(repr(shape))):
+            neumann_poisson(rhs, np.zeros(shape), grid)
+    assert not neumann_poisson(rhs, np.zeros((4, M, 3)), grid)[0].any()
 
 
 def _dagger(F):
@@ -204,7 +217,7 @@ def test_packed_sweep_solve_matches_split_columns(grid):
         A = random_gauge_field(grid, r, seed=40 + r, curvature_target=0.03)
         dstar, trace = _d_star(A), A.normal_trace()
         assert np.array_equal(_skew_field(_skew_coords(dstar), r), dstar)
-        w = {e: _skew_coords(v) for e, v in trace.items()}
+        w = _skew_coords(trace)
         chi = _skew_field(_neumann_refined(_skew_coords(dstar), w, grid)[0], r)
         ref = split_solve(dstar, trace, grid)
         assert np.array_equal(chi, -_dagger(chi))

@@ -27,7 +27,7 @@ code = fareyflow.cli.main(["--out", out + "/journal.jsonl", "lagrange"])
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 grid = coulomb.SquareGrid(16)
 rhs = np.cos(np.pi * grid.X) * np.cos(2 * np.pi * grid.Y)
-w = {e: np.zeros(grid.N + 1) for e in ("left", "right", "bottom", "top")}
+w = np.zeros((4, grid.N + 1))
 np.save(out + "/neumann.npy", coulomb.neumann_poisson(rhs, w, grid)[0])
 print(json.dumps({"cli_exit": code, "scipy_before_solves": before,
                   "scipy_fft_after_solves": "scipy.fft" in sys.modules}))

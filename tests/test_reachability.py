@@ -101,7 +101,7 @@ ALLOWED_STATEMENTS = {
     # robustness: branches for failures that no toured input provokes
     ("fareyflow.torus_he.donaldson.donaldson_flow", "step *= 0.5"):
         "robustness: metric_log refuses a trial metric, and the step halves",
-    ("fareyflow.reporting._plain", "return value.item()"):
+    ("fareyflow.reporting._plain", "return _plain(value.item())"):
         "robustness: `run` journals any params dict, so a record may hold a numpy "
         "scalar (test_record_plains_numpy_scalars_and_rejects_arrays)",
 }
@@ -183,13 +183,29 @@ def _body(func) -> list:
 
 
 @pytest.fixture(scope="module")
-def tour(tmp_path_factory) -> dict:
+def tour_out(tmp_path_factory) -> Path:
+    """The tour's scratch directory: its journal, dumps and workload files."""
+    return tmp_path_factory.mktemp("tour")
+
+
+@pytest.fixture(scope="module")
+def tour(tour_out) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = tmp_path_factory.mktemp("tour")
-    proc = subprocess.run([sys.executable, str(TOUR), str(out)], env=env,
+    proc = subprocess.run([sys.executable, str(TOUR), str(tour_out)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-3000:]
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_tour_journal_is_strict_json(tour, tour_out):
+    """Every journal line of the tour is RFC 8259 JSON: no Infinity or NaN."""
+    def refuse(name):
+        raise ValueError("journal line holds %s" % name)
+
+    lines = (tour_out / "journal.jsonl").read_text().splitlines()
+    assert lines
+    for line in lines:
+        json.loads(line, parse_constant=refuse)
 
 
 def test_every_definition_is_reached_or_allowed(tour):
