@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 import time
 from fractions import Fraction
@@ -318,7 +319,8 @@ RUNNERS = {
 def load_config(subcommand: str, flag_params: dict, config_path: str | None) -> dict:
     """Defaults, overridden by the config-file section, overridden by flags;
     then each value whose default is an int or a float gets that type, by
-    whichever route it came (flags and file values arrive as strings)."""
+    whichever route it came (flags and file values arrive as strings), and a
+    float that is not finite is refused as a usage error."""
     if subcommand not in DEFAULTS:
         raise UsageError("unknown subcommand %r" % subcommand)
     params = dict(DEFAULTS[subcommand])
@@ -345,6 +347,8 @@ def load_config(subcommand: str, flag_params: dict, config_path: str | None) -> 
             except ValueError:
                 raise UsageError("%s = %r is not a valid %s"
                                  % (key, params[key], kind.__name__)) from None
+            if kind is float and not math.isfinite(params[key]):   # inf/nan decide nothing
+                raise UsageError("%s = %r is not finite" % (key, params[key]))
     return params
 
 

@@ -8,6 +8,7 @@ form turns a two-form coefficient F_xy into i*Lambda*F = i F_xy.
 
 from __future__ import annotations
 
+import cmath
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +21,8 @@ class TorusGrid:
 
     def __init__(self, tau: complex, N: int):
         tau = complex(tau)
+        if not cmath.isfinite(tau):
+            raise ValueError("modulus %r is not finite" % tau)
         if tau.imag <= 0:
             raise ValueError("modulus must have positive imaginary part")
         if N < 16 or N % 2:

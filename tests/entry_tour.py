@@ -69,6 +69,7 @@ CLI_EXITS = [
     (["farey", "--triangle", "0/1,1/3,1/1"], 2),            # not a mediant
     (["farey", "--triangle", "1/3,3/4,2/1"], 2),            # not unimodular
     (["coulomb", "--N", "16", "--samples", "1", "--curvature", "0.5"], 2),  # no fix
+    (["coulomb", "--N", "16", "--samples", "1", "--curvature", "0"], 2),    # no field
     (["torus-he", "--degree", "2"], 2),                     # gcd(2, 2) = 2
     (["convergents", "--depth", "-1"], 2),                  # a negative index
     (["density", "--samples", "-5"], 2),                    # a negative count
@@ -77,6 +78,7 @@ CLI_EXITS = [
     ([], 1),
     (["nosuch"], 1),
     (["farey", "--triangle", "1/2,1/1"], 1),
+    (["torus-he", "--tol", "inf"], 1),                      # a bound that decides nothing
     (["--config", "{out}/run.cfg", "density"], 1),          # CONFIG's 1e3 samples
 ]
 CONFIG = ("[farey]\ntriangle = 1/1,-2/-1,1/0\n"    # uncanonical vertices

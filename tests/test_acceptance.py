@@ -303,7 +303,7 @@ def test_criterion_12_coulomb_samples():
     elapsed = time.perf_counter() - t0
     ok = worst_div < 1e-6 and worst_bdry < 1e-6 and spread < 5 \
         and rank_growth < 2 and elapsed < 300.0
-    assert report(12, ok, "51 samples converged (max residuals %.1e / %.1e), "
+    assert report(12, ok, "51 samples converged (max residuals %.3e / %.3e), "
                   "ratio max/median %.3f, rank-median spread %.3f; %.1fs"
                   % (worst_div, worst_bdry, spread, rank_growth, elapsed))
 

@@ -77,6 +77,26 @@ def test_malformed_number_is_a_usage_error(tmp_path, capsys, route):
     assert not j.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("sub", ["coulomb", "torus-he", "chern-weil", "donaldson"])
+def test_non_finite_tol_is_a_usage_error(tmp_path, capsys, sub, value):
+    # a bound of inf passes every check and nan fails all: no verdict, no record
+    j = tmp_path / "j.jsonl"
+    assert main(["--out", str(j), sub, "--tol", value]) == 1
+    assert "tol = %s is not finite" % value in capsys.readouterr().err
+    assert not j.exists()
+
+
+def test_zero_curvature_target_journals_an_error(tmp_path):
+    j = str(tmp_path / "j.jsonl")
+    assert main(["--out", j, "coulomb", "--N", "16", "--samples", "1",
+                 "--curvature", "0"]) == 2
+    rec, = read_journal(j)
+    assert rec["verdict"] == "error"
+    assert rec["outputs"] == {
+        "error": "ValueError: curvature target 0.0 is not positive and finite"}
+
+
 def test_exit_codes(tmp_path):
     j = str(tmp_path / "j.jsonl")
     assert main(["--out", j, "farey", "--triangle", "0/1,1/2,1/1"]) == 0

@@ -98,6 +98,9 @@ ALLOWED_STATEMENTS = {
     ("fareyflow.torus_he.fields.SectionField.sigma_min_field",
      "return np.linalg.svd(cols, compute_uv=False)[..., -1]"):
         "only tests build a block of m >= 2 section columns (field_reference.section_basis)",
+    ("fareyflow.coulomb._expm_skew", "q, buf = np.matmul(q, q, out=buf), q"):
+        "the squaring of a rank >= 3 exponent above EXPM_THETA: Coulomb sweeps reach "
+        "at most about 4e-3; test_expm_skew_against_eigh squares up to 8 times",
     # robustness: branches for failures that no toured input provokes
     ("fareyflow.torus_he.donaldson.donaldson_flow", "step *= 0.5"):
         "robustness: metric_log refuses a trial metric, and the step halves",

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +41,9 @@ def test_grid_validation():
         TorusGrid(1.0, 64)       # real modulus
     with pytest.raises(ValueError):
         TorusGrid(1j, 15)
+    for tau in (complex(1, math.inf), complex(math.nan, 1)):
+        with pytest.raises(ValueError, match="modulus .* is not finite"):
+            TorusGrid(tau, 16)
     g = TorusGrid(0.3 + 1.1j, 32)
     assert field_reference.weight(g) * g.N ** 2 == pytest.approx(1.0)
 
