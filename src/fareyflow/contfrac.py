@@ -603,7 +603,7 @@ def _draw_and_tally(rng_state, n, bits, depth, digit, burn_in, want_odd):
 
 
 def gauss_digit_density(samples: int, depth: int, digit: int, parity: str,
-                        seed: int, burn_in: int = 32, bits: int = 768) -> DigitDensity:
+                        seed: int, burn_in: int, bits: int = 768) -> DigitDensity:
     """Empirical frequency of a digit at positions of one parity.
 
     Draws uniform reals in (0, 1) as exact dyadic rationals with `bits` random

@@ -14,6 +14,8 @@ broadcast.  The rank is read from the shape:
 eigenvalue of A^dag A; it needs no self-adjointness of A, so it is the
 operator norm of any field (at rank 2 in closed form).  `cross_block_norms`
 splits a rank-2 field by the spectral projectors of a Hermitian one.
+`centred_sum` is the 5-point sum of the 4th-order stencils `torus_he.twist.d4`
+and `coulomb.diff4`.
 
 Rank-2 matrix functions.  For Hermitian H = [[a, b], [conj b, d]] put
 m = (a + d)/2 and T = H - m I, so T^2 = g^2 I with g = sqrt(((a - d)/2)^2 +
@@ -101,6 +103,24 @@ def inv(A: np.ndarray) -> np.ndarray:
     out[..., 0, 1] = -b / det
     out[..., 1, 0] = -c / det
     out[..., 1, 1] = a / det
+    return out
+
+
+def centred_sum(F: np.ndarray, axis: int, dtype) -> np.ndarray:
+    """((0 + F(-2)) - 8 F(-1) + 8 F(+1)) - F(+2) along `axis`, summed in that
+    order over the flattened field into a new C-ordered array of `dtype`; it
+    is right at nodes 2..n-3, and callers overwrite the two rows at each end.
+    Starting from 0 makes every zero of the sum +0, whatever the signs of zero
+    in F and in the products by 8."""
+    F = np.ascontiguousarray(F)
+    out, step = np.empty(F.shape, dtype), F.strides[axis] // F.itemsize
+    n = F.size - 4 * step
+    row = [F.reshape(-1)[k * step:k * step + n] for k in range(5)]     # F(-2) .. F(+2)
+    sums, scratch = out.reshape(-1)[2 * step:2 * step + n], np.empty(n, dtype)
+    np.add(row[0], 0, out=sums)
+    sums -= np.multiply(row[1], 8, out=scratch)
+    sums += np.multiply(row[3], 8, out=scratch)
+    sums -= row[4]
     return out
 
 

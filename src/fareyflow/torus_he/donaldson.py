@@ -121,7 +121,7 @@ def _check_selfadjoint(K: MetricField, s: np.ndarray):
     ks = K.apply(s)
     defect = np.abs(ks - dagger(ks)).max()
     scale = max(1.0, float(np.abs(ks).max()))
-    if defect > SELFADJOINT_TOL * scale:
+    if not defect <= SELFADJOINT_TOL * scale:
         raise ValueError("endomorphism is not self-adjoint for the metric "
                          "(defect %.3e)" % defect)
 
@@ -197,7 +197,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
     removes the grid-scale stiffness while keeping the same fixed points and
     descent property; positivity is exact.  The step starts at STEP_INIT,
     halves whenever the functional would rise by more than DESCENT_SLACK
-    relative (a smaller rise is accepted) or positivity is lost to roundoff,
+    relative (a smaller rise is accepted) or the trial is not a finite positive metric,
     and grows gently up to STEP_MAX after accepted steps.
 
     K0's `curvature_defect` is formed once per flow, on a second
@@ -232,21 +232,19 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
 
         direction = hermitize(wt.apply_symbol(G_hat, symbol))
         half = H.sqrt_pair()[0]
-        accepted = False
         for _ in range(60):
             expd = fiber.herm_apply(fiber.exp(-step), direction)
-            trial = MetricField(grid, twist, hermitize(mm(half, mm(expd, half))))
             try:
+                trial = MetricField(grid, twist, hermitize(mm(half, mm(expd, half))))
                 s_new = metric_log(trial, K0)
             except ValueError:
                 step *= 0.5
                 continue
             m_new = donaldson_functional(K0, s_new, source)
             if m_new <= m_cur + DESCENT_SLACK * max(1.0, abs(m_cur)):
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise RuntimeError(
                 "descent stalled at iteration %d (residual %.3e); residual history: %s"
                 % (it, res, ["%.3e" % r for r in residuals[-8:]]))

@@ -34,33 +34,29 @@ class EndoField:
         if self.data.shape != (N, N, r, r):
             raise ValueError("expected shape %r, got %r" % ((N, N, r, r), self.data.shape))
 
-    def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d_z, d_zbar) from one pair of 4th-order stencils (d_x, d_y): d_x
-        is folded into both combinations before d_y is formed, and each
-        stencil's own output holds its d_zbar term."""
+    def _derivatives(self, *coeffs: tuple) -> list[np.ndarray]:
+        """c[0] d_x + c[1] d_y for each coefficient pair c, from one pair of
+        stencils: d_x is folded into every combination before d_y is formed,
+        and the last combination is formed in the stencils' own outputs."""
         g, seam = self.grid, endo_seam(self.twist)
+        *first, last = coeffs
         dx = d4(self.data, 0, g.h, seam)
-        dz = g.cz[0] * dx
-        dzb = np.multiply(g.czb[0], dx, out=dx)
+        outs = [c[0] * dx for c in first] + [np.multiply(last[0], dx, out=dx)]
         dy = d4(self.data, 1, g.h, seam)
-        dz += g.cz[1] * dy
-        dzb += np.multiply(g.czb[1], dy, out=dy)
-        return dz, dzb
+        for out, c in zip(outs, first):
+            out += c[1] * dy
+        outs[-1] += np.multiply(last[1], dy, out=dy)
+        return outs
 
-    def _combination(self, c: tuple) -> np.ndarray:
-        """c[0] d_x + c[1] d_y, each product formed in its stencil's output."""
-        g, seam = self.grid, endo_seam(self.twist)
-        dx = d4(self.data, 0, g.h, seam)
-        out = np.multiply(c[0], dx, out=dx)
-        dy = d4(self.data, 1, g.h, seam)
-        out += np.multiply(c[1], dy, out=dy)
-        return out
+    def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d_z, d_zbar) from one pair of stencils."""
+        return tuple(self._derivatives(self.grid.cz, self.grid.czb))
 
     def d_z(self) -> np.ndarray:
-        return self._combination(self.grid.cz)
+        return self._derivatives(self.grid.cz)[0]
 
     def d_zbar(self) -> np.ndarray:
-        return self._combination(self.grid.czb)
+        return self._derivatives(self.grid.czb)[0]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -88,7 +84,7 @@ class MetricField(EndoField):
         super().__post_init__()
         vals = self.data[0, 0] if self.data.strides[:2] == (0, 0) else self.data
         herm = np.abs(vals - dagger(vals)).max()
-        if herm > 1e-9 * max(1.0, np.abs(vals).max()):
+        if not herm <= 1e-9 * max(1.0, np.abs(vals).max()):
             raise ValueError("metric field is not Hermitian (defect %.2e)" % herm)
         self._inv = self._sqrt_pair = self._gamma = None
         self._identity = False

@@ -59,7 +59,7 @@ class TorusGrid:
         """
         defect = float(np.abs(rhs.mean()))
         scale = float(np.abs(rhs).max()) or 1.0
-        if defect > POISSON_MEAN_TOL * max(scale, 1.0):
+        if not defect <= POISSON_MEAN_TOL * max(scale, 1.0):
             raise ValueError("Poisson right side has nonzero mean %.3e" % defect)
         sym = self.laplace_symbol(*self.modes)
         sym[0, 0] = 1.0

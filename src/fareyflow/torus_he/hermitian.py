@@ -115,7 +115,7 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     cols = incl.columns
     svals = incl.sigma_min_field()
     worst = np.unravel_index(np.argmin(svals), svals.shape)
-    if svals[worst] < SV_FLOOR:
+    if not svals[worst] >= SV_FLOOR:
         raise ValueError("inclusion nearly singular at node %r (sigma_min = %.3e)"
                          % (tuple(int(i) for i in worst), svals[worst]))
     cols_h = H.dual(cols)                                     # C^dag H, (m, r)
@@ -157,8 +157,9 @@ def threshold_probe(beta: SecondFundamentalForm) -> ThresholdProbe:
     convergence-threshold inequality."""
     field = beta.norm_sq
     mean = float(field.mean())
-    if mean <= 0:
-        raise ValueError("beta vanishes identically; the ratio is undefined")
+    if not mean > 0:
+        raise ValueError("beta vanishes identically; the ratio is undefined" if mean <= 0
+                         else "mean |beta|^2 is %r; the ratio is undefined" % mean)
     return ThresholdProbe(float(field.max()) / mean, mean)
 
 
@@ -192,7 +193,7 @@ def conformal_normalize(H_restricted: MetricField, H0: MetricField, muS,
     tr_ilf = np.einsum("...aa->...", i_lambda_F_metric(H_restricted, conn)).real
     rhs = (2.0 / rk) * (tr_ilf - _einstein_constant(muS) * rk)
     defect = float(abs(rhs.mean()))
-    if defect > CONFORMAL_MEAN_TOL * max(1.0, float(np.abs(rhs).max())):
+    if not defect <= CONFORMAL_MEAN_TOL * max(1.0, float(np.abs(rhs).max())):
         raise ValueError("conformal equation not solvable: right side has mean %.3e"
                          % rhs.mean())
     phi = grid.poisson_solve(rhs - rhs.mean())

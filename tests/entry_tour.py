@@ -8,9 +8,13 @@ smoke-size benchmark workloads of WORKLOADS in this one process, under one
 the code object of each call into src/fareyflow; for those frames alone it
 returns a local tracer, which keeps the number of every line that runs.
 Each CLI run must end with its exit code: 0 for CLI_RUNS, the listed one for
-CLI_EXITS.  Each workload is recorded and then run once along the
-benchmark's timed path on that fresh record (`setup` with seed WORKLOAD_SEED,
-`run_pass`, `check`); a failed check stops the tour.
+CLI_EXITS.  The tour then reads back what the runs wrote: the `--dump-grid`
+file must load with a header of N = 32 and rank 2 and an array of shape
+(32, 32, 2, 2), and the journal must hold one record per run that exited 0
+or 2 (`--help` excepted), in run order; a mismatch stops the tour.  Each
+workload is recorded and then run once along the benchmark's timed path on
+that fresh record (`setup` with seed WORKLOAD_SEED, `run_pass`, `check`); a
+failed check stops the tour.
 Prints one JSON object: `called`, the [file relative to src/fareyflow, first
 line] of each called code object of the package, `lines`, the executed line
 numbers of each package file, and `ran`, the subcommands, demos and workloads
@@ -91,13 +95,17 @@ WORKLOAD_SEED = 1
 
 
 def tour(out: str) -> dict:
-    """Run every entry of the tour; an unexpected exit code stops it."""
+    """Run every entry of the tour; an unexpected exit code, grid dump or
+    journal stops it."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from fareyflow import cli
+    from fareyflow.reporting import read_journal
+    from fareyflow.torus_he.fields import load_grid_csv
     import workloads
 
     Path(out, "run.cfg").write_text(CONFIG)
     ran = {"cli": [], "demos": [], "workloads": []}
+    journaled = []      # the subcommand of each run that must leave a record
     for argv, expected in [(argv, 0) for argv in CLI_RUNS] + CLI_EXITS:
         argv = [a.format(out=out) for a in argv]
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -105,7 +113,17 @@ def tour(out: str) -> dict:
             code = cli.main(["--out", os.path.join(out, "journal.jsonl")] + argv)
         if code != expected:
             raise SystemExit("tour run %r exited %d, not %d" % (argv, code, expected))
-        ran["cli"] += [a for a in argv if a in cli.DEFAULTS]
+        subcommands = [a for a in argv if a in cli.DEFAULTS]
+        ran["cli"] += subcommands
+        if code in (0, 2) and "--help" not in argv:
+            journaled += subcommands
+    header, data = load_grid_csv(os.path.join(out, "grid.csv"))
+    if (header["N"], header["rank"], data.shape) != (32, 2, (32, 32, 2, 2)):
+        raise SystemExit("grid dump reads back as N = %d, rank %d, shape %r"
+                         % (header["N"], header["rank"], data.shape))
+    ops = [record["op"] for record in read_journal(os.path.join(out, "journal.jsonl"))]
+    if ops != journaled:
+        raise SystemExit("journal holds records %r, not one per run %r" % (ops, journaled))
     for name in DEMOS:
         with contextlib.redirect_stdout(io.StringIO()):
             runpy.run_path(str(ROOT / "demos" / name), run_name="__main__")

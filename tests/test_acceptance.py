@@ -79,7 +79,7 @@ def test_criterion_02_parity_skew_reproduction():
 
 def test_criterion_03_gauss_kuzmin_density():
     t0 = time.perf_counter()
-    d = gauss_digit_density(100_000, 200, 1, "odd", seed=20260810)
+    d = gauss_digit_density(100_000, 200, 1, "odd", seed=20260810, burn_in=32)
     elapsed = time.perf_counter() - t0
     dev = abs(d.empirical - d.reference)
     ok = dev <= 3 * d.stderr and elapsed < 30.0

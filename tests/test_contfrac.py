@@ -322,26 +322,26 @@ def test_gauss_reference_values():
 
 
 def test_density_no_samples():
-    d = gauss_digit_density(0, 100, 1, "odd", seed=1)
+    d = gauss_digit_density(0, 100, 1, "odd", seed=1, burn_in=32)
     assert d.empirical is None and d.stderr is None
 
 
 def test_density_deterministic_and_within_noise():
-    d1 = gauss_digit_density(4000, 120, 1, "odd", seed=11)
-    d2 = gauss_digit_density(4000, 120, 1, "odd", seed=11)
+    d1 = gauss_digit_density(4000, 120, 1, "odd", seed=11, burn_in=32)
+    d2 = gauss_digit_density(4000, 120, 1, "odd", seed=11, burn_in=32)
     assert d1.empirical == d2.empirical and d1.stderr == d2.stderr
     assert abs(d1.empirical - d1.reference) <= 4 * d1.stderr
-    d3 = gauss_digit_density(4000, 120, 2, "even", seed=12)
+    d3 = gauss_digit_density(4000, 120, 2, "even", seed=12, burn_in=32)
     assert abs(d3.empirical - d3.reference) <= 4 * d3.stderr
 
 
 def test_density_validation():
     with pytest.raises(ValueError, match="samples must be >= 0, got -5"):
-        gauss_digit_density(-5, 100, 1, "odd", seed=1)
+        gauss_digit_density(-5, 100, 1, "odd", seed=1, burn_in=32)
     with pytest.raises(ValueError):
-        gauss_digit_density(10, 5, 1, "odd", seed=1)
+        gauss_digit_density(10, 5, 1, "odd", seed=1, burn_in=32)
     with pytest.raises(ValueError):
-        gauss_digit_density(10, 100, 0, "odd", seed=1)
+        gauss_digit_density(10, 100, 0, "odd", seed=1, burn_in=32)
 
 
 def scalar_digit_density(samples, depth, digit, parity, seed, burn_in, bits):
@@ -444,7 +444,7 @@ def test_density_joins_its_helper_when_a_batch_raises(monkeypatch):
 
     monkeypatch.setattr("fareyflow.contfrac._euclid_tally", fail)
     with pytest.raises(RuntimeError, match="batch failed"):
-        gauss_digit_density(2 * _LANES, 40, 1, "odd", 1)
+        gauss_digit_density(2 * _LANES, 40, 1, "odd", 1, burn_in=32)
     assert multiprocessing.active_children() == []
 
 

@@ -35,6 +35,59 @@ def test_diff4_order():
     assert 3.5 < math.log2(errs[0] / errs[1]) < 4.6
 
 
+# Fornberg's one-sided weights of the first derivative on the two rows at an
+# edge (Math. Comp. 51 (1988) 699-706), in units of 1/h
+FORNBERG = (np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
+            np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0)
+
+
+def centred_oracle(F, axis, h):
+    """The whole-array centred sum, a Python sum (from 0) of weighted slices,
+    over 12 h inside, and the Fornberg rows at both edges."""
+    F = np.moveaxis(F, axis, 0)
+    n = len(F)
+    weights = {-2: 1, -1: -8, 1: 8, 2: -1}
+    inner = sum(c * F[2 + s:n - 2 + s] for s, c in weights.items()) / (12 * h)
+    rows = [sum(c * F[i] for i, c in enumerate(w)) / h for w in FORNBERG]
+    back = [-sum(c * F[-1 - i] for i, c in enumerate(w)) / h for w in FORNBERG]
+    out = np.concatenate([np.stack(rows), inner, np.stack(back[::-1])])
+    return np.moveaxis(out, 0, axis)
+
+
+def _signed_zeros(rng, F):
+    """F with a fifth of its entries +0 or -0 and, along both axes, the rows
+    10, 11, 13, 14 set to -0, +0, -0, +0: the centred sum at row 12 is then
+    a zero whose sign depends on where the sum starts."""
+    F = F.copy()
+    parts = (F.real, F.imag) if np.iscomplexobj(F) else (F,)
+    for part in parts:
+        hit = rng.random(part.shape) < 0.2
+        part[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+        for axis in (0, 1):
+            rows = np.moveaxis(part, axis, 0)
+            rows[[10, 11, 13, 14]] = np.array([-0.0, 0.0, -0.0, 0.0])[:, None, None, None]
+    return F
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+def test_diff4_matches_centred_sum_bitwise(rank):
+    """diff4 sums its interior with `fiber.centred_sum` and keeps Fornberg's
+    one-sided rows at the edges; the whole-array oracle is its match byte
+    for byte, signs of zero included, on real and complex fields, on views
+    that are not C-contiguous and on broadcast views, along both axes."""
+    rng = np.random.default_rng(800 + rank)
+    for N in (16, 32):
+        h = 1.0 / N
+        shape = (N + 1, N + 1, rank, rank)
+        for F in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            F = _signed_zeros(rng, F)
+            for G in (F, np.swapaxes(F, 0, 1), F[:, :, ::-1], np.broadcast_to(F[0, 0], shape),
+                      np.broadcast_to(F[:, :1], shape)):
+                for axis in (0, 1):
+                    want = centred_oracle(G, axis, h)
+                    assert diff4(G, axis, h).tobytes() == want.tobytes()
+
+
 def test_curvature_examples(grid):
     M = grid.N + 1
     z = np.zeros((M, M, 1, 1), complex)
@@ -204,6 +257,19 @@ def test_neumann_solver(grid):
     rhs[..., 1, 0] += 1.0
     with pytest.raises(ValueError, match=r"incompatible.* = 1\.000e\+00"):
         neumann_poisson(rhs, w, grid)
+
+
+def test_neumann_refuses_nan_data(grid):
+    """A NaN in the right side or the edge data makes the flux defect NaN,
+    which is refused with the defect named."""
+    M = grid.N + 1
+    rhs, w = np.zeros((M, M)), np.zeros((4, M))
+    rhs[10, 20] = np.nan
+    with pytest.raises(ValueError, match=r"incompatible.* = nan"):
+        neumann_poisson(rhs, np.zeros((4, M)), grid)
+    w[2, 7] = np.nan
+    with pytest.raises(ValueError, match=r"incompatible.* = nan"):
+        neumann_poisson(np.zeros((M, M)), w, grid)
 
 
 def test_neumann_refuses_edge_data_of_another_shape(grid):

@@ -131,6 +131,15 @@ def test_functional_rejects_non_selfadjoint(setup):
                              curvature_defect(H0, conn, Fraction(1, 2)))
 
 
+def test_functional_refuses_a_nan_entry(setup):
+    grid, tw, conn, H0 = setup
+    s = np.zeros_like(H0.data)
+    s[5, 9, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"self-adjoint .*\(defect nan\)"):
+        donaldson_functional(H0, EndoField(grid, tw, s),
+                             curvature_defect(H0, conn, Fraction(1, 2)))
+
+
 def test_cocycle_identity(setup):
     grid, tw, conn, H0 = setup
     mu = Fraction(1, 2)

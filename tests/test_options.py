@@ -20,8 +20,6 @@ OPTIONS = {
         "the stability run uses the default, the other runs pass the depth they need",
     "fareyflow.cli.main.argv": "the console script passes none (sys.argv), the tests a list",
     "fareyflow.contfrac.lagrange_estimate.check_L": "the CLI's --L and the demo set it",
-    "fareyflow.contfrac.gauss_digit_density.burn_in":
-        "a CLI flag; criterion 3 uses the default",
     "fareyflow.contfrac.gauss_digit_density.bits":
         "the Lehmer oracle test sweeps 8-768 bits across the one-word boundary",
     "fareyflow.coulomb.coulomb_fix.eps0":

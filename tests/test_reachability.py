@@ -52,7 +52,6 @@ TOUR = ROOT / "tests" / "entry_tour.py"
 
 ALLOWED = {
     # documented or test-facing helpers
-    "fareyflow.torus_he.fields.load_grid_csv": "the reader of --dump-grid files that README documents",
     "fareyflow.coulomb.div_residuals": "the benchmark's tracer (perfbench/tracer.py) looks it "
                                        "up by name, so `--trace 1` needs it; it goes when the "
                                        "tracer wraps _residual_norms (ROADMAP item 1)",
@@ -66,7 +65,6 @@ ALLOWED = {
     "fareyflow.stability.WellApproxVerdict.__bool__":
         "guard: an undecided verdict raises instead of reading as true",
     # called only by an acceptance criterion
-    "fareyflow.reporting.read_journal": "criterion 13 reads the journals back",
     "fareyflow.stability.SubsequenceReport.passing": "criterion 5",
 }
 

@@ -139,6 +139,24 @@ def test_metric_validation():
         MetricField(g, tw, npd).sqrt_pair()
 
 
+def test_metric_refuses_a_nan_entry():
+    """A NaN entry makes the Hermiticity defect NaN, which is refused when
+    the metric is built, not later by the eigenvalue check of sqrt_pair."""
+    g, tw = TorusGrid(1j, 16), TwistData(2, 1)
+    data = np.broadcast_to(np.eye(2, dtype=complex), (16, 16, 2, 2)).copy()
+    data[4, 7, 1, 1] = np.nan
+    with pytest.raises(ValueError, match=r"not Hermitian \(defect nan\)"):
+        MetricField(g, tw, data)
+
+
+def test_poisson_solver_refuses_nan():
+    g = TorusGrid(1j, 16)
+    rhs = np.zeros((16, 16))
+    rhs[2, 3] = np.nan
+    with pytest.raises(ValueError, match="nonzero mean nan"):
+        g.poisson_solve(rhs)
+
+
 def test_rho_le_frobenius_random():
     from fareyflow.torus_he.fields import rho_norm_field
     g = TorusGrid(1j, 32)

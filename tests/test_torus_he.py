@@ -405,6 +405,15 @@ def test_sff_near_singular_inclusion_names_node():
         second_fundamental_form(SectionField(g, tw, bad), H0, conn)
 
 
+def test_sff_refuses_a_nan_section_value():
+    g = TorusGrid(1j, 32)
+    tw, conn, H0 = build_model_bundle(2, 1, g)
+    bad = theta_section(tw, g, (0, 0)).data.copy()
+    bad[3, 5, 1] = np.nan
+    with pytest.raises(ValueError, match=r"\(3, 5\) \(sigma_min = nan\)"):
+        second_fundamental_form(SectionField(g, tw, bad), H0, conn)
+
+
 def test_sigma_min_matches_svd():
     """One column takes its vector norm, a block of m >= 2 columns the SVD."""
     g = TorusGrid(0.3 + 1.1j, 16)
@@ -468,6 +477,14 @@ def test_threshold_zero_beta_flagged(model21):
         threshold_probe(_theta_sff_with_norm(model21, np.zeros((g.N, g.N))))
 
 
+def test_threshold_refuses_a_nan_norm(model21):
+    g = model21[0]
+    norm_sq = np.ones((g.N, g.N))
+    norm_sq[7, 2] = np.nan
+    with pytest.raises(ValueError, match=r"mean \|beta\|\^2 is nan"):
+        threshold_probe(_theta_sff_with_norm(model21, norm_sq))
+
+
 def test_threshold_theta_subbundle_ratio(model21, theta_line_density):
     # the pointwise |beta|^2 of the theta line subbundle is a Fubini-Study
     # density with one zero, not a constant: the ratio matches the closed
@@ -521,6 +538,15 @@ def test_conformal_rejects_nonzero_mean():
     H = MetricField(g, tw, np.exp(0.1 * np.cos(2 * np.pi * g.X))[..., None, None] * H0.data)
     with pytest.raises(ValueError, match="mean"):
         conformal_normalize(H, H0, Fraction(1, 5), conn)
+
+
+def test_conformal_refuses_nan_curvature():
+    g = TorusGrid(1j, 32)
+    tw, conn, H0 = build_model_bundle(1, 0, g)
+    ax = conn.ax.copy()
+    ax[4, 4] = np.nan
+    with pytest.raises(ValueError, match="right side has mean nan"):
+        conformal_normalize(H0, H0, 0, ConnectionField(g, tw, ax, conn.ay))
 
 
 def test_conformal_matches_logdet_route(model21):
