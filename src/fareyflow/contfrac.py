@@ -468,41 +468,71 @@ def _lehmer_round(x, y, k, depth, digit, burn_in, odd):
     half the columns still run.
 
     The state has one column per lane.  Rows 0, 2, 4 hold the triple
-    (x, a, b) with x = a x0 + b y0, rows 1, 3, 5 the triple (y, c, d); a step
-    subtracts quotient times the second triple from the first, and the two
-    swap roles.  Rows 6-8 hold k, the hits and the counted positions of the
-    round.  The returned state has every lane's first triple in rows 0, 2, 4,
-    so the new pair is (a q + b p, c q + d p) with (a, c, b, d) in rows 2-5.
+    (x, x + a, x + b) with x = a x0 + b y0, rows 1, 3, 5 the triple
+    (y, y + c, y + d); a step subtracts quotient times the second triple
+    from the first, and the two swap roles.  Row 6 holds k.
+
+    Two identities keep the steps short.  A lane still running at step i
+    (from 0) takes its quotient at position k + i + 1.  So its parity is
+    fixed for the round and alternates with i (hits of even and odd steps go
+    to rows 7 and 8, and the wanted row is kept), the burn-in test is needed
+    only in the first burn_in - min(k) steps, the depth test only from step
+    depth - max(k) on, and the counted positions, those in
+    (max(k, burn_in), k'] of the wanted parity, follow from k and the new k'.
+    And the cofactors alternate in sign, c <= 0 < d at even i and d < 0 < c
+    at odd i, so y + c is the smaller denominator at even i and y + d at odd
+    i.  A step divides by the larger and accepts when the remainder of the
+    smaller pair, e.g. (x + a) - quot (y + c), lies in [0, y + c), which
+    also proves y + c > 0.  When y + c > 0, |quot (y + c)| <= |quot (y + d)|
+    < |x + b| + y + d, so the remainder stays in range (see `_WORD_BITS`);
+    when it is not, the interval is empty whatever the remainder.
+
+    The returned state has every lane's first triple in rows 0, 2, 4 and its
+    (a, c, b, d) in rows 2-5, so the new pair is (a q + b p, c q + d p);
+    rows 6-8 hold k', the hits and the counted positions of the round.
     """
     full = np.zeros((9, x.size), np.int64)
-    full[0], full[1], full[2], full[5], full[6] = x, y, 1, 1, k
-    S, cols, ok, f = full, None, True, 0
-    while True:
-        s = 1 - f
-        den = S[s] + S[2 + s:6:2]
-        ok = ok & (den[0] > 0) & (den[1] > 0) & (S[6] < depth)
-        quot = (S[f] + S[2 + f:6:2]) // np.where(ok, den, 1)
-        ok &= quot[0] == quot[1]
-        running = np.count_nonzero(ok)
-        if not running:
-            break
-        if 2 * running < ok.size:
-            keep = np.flatnonzero(ok)
-            if cols is not None:
-                full[:, cols] = S
-            cols = keep if cols is None else cols[keep]
-            S, ok, quot = S.take(keep, axis=1), ok[keep], quot[:, keep]
-        quot = quot[0] * ok
-        S[f:6:2] -= quot * S[s:6:2]
-        f = s
-        S[6] += ok
-        tally = ok & (S[6] > burn_in) & ((S[6] & 1) == odd)
-        S[8] += tally
-        S[7] += tally & (quot == digit)
+    full[:6] = x, y, x + 1, y, x, y + 1
+    full[6] = k
+    S, cols, ok, f, i = full, None, True, 0, 0
+    burn, deep = burn_in - int(k.min()), depth - int(k.max())
+    with np.errstate(divide="ignore"):      # a lane that divides by 0 stops there
+        while True:
+            s, sm, lg = 1 - f, 2 + 2 * f, 4 - 2 * f   # rows of the smaller, larger pair
+            quot = S[lg + f] // S[lg + s]
+            rem = S[sm + f] - quot * S[sm + s]
+            ok &= rem >= 0
+            ok &= rem < S[sm + s]
+            if i >= deep:
+                ok &= S[6] < depth
+            running = np.count_nonzero(ok)
+            if not running:
+                break
+            if 2 * running < ok.size:
+                keep = np.flatnonzero(ok)
+                if cols is not None:
+                    full[:, cols] = S
+                cols = keep if cols is None else cols[keep]
+                S, ok, quot = S.take(keep, axis=1), ok[keep], quot[keep]
+            quot *= ok
+            S[f:6:2] -= quot * S[s:6:2]
+            S[6] += ok
+            hit = quot == digit             # digit >= 1, so no frozen lane hits
+            if i < burn:
+                hit &= S[6] > burn_in
+            S[7 + f] += hit
+            f, i = s, i + 1
     if cols is not None:
         full[:, cols] = S
+    k1 = full[6]
+    full[2:4] -= full[:2]
+    full[4:6] -= full[:2]
+    full[7] = np.where(((k + 1) & 1) == odd, full[7], full[8])
+    # positions in (start, k'] of the wanted parity; [1, j] holds (j + odd) >> 1 of them
+    start = np.maximum(k, burn_in)
+    full[8] = ((np.maximum(k1, start) + odd) >> 1) - ((start + odd) >> 1)
     # a lane's triples swapped roles once per quotient it took
-    flipped = np.flatnonzero((full[6] - k) & 1)
+    flipped = np.flatnonzero((k1 - k) & 1)
     full[2:6, flipped] = full[np.ix_([3, 2, 5, 4], flipped)]
     return full
 

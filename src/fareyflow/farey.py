@@ -47,12 +47,12 @@ class PrimitiveVector:
     def is_infinite(self) -> bool:
         return self.q == 0
 
-    def _key(self):
-        # order as extended rationals with infinity largest
-        return (1, 0) if self.q == 0 else (0, Fraction(self.p, self.q))
-
     def __lt__(self, other: "PrimitiveVector"):
-        return self._key() < other._key()
+        # p/q < p'/q' as extended rationals, 1/0 largest: with both q > 0 that
+        # is p q' < p' q, and otherwise it holds when only `other` is 1/0
+        if self.q and other.q:
+            return self.p * other.q < other.p * self.q
+        return other.q < self.q
 
     def __str__(self):
         return "%d/%d" % (self.p, self.q)

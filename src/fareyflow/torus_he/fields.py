@@ -208,11 +208,15 @@ class SectionField:
 
     def sigma_min_field(self) -> np.ndarray:
         """Smallest singular value of the column block per node: the vector
-        norm of a single column, the SVD of a block of m >= 2 columns."""
+        norm of a single column, the SVD of a block of m >= 2 columns (nan at
+        a node whose block holds a non-finite entry, where the SVD would not
+        converge)."""
         cols = self.columns
         if cols.shape[-1] == 1:
             return np.linalg.norm(cols[..., 0], axis=-1)
-        return np.linalg.svd(cols, compute_uv=False)[..., -1]
+        finite = np.isfinite(cols).all(axis=(-2, -1))
+        svals = np.linalg.svd(np.where(finite[..., None, None], cols, 0), compute_uv=False)
+        return np.where(finite, svals[..., -1], np.nan)
 
     def min_singular_value(self) -> float:
         return float(self.sigma_min_field().min())
@@ -256,10 +260,14 @@ def load_grid_csv(path):
     header = {"N": N, "tau": complex(float(tr), float(ti)), "rank": rank, "degree": degree}
     count = (len(rows[1]) - 2) // 2
     out = np.zeros((N, N, count), complex)
+    seen = np.zeros((N, N), bool)
     for row in rows[1:]:
         ix, iy = int(row[0]), int(row[1])
         vals = np.array(row[2:], float)
         out[ix, iy] = vals[0::2] + 1j * vals[1::2]
+        seen[ix, iy] = True
+    if not seen.all():
+        raise ValueError("grid dump covers %d of its N * N = %d nodes" % (seen.sum(), N * N))
     if count == rank * rank:
         out = out.reshape(N, N, rank, rank)
     return header, out

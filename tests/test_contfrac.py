@@ -394,6 +394,21 @@ def test_density_matches_scalar_euclid(bits, digit, parity, burn_in, extra, seed
     assert got == scalar_digit_density(*args, burn_in, bits)
 
 
+@pytest.mark.parametrize("bits, burn_in, depth, digit, parity", [
+    (768, 32, 40, 1, "odd"),        # the CLI's burn-in; depth within a round of it
+    (768, 20, 90, 2, "even"),
+    (64, 32, 45, 1, "even"),        # many 64-bit expansions end before the depth
+    (64, 20, 28, 3, "odd"),
+])
+def test_density_matches_scalar_euclid_past_the_first_round(bits, burn_in, depth, digit,
+                                                            parity):
+    # a burn-in that outlasts the first Lehmer round, and a depth that some
+    # lanes reach within a round: the rounds' burn-in and depth tests
+    args = (_LANES + 1, depth, digit, parity, 6)
+    got = gauss_digit_density(*args, burn_in=burn_in, bits=bits)
+    assert got == scalar_digit_density(*args, burn_in, bits)
+
+
 def test_density_record_counts_euclid_steps(tmp_path):
     # a 768-bit draw takes about 450 quotients, so at depth 500 many
     # expansions end early and the count is not samples x depth; the
@@ -497,3 +512,12 @@ def test_euclid_tally_hard_pairs(depth, digit, want_odd, burn_in):
     for q, p in HARD_PAIRS:          # each pair alone in its batch too
         assert _euclid_tally([q], [p], depth, digit, burn_in, want_odd)[:5] == \
             divmod_tally([q], [p], depth, digit, burn_in, want_odd)
+
+
+@pytest.mark.parametrize("depth", [41, 60, 2000])
+@pytest.mark.parametrize("digit, want_odd", [(1, True), (2, False)])
+def test_euclid_tally_hard_pairs_past_a_long_burn_in(depth, digit, want_odd):
+    qs = [q for q, _ in HARD_PAIRS]
+    ps = [p for _, p in HARD_PAIRS]
+    assert _euclid_tally(qs, ps, depth, digit, 40, want_odd)[:5] == \
+        divmod_tally(qs, ps, depth, digit, 40, want_odd)

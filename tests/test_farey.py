@@ -20,6 +20,20 @@ def test_primitive_vector_canonical():
         PrimitiveVector(2, 4)
 
 
+def test_order_matches_extended_rationals():
+    # p q' < p' q against the Fraction order, with 1/0 (and the uncanonical
+    # -1/0, also infinity) above every rational
+    vecs = {PrimitiveVector.make(p, q) for p in range(-5, 6) for q in range(6) if p or q}
+    vecs.add(PrimitiveVector(-1, 0))
+    assert any(v.p < 0 for v in vecs) and PrimitiveVector(1, 0) in vecs
+
+    def key(v):
+        return (1, 0) if v.q == 0 else (0, Fraction(v.p, v.q))
+    for a in vecs:
+        for b in vecs:
+            assert (a < b) == (key(a) < key(b)), (a, b)
+
+
 def test_mediant_examples():
     assert mediant((0, 1), (1, 1)) == PrimitiveVector(1, 2)
     assert mediant((1, 2), (1, 1)) == PrimitiveVector(2, 3)

@@ -179,3 +179,14 @@ def test_csv_roundtrip(tmp_path):
     header, loaded = load_grid_csv(path)
     assert header == {"N": 16, "tau": 1j, "rank": 2, "degree": 1}
     assert np.abs(loaded - pi_f).max() < 1e-15
+
+
+def test_csv_load_refuses_a_truncated_dump(tmp_path):
+    g = TorusGrid(1j, 16)
+    tw, conn, H0 = build_model_bundle(3, 1, g)
+    path = tmp_path / "grid.csv"
+    dump_grid_csv(path, H0, g, tw)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-100]))
+    with pytest.raises(ValueError, match=r"covers 156 of its N \* N = 256 nodes"):
+        load_grid_csv(path)

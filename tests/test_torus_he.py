@@ -414,6 +414,17 @@ def test_sff_refuses_a_nan_section_value():
         second_fundamental_form(SectionField(g, tw, bad), H0, conn)
 
 
+def test_sff_refuses_a_nan_in_a_block_of_columns():
+    # a block of m >= 2 columns goes through the SVD, which does not converge
+    # on a NaN: the refusal names the node as the one-column case does
+    g = TorusGrid(1j, 16)
+    tw, conn, H0 = build_model_bundle(3, 2, g)
+    bad = field_reference.section_basis(tw, g).data.copy()
+    bad[3, 5, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"\(3, 5\) \(sigma_min = nan\)"):
+        second_fundamental_form(SectionField(g, tw, bad), H0, conn)
+
+
 def test_sigma_min_matches_svd():
     """One column takes its vector norm, a block of m >= 2 columns the SVD."""
     g = TorusGrid(0.3 + 1.1j, 16)
