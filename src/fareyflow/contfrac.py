@@ -2,8 +2,9 @@
 parity-restricted Lagrange numbers, and Gauss-map digit statistics.
 
 Digits, convergents and periodic tails are handled with exact big-integer /
-rational arithmetic.  Only inputs truncated from a real carry uncertainty,
-and that uncertainty is tracked as a rational interval, never as float noise.
+rational arithmetic.  Tail values and Lagrange terms are `RatInterval`s, which
+carry the exact quadratic surd of a periodic source; only inputs truncated
+from a real carry uncertainty, tracked by the endpoints, never as float noise.
 """
 
 from __future__ import annotations
@@ -19,35 +20,6 @@ import numpy as np
 from .surd import QuadraticSurd, RatInterval
 
 _MAX_PERIOD_SEARCH = 200_000
-_ENCLOSE_BITS = 120          # precision of the rational enclosure of an irrational surd
-
-
-@dataclass(frozen=True)
-class Enclosure(RatInterval):
-    """Rational interval, optionally carrying the exact surd it encloses."""
-
-    exact: QuadraticSurd | None = None
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __float__(self) -> float:
-        return float(self.exact) if self.exact is not None else float(self.mid)
-
-    def __add__(self, other):
-        """Shift by a rational; an exact value stays exact."""
-        if self.exact is not None:
-            return _enclose(self.exact + other)
-        q = Fraction(other)
-        return Enclosure(self.lo + q, self.hi + q)
-
-    __radd__ = __add__
-
-
-def _enclose(value: QuadraticSurd) -> Enclosure:
-    iv = value.enclosure(_ENCLOSE_BITS)
-    return Enclosure(iv.lo, iv.hi, value)
 
 
 @dataclass(frozen=True)
@@ -281,26 +253,26 @@ def _periodic_tail_surd(cf: ContinuedFraction, k: int) -> QuadraticSurd:
     return x
 
 
-def tail_value(cf: ContinuedFraction, k: int, depth: int) -> Enclosure:
+def tail_value(cf: ContinuedFraction, k: int, depth: int) -> RatInterval:
     """Rigorous enclosure of the tail [a_k; a_{k+1}, ...] of an irrational source.
 
-    Periodic sources give the exact quadratic value; truncated sources a
-    cylinder interval built from up to depth+1 recorded digits (deeper
-    enclosures nest inside shallower ones).  A finite source is refused.
+    Periodic sources give the enclosure carrying the exact quadratic value;
+    truncated sources a cylinder interval built from up to depth+1 recorded
+    digits (deeper enclosures nest inside shallower ones).  A finite source
+    is refused.
     """
     if k < 0:
         raise ValueError("tail position must be >= 0")
     if depth < 0:
         raise ValueError("tail depth must be >= 0, got %d" % depth)
     if cf.source == "periodic":
-        return _enclose(_periodic_tail_surd(cf, k))
+        return RatInterval.of(_periodic_tail_surd(cf, k))
     if cf.source == "finite":
         raise ValueError("tail values are defined for irrational sources")
     if k > cf.available:
         raise IndexError("tail at %d exceeds available depth %d" % (k, len(cf.tail)))
     digits = [cf.digit(i) for i in range(k, len(cf.tail) + 1)]
-    iv = _cylinder(digits[:depth + 2])
-    return Enclosure(iv.lo, iv.hi)
+    return _cylinder(digits[:depth + 2])
 
 
 # ----------------------------------------------------------------------------
@@ -319,8 +291,8 @@ class LagrangeEstimate:
     """
 
     parity: str
-    terms: list[Enclosure]
-    estimate: Enclosure
+    terms: list[RatInterval]
+    estimate: RatInterval
     attainable: bool | None = None
     truncated: bool = False
     definition_indices: list[int] | None = None
@@ -378,7 +350,7 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
         raise ValueError("Lagrange numbers are defined for irrational sources")
     base = 1 if parity == "even" else 2
 
-    terms: list[Enclosure] = []
+    terms: list[RatInterval] = []
     truncated = False
     for i in range(i_max + 1):
         s = base + 2 * i
@@ -391,11 +363,11 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
     if cf.source == "periodic":
         classes = _parity_classes(cf, parity)
         best = max(T + R for _, T, R, _ in classes)
-        estimate = _enclose(best)
+        estimate = RatInterval.of(best)
         attainable = any(T + R_inf == best and _reversed_ratio(cf, s) > R_inf
                          for _, T, R_inf, s in classes)
     elif terms:
-        estimate = Enclosure(max(t.lo for t in terms), max(t.hi for t in terms))
+        estimate = RatInterval(max(t.lo for t in terms), max(t.hi for t in terms))
     else:
         raise ValueError("no term to estimate from: term 0 needs %d digits after a_0, "
                          "the source has %d" % (base + 1, cf.available))
@@ -405,15 +377,11 @@ def lagrange_estimate(cf: ContinuedFraction, parity: str, i_max: int,
         L = Fraction(check_L)
         passing, undecided = [], []
         for i, t in enumerate(terms):
-            if t.exact is not None:
-                if t.exact > L:
-                    passing.append(i)
-            else:
-                verdict = t.provably_gt(L)
-                if verdict is True:
-                    passing.append(i)
-                elif verdict is None:
-                    undecided.append(i)
+            verdict = t.provably_gt(L)
+            if verdict is True:
+                passing.append(i)
+            elif verdict is None:
+                undecided.append(i)
 
     return LagrangeEstimate(parity, terms, estimate, attainable, truncated, passing,
                             undecided)

@@ -22,6 +22,8 @@ class PrimitiveVector:
             raise ValueError("(0, 0) is not primitive")
         if self.q < 0:
             raise ValueError("use q >= 0 (canonical form)")
+        if self.q == 0 and self.p != 1:
+            raise ValueError("infinity is 1/0, not %d/0 (canonical form)" % self.p)
         if math.gcd(self.p, self.q) != 1:
             raise ValueError("(%d, %d) is not reduced" % (self.p, self.q))
 

@@ -2,9 +2,10 @@
 rank) classes, lattice-point counts, the well-approximation inequality, and
 selection of well-approximated even convergents.
 
-All verdicts are decided with exact rationals or quadratic surds; an interval
-value for theta yields three-valued answers (True / False / None) rather than
-a float guess.
+Theta is taken in once as a `RatInterval`: a quadratic surd or a rational
+keeps its exact value there, so every verdict is decided exactly, and an
+interval value for theta yields three-valued answers (True / False / None)
+rather than a float guess.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def lattice_interior_count(v1: tuple[int, int], v3: tuple[int, int]) -> int:
 @dataclass(frozen=True)
 class WellApproxVerdict:
     passes: bool | None          # None when an interval theta cannot decide
-    lhs: object                  # L (theta - mu(S)) rk S
+    lhs: RatInterval             # L (theta - mu(S)) rk S
     rhs: Fraction                # rk S0 (mu(S) - mu(S0))
-    margin: object               # rhs - lhs
+    margin: RatInterval          # rhs - lhs
 
     def __bool__(self):
         if self.passes is None:
@@ -108,18 +109,12 @@ def well_approx_check(S: KClass, S0: KClass, params: WellApproxParams) -> WellAp
     """Strict inequality L (theta - mu(S)) rk S < rk S0 (mu(S) - mu(S0))."""
     if not 1 <= S0.rk < S.rk:
         raise ValueError("need 1 <= rk(S0) < rk(S), got %d and %d" % (S0.rk, S.rk))
-    theta = params.theta
-    if theta is None:
+    if params.theta is None:
         raise ValueError("params.theta is required")
     muS, muS0 = slope(S), slope(S0)
     rhs = S0.rk * (muS - muS0)
-    if isinstance(theta, RatInterval):
-        lhs = (theta - muS).scale(params.L * S.rk)
-        passes = lhs.provably_lt(rhs)
-        margin = RatInterval(rhs - lhs.hi, rhs - lhs.lo)
-        return WellApproxVerdict(passes, lhs, rhs, margin)
-    lhs = (theta - muS) * S.rk * params.L
-    return WellApproxVerdict(lhs < rhs, lhs, rhs, rhs - lhs)
+    lhs = (RatInterval.of(params.theta) - muS) * (params.L * S.rk)
+    return WellApproxVerdict(lhs.provably_lt(rhs), lhs, rhs, rhs - lhs)
 
 
 def charge_combine(triangle, m: int, n: int) -> KClass:
@@ -147,7 +142,7 @@ class SubsequenceEntry:
     i: int
     p: int
     q: int
-    product: object              # exact surd/rational or RatInterval
+    product: QuadraticSurd | RatInterval     # the exact surd when there is one
     passes: bool | None
 
     @property
@@ -169,19 +164,19 @@ class SubsequenceReport:
         return [e.i for e in self.entries if e.passes is None]
 
 
-def _theta_value(theta: ContinuedFraction):
+def _theta_value(theta: ContinuedFraction) -> RatInterval:
     if theta.source == "finite":
         raise ValueError("theta must be irrational (periodic or truncated)")
-    return theta.value()
+    return RatInterval.of(theta.value())
 
 
 def select_subsequence(theta: ContinuedFraction, params: WellApproxParams,
                        count: int) -> SubsequenceReport:
     """Even convergents passing L |theta - p_{2i}/q_{2i}| q_{2i}^2 < 1.
 
-    Products are exact for periodic theta (quadratic surd arithmetic) and
-    interval-valued otherwise; entries whose interval straddles 1 are flagged
-    as undecided instead of silently dropped.
+    Products are exact surds for periodic theta and intervals otherwise;
+    entries whose interval straddles 1 are flagged as undecided instead of
+    silently dropped.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -194,15 +189,8 @@ def select_subsequence(theta: ContinuedFraction, params: WellApproxParams,
         if 2 * i >= len(cs):
             break
         c = cs[2 * i]
-        lam = Fraction(c.p, c.q)
-        scale = L * c.q * c.q
         # an even convergent lies below theta and below every point of its
         # interval, so theta - p/q is its own absolute value
-        if isinstance(value, RatInterval):
-            prod = (value - lam).scale(scale)
-            passes = prod.provably_lt(1)
-        else:
-            prod = (value - lam) * scale
-            passes = prod < 1
-        entries.append(SubsequenceEntry(i, c.p, c.q, prod, passes))
+        prod = (value - Fraction(c.p, c.q)) * (L * c.q * c.q)
+        entries.append(SubsequenceEntry(i, c.p, c.q, prod.exact or prod, prod.provably_lt(1)))
     return SubsequenceReport(L, entries)

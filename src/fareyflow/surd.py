@@ -4,13 +4,17 @@ A quadratic surd is a number (a + b*sqrt(D))/c with integer a, b, c and a
 squarefree integer D > 1.  All arithmetic here is exact (big integers only),
 so strict inequalities decided with these values are decided correctly --
 no floating point enters until the caller asks for a float rendering.
+`RatInterval` holds a real known exactly (a surd it carries, or a point) or
+only to an interval; verdicts on it are exact, or three-valued otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+
+_ENCLOSE_BITS = 120          # precision of the rational enclosure of an irrational surd
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -109,9 +113,6 @@ class QuadraticSurd:
     def __sub__(self, other):
         return self.__add__(-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         D = self.D or o.D or 2
@@ -166,20 +167,41 @@ class QuadraticSurd:
 
 @dataclass(frozen=True)
 class RatInterval:
-    """Closed interval with exact rational endpoints."""
+    """Closed interval with exact rational endpoints, optionally carrying the
+    exact surd it encloses.  Arithmetic with a rational acts on that surd when
+    there is one and encloses the result again, and on the endpoints if not."""
 
     lo: Fraction
     hi: Fraction
+    exact: QuadraticSurd | None = None
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order: %s > %s" % (self.lo, self.hi))
 
+    @classmethod
+    def of(cls, value) -> "RatInterval":
+        """A surd's enclosure carrying the surd, a rational's point interval;
+        an interval passes through."""
+        if isinstance(value, RatInterval):
+            return value
+        if isinstance(value, QuadraticSurd):
+            return replace(value.enclosure(_ENCLOSE_BITS), exact=value)
+        q = Fraction(value)
+        return cls(q, q)
+
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
     def __add__(self, other):
+        """Shift by a rational."""
+        if self.exact is not None:
+            return RatInterval.of(self.exact + other)
         q = Fraction(other)
         return RatInterval(self.lo + q, self.hi + q)
 
@@ -188,13 +210,29 @@ class RatInterval:
     def __sub__(self, other):
         return self + (-Fraction(other))
 
-    def scale(self, k) -> "RatInterval":
-        """The interval times a factor k >= 0."""
+    def __rsub__(self, other):
+        """A rational minus the interval."""
+        if self.exact is not None:
+            return RatInterval.of(-self.exact + other)
+        q = Fraction(other)
+        return RatInterval(q - self.hi, q - self.lo)
+
+    def __mul__(self, k):
+        """The interval times a rational factor k >= 0."""
         k = Fraction(k)
+        if k < 0:
+            raise ValueError("factor %s < 0 would put the endpoints out of order" % k)
+        if self.exact is not None:
+            return RatInterval.of(self.exact * k)
         return RatInterval(self.lo * k, self.hi * k)
 
-    # three-valued strict comparisons: True/False when provable, None otherwise
+    __rmul__ = __mul__
+
+    # three-valued strict comparisons: True/False when provable, None otherwise;
+    # an exact value is always decided
     def provably_lt(self, x) -> bool | None:
+        if self.exact is not None:
+            return self.exact < x
         x = Fraction(x)
         if self.hi < x:
             return True
@@ -203,12 +241,9 @@ class RatInterval:
         return None
 
     def provably_gt(self, x) -> bool | None:
-        x = Fraction(x)
-        if self.lo > x:
-            return True
-        if self.hi <= x:
-            return False
-        return None
+        if self.exact is not None:
+            return self.exact > x
+        return (x - self).provably_lt(0)        # x - self is [x - hi, x - lo]
 
-    def __float__(self):
-        return float(self.mid)
+    def __float__(self) -> float:
+        return float(self.exact) if self.exact is not None else float(self.mid)

@@ -208,13 +208,15 @@ class SectionField:
 
     def sigma_min_field(self) -> np.ndarray:
         """Smallest singular value of the column block per node: the vector
-        norm of a single column, the SVD of a block of m >= 2 columns (nan at
-        a node whose block holds a non-finite entry, where the SVD would not
-        converge)."""
+        norm of a single column, the SVD of a block of m >= 2 columns; nan at
+        a node where a column norm is not finite (a non-finite entry, where
+        the SVD would not converge)."""
         cols = self.columns
+        with np.errstate(invalid="ignore", over="ignore"):
+            norms = np.linalg.norm(cols, axis=-2)
+        finite = np.isfinite(norms).all(axis=-1)
         if cols.shape[-1] == 1:
-            return np.linalg.norm(cols[..., 0], axis=-1)
-        finite = np.isfinite(cols).all(axis=(-2, -1))
+            return np.where(finite, norms[..., 0], np.nan)
         svals = np.linalg.svd(np.where(finite[..., None, None], cols, 0), compute_uv=False)
         return np.where(finite, svals[..., -1], np.nan)
 

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +189,18 @@ def test_journal_records_same_hash(tmp_path):
     assert recs[0]["schema"] == 1
     assert stable_view(recs[0]) == stable_view(recs[1]) == stable_view(recs[2])
     assert "timestamp" in recs[0] and "timestamp" not in stable_view(recs[0])
+
+
+def test_exact_arith_records_match_the_benchmark_references(tmp_path, capsys):
+    # the records exact_arith pins: a drift shows here, not only in a benchmark run
+    refs = json.loads((Path(__file__).resolve().parent.parent / "perfbench" /
+                       "references.json").read_text())["exact_arith"]["cli"]
+    j = str(tmp_path / "j.jsonl")
+    ops = ["lagrange", "sequence", "farey", "stability"]
+    assert sorted(refs) == sorted(ops)
+    for op in ops:
+        assert main(["--out", j, op]) == 0
+    assert [stable_view(r) for r in read_journal(j)] == [refs[op] for op in ops]
 
 
 def test_rational_surd_theta_matches_rational(tmp_path):

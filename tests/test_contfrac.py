@@ -8,12 +8,12 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from fareyflow.cli import main
-from fareyflow.contfrac import (_LANES, ContinuedFraction, DigitDensity, Enclosure,
+from fareyflow.contfrac import (_LANES, ContinuedFraction, DigitDensity,
                                 _euclid_tally, _reversed_ratio, cf_expand, convergents,
                                 gauss_digit_density, gauss_kuzmin_density,
                                 lagrange_estimate, tail_value)
 from fareyflow.reporting import read_journal, stable_view
-from fareyflow.surd import QuadraticSurd
+from fareyflow.surd import QuadraticSurd, RatInterval
 
 GOLDEN = QuadraticSurd(1, 1, 5, 2)
 SQRT2 = QuadraticSurd(0, 1, 2, 1)
@@ -183,10 +183,10 @@ def test_enclosure_shift_keeps_exact_value():
     q = Fraction(2, 7)
     t = tail_value(cf_expand(SQRT2, 8), 1, 10)          # exactly 1 + sqrt(2)
     for shifted in (t + q, q + t):
-        assert isinstance(shifted, Enclosure) and shifted.exact == SQRT2 + 1 + q
+        assert isinstance(shifted, RatInterval) and shifted.exact == SQRT2 + 1 + q
         assert shifted.lo < shifted.exact < shifted.hi
-    bare = Enclosure(Fraction(1), Fraction(2))
-    assert bare + q == q + bare == Enclosure(1 + q, 2 + q)
+    bare = RatInterval(Fraction(1), Fraction(2))
+    assert bare + q == q + bare == RatInterval(1 + q, 2 + q)
 
 
 def test_tail_values_exact():

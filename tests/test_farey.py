@@ -18,13 +18,16 @@ def test_primitive_vector_canonical():
         PrimitiveVector.make(0, 0)
     with pytest.raises(ValueError):
         PrimitiveVector(2, 4)
+    # one encoding of infinity: -1/0 would compare unequal to 1/0 and fail the
+    # mediant test of a triangle that 1/0 passes
+    with pytest.raises(ValueError, match="infinity is 1/0"):
+        PrimitiveVector(-1, 0)
+    assert is_farey_triangle((0, 1), (1, 1), (-1, 0)) == (True, None)
 
 
 def test_order_matches_extended_rationals():
-    # p q' < p' q against the Fraction order, with 1/0 (and the uncanonical
-    # -1/0, also infinity) above every rational
+    # p q' < p' q against the Fraction order, with 1/0 above every rational
     vecs = {PrimitiveVector.make(p, q) for p in range(-5, 6) for q in range(6) if p or q}
-    vecs.add(PrimitiveVector(-1, 0))
     assert any(v.p < 0 for v in vecs) and PrimitiveVector(1, 0) in vecs
 
     def key(v):

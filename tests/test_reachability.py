@@ -77,7 +77,7 @@ ALLOWED_STATEMENTS = {
         "a float theta: six tests expand math.pi and other floats; the CLI reads decimals",
     ("fareyflow.surd.QuadraticSurd.__eq__", "return NotImplemented"):
         "a foreign operand compares unequal instead of raising: dataclass equality of "
-        "two Enclosures compares an `exact` surd with None",
+        "two `RatInterval`s compares an `exact` surd with None",
     ("fareyflow.surd.QuadraticSurd.__repr__",
      'return "QuadraticSurd(%d/%d)" % (self.a, self.c)'):
         "the repr of a rational surd, which can be built (surd:1,1,4,2 folds a square D); "
@@ -94,7 +94,7 @@ ALLOWED_STATEMENTS = {
     ("fareyflow.torus_he.hermitian.he_residual",
      "return float(rho_norm_field(curvature_defect(H, conn, mu), H).max())"): _GENERAL,
     ("fareyflow.torus_he.fields.SectionField.sigma_min_field",
-     "finite = np.isfinite(cols).all(axis=(-2, -1))"):
+     "svals = np.linalg.svd(np.where(finite[..., None, None], cols, 0), compute_uv=False)"):
         "only tests build a block of m >= 2 section columns (field_reference.section_basis)",
     ("fareyflow.coulomb._expm_skew", "q, buf = np.matmul(q, q, out=buf), q"):
         "the squaring of a rank >= 3 exponent above EXPM_THETA: Coulomb sweeps reach "

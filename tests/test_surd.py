@@ -124,4 +124,46 @@ def test_interval_ops():
     assert a.provably_lt(Fraction(2, 5)) is None
     assert b.provably_gt(5) is False
     with pytest.raises(ValueError, match="out of order"):
-        a.scale(-1)                       # the factor must be >= 0
+        a * -1                            # the factor must be >= 0
+
+
+# D up to 30030: every surd operation factors D again by trial division,
+# about 1 ms for D near 10**9
+_IRRATIONAL = st.builds(QuadraticSurd, st.integers(-10 ** 6, 10 ** 6),
+                        st.integers(1, 10 ** 6) | st.integers(-10 ** 6, -1),
+                        st.sampled_from(SQUAREFREE[:6]), st.integers(1, 10 ** 6))
+_RATIONAL = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
+_FACTOR = st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1000,
+                       max_denominator=10 ** 6)
+
+
+@given(_IRRATIONAL, _RATIONAL, _FACTOR)
+@settings(max_examples=300)
+def test_interval_arithmetic_keeps_the_exact_value_inside(x, q, k):
+    iv = RatInterval.of(x)
+    assert iv.exact == x and iv.lo < x < iv.hi
+    for out, want in ((iv + q, x + q), (q + iv, x + q), (iv - q, x - q),
+                      (q - iv, -x + q), (iv * k, x * k), (k * iv, x * k)):
+        assert out.exact == want
+        assert out.lo < out.exact < out.hi
+
+
+@given(_IRRATIONAL, _RATIONAL, st.fractions(min_value=0, max_value=1))
+@settings(max_examples=300)
+def test_an_exact_interval_decides_as_its_value(x, q, t):
+    iv = RatInterval.of(x)
+    # a point inside the enclosure the endpoints alone cannot place
+    for p in (q, iv.lo + t * iv.width):
+        assert iv.provably_lt(p) is (x < p)
+        assert iv.provably_gt(p) is (x > p)
+
+
+@given(_RATIONAL, _RATIONAL, _RATIONAL)
+@settings(max_examples=300)
+def test_a_plain_interval_verdict_holds_at_both_endpoints(u, v, x):
+    iv = RatInterval(min(u, v), max(u, v))
+    for p in (x, iv.lo, iv.hi, iv.mid):
+        for verdict, holds in ((iv.provably_lt(p), lambda e: e < p),
+                               (iv.provably_gt(p), lambda e: e > p)):
+            at_ends = {holds(iv.lo), holds(iv.hi)}
+            assert at_ends == ({verdict} if verdict is not None else {True, False})

@@ -414,6 +414,20 @@ def test_sff_refuses_a_nan_section_value():
         second_fundamental_form(SectionField(g, tw, bad), H0, conn)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0, np.inf)],
+                         ids=["inf", "-inf", "1j*inf"])
+def test_sff_refuses_an_infinite_section_value(value):
+    # one column: its norm would read inf and pass SV_FLOOR; it reads nan,
+    # without a RuntimeWarning, and the refusal names the node
+    g = TorusGrid(1j, 16)
+    tw, conn, H0 = build_model_bundle(2, 1, g)
+    bad = theta_section(tw, g, (0, 0)).data.copy()
+    bad[3, 5, 1] = value
+    with np.errstate(all="raise"), \
+            pytest.raises(ValueError, match=r"\(3, 5\) \(sigma_min = nan\)"):
+        second_fundamental_form(SectionField(g, tw, bad), H0, conn)
+
+
 def test_sff_refuses_a_nan_in_a_block_of_columns():
     # a block of m >= 2 columns goes through the SVD, which does not converge
     # on a NaN: the refusal names the node as the one-column case does
