@@ -6,16 +6,19 @@ The square is sampled inclusively at (j/N, k/N), j, k = 0..N.  Derivatives
 are 4th-order finite differences (one-sided at the boundary).  Each gauge
 sweep solves a Neumann problem for its divergence potential in a cosine
 basis, whose parity matches the even reflection of the normal-derivative
-condition, plus explicit harmonic corrections for the edge data w[edge, s]:
-outward normal derivatives on the edges left, right, bottom, top (x = 0, 1,
-y = 0, 1).  The solver treats trailing array axes as a batch of independent
-real solves, so a sweep's u(r)-valued data goes through one call in its r^2
-real coordinates (`_skew_coords`), and the potential is rebuilt from them
-skew-Hermitian by construction (`_skew_field`).
+condition.  The edge data w[edge, s], outward normal derivatives on the
+edges left, right, bottom, top (x = 0, 1, y = 0, 1), enters in that basis
+too, as each edge's cosine modes times profiles tabulated per grid, so a
+solve is one analysis, elementwise products and one synthesis.  The solver
+treats trailing array axes as a batch of independent real solves, so a
+sweep's u(r)-valued data goes through one call in its r^2 real coordinates
+(`_skew_coords`), and the potential is rebuilt from them skew-Hermitian by
+construction (`_skew_field`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +57,11 @@ class SquareGrid:
         w[0] = w[-1] = self.h / 2
         self.w1 = w
         self.w2 = np.outer(w, w)
+
+    @functools.cached_property
+    def neumann_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_neumann_tables` of this grid, built at its first Neumann solve."""
+        return _neumann_tables(self.N)
 
 
 # ----------------------------------------------------------------------------
@@ -128,16 +136,17 @@ def curvature(A: GaugeField) -> CurvatureField:
 
 
 def gauge_act(u: np.ndarray, A: GaugeField) -> GaugeField:
-    """u(A) = u A u^-1 - (du) u^-1 for a unitary field u; a unitarity defect
-    above UNITARY_TOL, or NaN, raises ValueError naming it."""
+    """u(A) = u A u^-1 - (du) u^-1 = (u A - du) u^-1 for a unitary field u;
+    a unitarity defect above UNITARY_TOL, or NaN, raises ValueError naming
+    it."""
     eye = np.eye(u.shape[-1])
     defect = np.abs(mm(u, dagger(u)) - eye).max()
     if not defect <= UNITARY_TOL:
         raise ValueError("gauge transform is not unitary (defect %.2e)" % defect)
     ui = dagger(u)
     h = A.grid.h
-    ax = mm(u, mm(A.ax, ui)) - mm(diff4(u, 0, h), ui)
-    ay = mm(u, mm(A.ay, ui)) - mm(diff4(u, 1, h), ui)
+    ax = mm(mm(u, A.ax) - diff4(u, 0, h), ui)
+    ay = mm(mm(u, A.ay) - diff4(u, 1, h), ui)
     skew = lambda B: 0.5 * (B - dagger(B))
     return GaugeField(A.grid, skew(ax), skew(ay))
 
@@ -188,42 +197,46 @@ def grid_norms(field, space: str) -> float:
 # ----------------------------------------------------------------------------
 # cosine scalar solver on the square
 #
-# These two transforms are fareyflow's only use of scipy.  Each imports
-# scipy.fft itself, so that `import fareyflow` and the CLI subcommands other
+# This transform is fareyflow's only use of scipy.  It imports scipy.fft
+# itself, so that `import fareyflow` and the CLI subcommands other
 # than `coulomb` do not load scipy.  Calls go through the scipy.fft namespace,
 # so a wrapper installed on scipy.fft.dct (perfbench's tracer) sees each.
 
 
-def _cos_coeffs(f: np.ndarray) -> np.ndarray:
-    """f on all N+1 nodes -> coefficients of sum c_m cos(m pi x)."""
+def _dct(f: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalised DCT-I along one axis; applied twice it multiplies by 2N."""
     import scipy.fft
-    N = f.shape[0] - 1
-    c = scipy.fft.dct(f, type=1, axis=0) / N
-    c[0] /= 2
-    c[-1] /= 2
-    return c
+    return scipy.fft.dct(f, type=1, axis=axis)
 
 
-def _cos_synth(c: np.ndarray) -> np.ndarray:
-    import scipy.fft
-    c = c.copy()
-    c[0] *= 2
-    c[-1] *= 2
-    return scipy.fft.dct(c, type=1, axis=0) / 2.0
+def _neumann_tables(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cosine-space tables (K, G, D) of `neumann_poisson` on the N grid.
 
+    With DCT2 the unnormalised 2-D DCT-I, a field f is DCT2(S) for S =
+    DCT2(f) / (4 N^2), so a solve assembles S and synthesises once: rhs's
+    DCT2 times K = 1 / (4 N^2 lam), lam = -pi^2 (mx^2 + my^2) the
+    Laplacian's eigenvalues, plus each edge's unnormalised DCT-I mode my
+    times the column my of G or D.  G[:, my] is the DCT-I in x, over 4 N^2,
+    of the profile cosh(k x) / (k sinh k), k = my pi, whose x-derivative is
+    1 at x = 1 and 0 at x = 0; its my = 0 column is of x^2 / 2, the limit of
+    the profile less its constant 1/k^2 - 1/6.  D holds the mirror profiles,
+    x -> 1 - x.  K, G and D are 0 at (0, 0), so every solution has zero
+    trapezoid mean.
+    """
+    M, x = N + 1, np.arange(N + 1) / N
+    m2 = np.arange(M) ** 2.0
+    lam = -np.pi ** 2 * (m2[:, None] + m2)
+    lam[0, 0] = -np.inf
+    k = np.pi * np.arange(1, M)
 
-def _edge_cos_pair_correction(wl: np.ndarray, wr: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Harmonic h with d_nu h = wl, wr (cosine modes m >= 1) on x = 0, 1 and
-    zero normal derivative on the other two edges.  wl, wr are (s, batch) and
-    h is (x, y, batch)."""
-    k = np.pi * np.arange(1, len(x))
-    kx = np.outer(x, k)
-    denom = k * (1 - np.exp(-2 * k))
-    # (x, m) profiles cosh(k x)/(k sinh(k)) and cosh(k (1-x))/(k sinh(k)), overflow-safe
-    grow = (np.exp(kx - k) + np.exp(-kx - k)) / denom
-    decay = (np.exp(-kx) + np.exp(kx - 2 * k)) / denom
-    modes = grow[..., None] * _cos_coeffs(wr)[1:] + decay[..., None] * _cos_coeffs(wl)[1:]
-    return np.tensordot(modes, np.cos(kx.T), (1, 0)).swapaxes(1, 2)
+    def profile(x):             # (x, my), overflow-safe
+        kx = np.outer(x, k)
+        return np.column_stack([x * x / 2, (np.exp(kx - k) + np.exp(-kx - k))
+                                / (k * (1 - np.exp(-2 * k)))])
+
+    G, D = _dct(np.stack([profile(x), profile(x[::-1])]), 1) / (4 * N * N)
+    G[0, 0] = D[0, 0] = 0.0
+    return 1 / (4 * N * N * lam), G, D
 
 
 def neumann_poisson(rhs: np.ndarray, w: np.ndarray,
@@ -236,8 +249,14 @@ def neumann_poisson(rhs: np.ndarray, w: np.ndarray,
     raises ValueError.  rhs[x, y, ...] and w share their trailing axes, a
     batch of independent real solves.  Compatibility (integral of rhs equals
     boundary flux) is checked per entry up to COMPAT_TOL times that entry's
-    scale; the measured defect is spread as a constant so the expansion is
-    exactly solvable, and larger defects raise.
+    scale, and larger defects raise; the measured defect is dropped with
+    rhs's mean mode, so the solve is of Lap(a) = rhs - defect.
+
+    The solution is assembled in cosine space (`_neumann_tables`): rhs's
+    modes over the eigenvalues, plus each edge's cosine modes times the
+    profile that carries them in from that edge with zero normal derivative
+    on the other three (the edge means by quadratics, whose Laplacians sum
+    to the flux), then synthesised once.
     """
     M = grid.N + 1
     if w.shape[:2] != (4, M):
@@ -245,7 +264,6 @@ def neumann_poisson(rhs: np.ndarray, w: np.ndarray,
     rhs_shape = rhs.shape
     rhs = rhs.reshape(M, M, -1)
     w = w.reshape(4, M, -1)
-    X, Y = grid.X[..., None], grid.Y[..., None]
     flux = sum(grid.w1 @ w)
     defect = np.tensordot(grid.w2, rhs, 2) - flux
     scale = np.max([np.abs(rhs).max(axis=(0, 1)), np.abs(w).max(axis=(0, 1))], 0, initial=1.0)
@@ -253,36 +271,13 @@ def neumann_poisson(rhs: np.ndarray, w: np.ndarray,
     compat = float(abs(defect[worst]) / scale[worst])
     if not abs(defect[worst]) <= COMPAT_TOL * scale[worst]:
         raise ValueError("incompatible div-curl data: volume minus flux = %.3e" % defect[worst])
-    rhs = rhs - defect            # restore exact compatibility
 
-    # quadratic particular solution absorbing the mean of rhs
-    a = flux * (X ** 2 + Y ** 2) / 4.0
-    w = w.copy()
-    w[1::2] -= flux / 2           # a's outward derivative on right and top (0 on the others)
-    rhs = rhs - flux
-
-    # cosine solve with homogeneous Neumann data
-    C = _cos_coeffs(_cos_coeffs(rhs.swapaxes(0, 1)).swapaxes(0, 1))
-    m = np.arange(M)
-    lam = -(np.pi ** 2) * (m[:, None] ** 2 + m[None, :] ** 2)
-    lam[0, 0] = 1.0
-    C = C / lam[..., None]
-    C[0, 0] = 0.0
-    a = a + _cos_synth(_cos_synth(C.swapaxes(0, 1)).swapaxes(0, 1))
-
-    # edge means: three harmonic polynomials (rows: d_nu per edge) span the zero-sum data
-    basis = np.array([[-1.0, 1.0, 0.0, 0.0],
-                      [0.0, 0.0, -1.0, 1.0],
-                      [0.5, 0.5, -0.5, -0.5]])
-    coef, *_ = np.linalg.lstsq(basis.T, grid.w1 @ w, rcond=None)
-    a = a + coef[0] * (X - 0.5) + coef[1] * (Y - 0.5) \
-        + coef[2] * ((X - 0.5) ** 2 - (Y - 0.5) ** 2) / 2.0
-    rem = w - (basis.T @ coef)[:, None]
-
-    # oscillatory edge data via harmonic extensions (no cross-edge pollution)
-    a = a + _edge_cos_pair_correction(rem[0], rem[1], grid.x)
-    a = a + _edge_cos_pair_correction(rem[2], rem[3], grid.x).swapaxes(0, 1)
-    return (a - np.tensordot(grid.w2, a, 2)).reshape(rhs_shape), compat
+    K, G, D = grid.neumann_tables
+    S = _dct(_dct(rhs, 0), 1) * K[..., None]
+    W = _dct(w, 1)              # each edge's modes along it
+    S += G[..., None] * W[1] + D[..., None] * W[0]          # right, left: modes in y
+    S += G.T[..., None] * W[3, :, None] + D.T[..., None] * W[2, :, None]    # top, bottom
+    return _dct(_dct(S, 0), 1).reshape(rhs_shape), compat
 
 
 # ----------------------------------------------------------------------------

@@ -18,12 +18,17 @@ _ENCLOSE_BITS = 120          # precision of the rational enclosure of an irratio
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s**2 * f and f squarefree.  Requires n > 0."""
+    """Return (s, f) with n = s**2 * f and f squarefree.  Requires n > 0.
+
+    Trial division runs only while p^3 <= m for the cofactor m left: every
+    prime factor of the final m is then above its cube root, so m is 1, a
+    prime, a prime squared or a product of two distinct primes.
+    """
     if n <= 0:
         raise ValueError("need a positive integer, got %r" % (n,))
     s, f, m = 1, 1, n
     p = 2
-    while p * p <= m:
+    while p * p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -33,7 +38,8 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 f *= p
         p += 1 if p == 2 else 2
-    return s, f * m
+    r = math.isqrt(m)
+    return (s * r, f) if r * r == m else (s, f * m)
 
 
 class QuadraticSurd:
@@ -51,9 +57,20 @@ class QuadraticSurd:
         s, f = squarefree_split(D)
         if f == 1:
             # D was a perfect square: fold it into the rational part
-            a, b, D = a + b * s, 0, 0
+            a, b = a + b * s, 0
         else:
             b, D = b * s, f
+        self._canonical(a, b, D, c)
+
+    @classmethod
+    def _squarefree(cls, a: int, b: int, D: int, c: int) -> "QuadraticSurd":
+        """(a + b*sqrt(D))/c for a D already squarefree (any D if b = 0) and
+        c != 0, as the arithmetic below makes them: no factoring."""
+        surd = cls.__new__(cls)
+        surd._canonical(a, b, D, c)
+        return surd
+
+    def _canonical(self, a: int, b: int, D: int, c: int) -> None:
         if b == 0:
             D = 0
         if c < 0:
@@ -96,43 +113,45 @@ class QuadraticSurd:
             return other
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return QuadraticSurd(q.numerator, 0, self.D or 2, q.denominator)
+            return QuadraticSurd._squarefree(q.numerator, 0, 0, q.denominator)
         raise TypeError("cannot combine a surd with %s" % type(other).__name__)
 
     def __add__(self, other):
         o = self._coerce(other)
-        D = self.D or o.D or 2
-        return QuadraticSurd(self.a * o.c + o.a * self.c,
-                             self.b * o.c + o.b * self.c, D, self.c * o.c)
+        D = self.D or o.D
+        return QuadraticSurd._squarefree(self.a * o.c + o.a * self.c,
+                                         self.b * o.c + o.b * self.c, D, self.c * o.c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticSurd(-self.a, -self.b, self.D or 2, self.c)
+        return QuadraticSurd._squarefree(-self.a, -self.b, self.D, self.c)
 
     def __sub__(self, other):
         return self.__add__(-self._coerce(other))
 
     def __mul__(self, other):
         o = self._coerce(other)
-        D = self.D or o.D or 2
+        D = self.D or o.D
         a = self.a * o.a + self.b * o.b * D
         b = self.a * o.b + self.b * o.a
-        return QuadraticSurd(a, b, D, self.c * o.c)
+        return QuadraticSurd._squarefree(a, b, D, self.c * o.c)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticSurd":
-        a, b, c, D = self.a, self.b, self.c, self.D or 2
-        n = a * a - b * b * (self.D or 0)
+        a, b, c, D = self.a, self.b, self.c, self.D
+        n = a * a - b * b * D
         if n == 0:
             raise ZeroDivisionError("inverting zero surd")
-        return QuadraticSurd(a * c, -b * c, D, n)
+        return QuadraticSurd._squarefree(a * c, -b * c, D, n)
 
     def __eq__(self, other):
+        # irrational numbers of distinct quadratic fields are never equal
+        if isinstance(other, QuadraticSurd) and self.D and other.D and self.D != other.D:
+            return False
         if isinstance(other, (int, Fraction, QuadraticSurd)):
-            o = self._coerce(other)
-            return (self - o).sign() == 0
+            return (self - self._coerce(other)).sign() == 0
         return NotImplemented
 
     def __lt__(self, other):

@@ -203,6 +203,14 @@ def test_exact_arith_records_match_the_benchmark_references(tmp_path, capsys):
     assert [stable_view(r) for r in read_journal(j)] == [refs[op] for op in ops]
 
 
+def test_lagrange_on_a_period_with_a_large_discriminant(tmp_path):
+    # the discriminant 25331599771546750560 leaves a cofactor near 1.8e16
+    # after its small primes, which trial division up to its square root
+    # does not finish factoring
+    j = str(tmp_path / "j.jsonl")
+    assert main(["--out", j, "lagrange", "--theta", "periodic:0|64,65,51,76,5,62"]) == 0
+
+
 def test_rational_surd_theta_matches_rational(tmp_path):
     # surd:3,0,5,2 is (3 + 0 sqrt 5)/2, expanded through its exact fraction 3/2
     j = str(tmp_path / "j.jsonl")

@@ -1,8 +1,11 @@
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from fareyflow import fiber
 from fareyflow.coulomb import (EXPM_THETA, CurvatureField, GaugeField, SquareGrid,
@@ -11,7 +14,7 @@ from fareyflow.coulomb import (EXPM_THETA, CurvatureField, GaugeField, SquareGri
 from fareyflow.coulomb import (_d_star, _expm_skew, _neumann_refined, _rho_skew, _skew_coords,
                                _skew_field)
 
-from coulomb_reference import split_solve
+from coulomb_reference import physical_neumann, split_solve
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +287,41 @@ def test_neumann_refuses_edge_data_of_another_shape(grid):
     assert not neumann_poisson(rhs, np.zeros((4, M, 3)), grid)[0].any()
 
 
+def test_neumann_matches_the_physical_space_solve():
+    """The cosine-space assembly against the physical-space solve it
+    replaced (coulomb_reference.py), on random batched data: a random rhs
+    and random, so fully oscillatory, normal data on all four edges, with
+    rhs shifted to match the flux.  Each column agrees within 1e-13 of its
+    scale; the worst measured is 2.2e-15, at N = 128."""
+    rng = np.random.default_rng(20261021)
+    for N in (16, 32, 64, 128):
+        g = SquareGrid(N)
+        M = N + 1
+        rhs, w = rng.normal(size=(M, M, 6)), rng.normal(size=(4, M, 6))
+        rhs += sum(g.w1 @ w) - np.tensordot(g.w2, rhs, 2)
+        a, compat = neumann_poisson(rhs.reshape(M, M, 2, 3), w.reshape(4, M, 2, 3), g)
+        a, ref = a.reshape(M, M, 6), physical_neumann(rhs, w, g)
+        assert compat < 1e-14
+        assert (np.abs(a - ref).max(axis=(0, 1)) <= 1e-13 * np.abs(ref).max(axis=(0, 1))).all()
+
+
+def test_neumann_tables_synthesise_the_edge_profiles():
+    """Synthesised, the columns my >= 1 of the edge tables G and D are the
+    profiles cosh(k x) / (k sinh k) and cosh(k (1 - x)) / (k sinh k), k =
+    my pi; column 0 is x^2 / 2 and (1 - x)^2 / 2 less their trapezoid mean,
+    as the tables' zero (0, 0) entry takes it out."""
+    for N in (16, 64, 128):
+        g = SquareGrid(N)
+        _, G, D = g.neumann_tables
+        x, k = g.x[:, None], np.pi * np.arange(1, N + 1)
+        for table, xs in ((G, x), (D, 1 - x)):
+            profiles = 2 * N * scipy.fft.dct(table, type=1, axis=0)
+            exact = np.cosh(k * xs) / (k * np.sinh(k))
+            assert np.abs(profiles[:, 1:] - exact).max() < 1e-15
+            quad = xs[:, 0] ** 2 / 2
+            assert np.abs(profiles[:, 0] - (quad - g.w1 @ quad)).max() < 1e-15
+
+
 def _dagger(F):
     return np.conj(np.swapaxes(F, -1, -2))
 
@@ -462,6 +500,21 @@ def test_coulomb_stagnation_fails_fast():
                                            r"sweep 6, .* in the 19 sweeps left") as exc:
         coulomb_fix(A, tol=1e-6)
     assert str(exc.value).split("history: ")[1].count("(") == 7    # sweeps 0..6
+
+
+def test_benchmark_coulomb_picks_match_the_references(grid):
+    """The criterion-12 stream entries that perfbench's coulomb_gauge picks
+    for seeds 1-3, fixed at its N = 64 and tol 1e-6: a drift of a sweep
+    count or a ratio shows here, not only in a benchmark run."""
+    refs = json.loads((Path(__file__).resolve().parent.parent / "perfbench" /
+                       "references.json").read_text())["coulomb_gauge"]["stream"]
+    for k in (0, 4, 5, 15, 16, 20, 21):
+        ref, rank = refs[k], (1, 2, 4)[k % 3]
+        assert (ref["k"], ref["rank"]) == (k, rank)
+        A = random_gauge_field(grid, rank, seed=7000 + k, curvature_target=0.02 + 0.01 * (k % 3))
+        rep = coulomb_fix(A, tol=1e-6)[2]
+        assert rep.iterations == ref["sweeps"], k
+        assert rep.ratio == pytest.approx(ref["ratio"], rel=1e-9, abs=0), k
 
 
 def test_coulomb_samples_converge_and_reproduce(grid):

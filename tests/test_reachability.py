@@ -75,6 +75,9 @@ ALLOWED_STATEMENTS = {
     # inputs that only tests give the exact-arithmetic layer
     ("fareyflow.contfrac.cf_expand", "eps = Fraction(4 * math.ulp(abs(x) or 1.0))"):
         "a float theta: six tests expand math.pi and other floats; the CLI reads decimals",
+    ("fareyflow.surd.QuadraticSurd.__eq__", "return False"):
+        "surds of two fields: the CLI compares the numbers of one theta's field only; "
+        "tests compare across fields",
     ("fareyflow.surd.QuadraticSurd.__eq__", "return NotImplemented"):
         "a foreign operand compares unequal instead of raising: dataclass equality of "
         "two `RatInterval`s compares an `exact` surd with None",

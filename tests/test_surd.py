@@ -18,6 +18,26 @@ def test_squarefree_split():
         squarefree_split(0)
 
 
+def test_squarefree_split_against_factorint():
+    """The split against sympy's factorisation on prime powers (a cofactor
+    that is exactly a cube stops the loop at its root), on n times a square,
+    and on squares of primes and products of two primes near 1e8 (a cofactor
+    whose prime factors all lie above its cube root)."""
+    import random
+    from sympy import factorint, nextprime
+    rng = random.Random(20261021)
+    big = lambda: nextprime(10 ** 8 + rng.randrange(10 ** 6))
+    cases = [p ** e * k for p in (2, 3, 5, 7, 101) for e in range(1, 8) for k in (1, 6)]
+    cases += [rng.randrange(1, 10 ** 6) * rng.randrange(1, 10 ** 4) ** 2 for _ in range(200)]
+    for _ in range(8):
+        p, q = big(), big()
+        cases += [p * p, p * q, 12 * p * p, rng.randrange(1, 10 ** 4) * p * q]
+    for n in cases:
+        s, f = squarefree_split(n)
+        assert s * s * f == n, n
+        assert all(e == 1 for e in factorint(f).values()), n
+
+
 def test_canonicalization():
     s = QuadraticSurd(2, 2, 8, -4)       # (2 + 2*sqrt(8))/(-4) -> (-1 - 2 sqrt 2)/2
     assert (s.a, s.b, s.c, s.D) == (-1, -2, 2, 2)
@@ -40,6 +60,12 @@ def test_comparisons_exact():
     assert r2 == QuadraticSurd(0, 2, 2, 2)
     with pytest.raises(ValueError):
         _ = r2 < QuadraticSurd(0, 1, 3, 1)   # different fields
+    # irrational surds of distinct fields are never equal
+    r3 = QuadraticSurd(0, 1, 3, 1)
+    assert not r2 == r3 and r2 != r3
+    assert QuadraticSurd(1, 2, 8, 3) != QuadraticSurd(1, 1, 18, 3)   # both in Q(sqrt 2)
+    assert QuadraticSurd(1, 2, 8, 3) == QuadraticSurd(1, 4, 2, 3)
+    assert QuadraticSurd(3, 0, 5, 1) == QuadraticSurd(6, 0, 7, 2) == 3
     # a surd combines with ints, Fractions and surds only, in either order
     for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.gt):
         for foreign in (1.5, "1"):
