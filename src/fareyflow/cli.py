@@ -224,7 +224,8 @@ def _run_donaldson(p):
     verdict = "pass" if fr.converged and fr.monotone_defect() <= 1e-10 else "fail"
     extra = {"trace": {"residuals": fr.residuals, "functional": fr.functional,
                        "steps": fr.steps, "uphill_steps": fr.uphill_steps(),
-                       "uphill_rise": fr.uphill_rise()},
+                       "uphill_rise": fr.uphill_rise(), "evaluations": fr.evaluations,
+                       "rejected": fr.rejected},
              "timings": {"setup_s": round(t1 - t0, 4), "flow_s": round(t2 - t1, 4)}}
     return out, {"final_residual": fr.final_residual,
                  "monotone_defect": fr.monotone_defect()}, verdict, \
@@ -369,15 +370,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(subcommand: str, params: dict, out_path) -> tuple[dict, int]:
     """Dispatch one run, append its record, and return (record, exit code).
 
-    A run that raises ValueError/RuntimeError/ZeroDivisionError (`--L 1/0`)
-    still appends a record, with verdict "error" and the exception message,
-    before the exception goes on.
+    A run that raises ValueError, RuntimeError or ArithmeticError (`--L 1/0`,
+    or a float conversion that overflows) still appends a record, with
+    verdict "error" and the exception message, before the exception goes on.
     A runner may return a fifth item, the volatile `trace`/`timings` fields.
     """
     t0 = time.perf_counter()
     try:
         outputs, residuals, verdict, identity, *extra = RUNNERS[subcommand](params)
-    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         write_report(ReportRecord(op=subcommand, params=params,
                                   outputs={"error": "%s: %s" % (type(exc).__name__, exc)},
                                   residuals={}, verdict="error",
@@ -412,7 +413,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
     print("%s: %s (journal: %s)" % (ns.subcommand, record["verdict"], ns.out))

@@ -4,9 +4,9 @@ Fields are arrays (..., r, r) with the matrix axes last; the leading axes
 broadcast.  The rank is read from the shape:
 
 - r = 1: every operation is elementwise;
-- r = 2: products are written out entry by entry, inverses are the
-  adjugate over the determinant, and Hermitian matrix functions use the
-  closed form below instead of an eigensolver;
+- r = 2: products and Hermitian parts are written out entry by entry,
+  inverses are the adjugate over the determinant, and Hermitian matrix
+  functions use the closed form below instead of an eigensolver;
 - r >= 3: products go through `np.matmul`, inverses through
   `np.linalg.inv`, matrix functions through `np.linalg.eigh`.
 
@@ -51,8 +51,16 @@ def dagger(A: np.ndarray) -> np.ndarray:
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
-    """The Hermitian part (A + A^dag) / 2."""
-    return 0.5 * (A + dagger(A))
+    """The Hermitian part (A + A^dag) / 2.  Rank 2 is written out, C-ordered,
+    with the generic bits on finite fields: 0.5 (a + conj a) is exactly Re a +
+    0i, and each off-diagonal entry is formed on its own (signed zeros)."""
+    if A.shape[-2:] != (2, 2):
+        return 0.5 * (A + dagger(A))
+    out = np.empty(A.shape, np.result_type(A, 0.5))
+    out[..., 0, 0], out[..., 1, 1] = A[..., 0, 0].real, A[..., 1, 1].real
+    out[..., 0, 1] = 0.5 * (A[..., 0, 1] + np.conj(A[..., 1, 0]))
+    out[..., 1, 0] = 0.5 * (A[..., 1, 0] + np.conj(A[..., 0, 1]))
+    return out
 
 
 def _is_rank(A: np.ndarray, B: np.ndarray, r: int) -> bool:
@@ -220,30 +228,29 @@ def op_norm(A: np.ndarray) -> np.ndarray:
 def cross_block_norms(H: np.ndarray, D: np.ndarray):
     """(g, |P+ D P-|_F^2, |P- D P+|_F^2) per node for a rank-2 Hermitian H.
 
-    With H = m I + T as in the module docstring, P+- = (I +- T/g)/2 are the
-    spectral projectors onto the eigenvalues m +- g.  The four blocks
-    P_a D P_b are Frobenius-orthogonal and sum to D; the two off-diagonal
-    ones are formed from products written out entry by entry (no eigensolver,
-    and no trace identity that cancels).  Where g = 0 the projectors are
-    undefined and both norms are 0.  They are 0 where g is subnormal too:
-    there the complex division by 2g would overflow, and the pairing weighs
-    these norms by phi(+-2g) - 1/2 = O(g).
+    With H = m I + T as in the module docstring, P+- project onto the
+    eigenvalues m +- g, and T/g = [[u, w], [conj w, -u]] has the eigenvectors
+    e+ = (1 + u, conj w), e- = (-w, 1 + u) for u >= 0 and e+ = (w, 1 - u),
+    e- = (1 - u, -conj w) for u < 0, of squared norm n = 2(1 + |u|) >= 2.  So
+    |P+ D P-|_F^2 = |e+^dag D e-|^2 / n^2 and |P- D P+|_F^2 = |e-^dag D e+|^2
+    / n^2, with no eigensolver and no cancelling trace identity.  Where g = 0
+    the projectors are undefined and both norms are 0.  They are 0 where g is
+    subnormal too: there the division by g would overflow, and the pairing
+    weighs these norms by phi(+-2g) - 1/2 = O(g).
     """
     _, g, half_diff, b = _rank2_parts(H)
     split = g >= np.finfo(float).tiny
-    two_g = np.where(split, 2 * g, 1.0)
-    u, w = half_diff / two_g, b / two_g
-    plus = np.empty(H.shape, complex)
-    plus[..., 0, 0], plus[..., 0, 1] = 0.5 + u, w
-    plus[..., 1, 0], plus[..., 1, 1] = np.conj(w), 0.5 - u
-    plus_d = mm(plus, D)
-    plus_d_plus = mm(plus_d, plus)
-
-    def norm_sq(X):
-        return np.where(split, np.sum(X.real ** 2 + X.imag ** 2, axis=(-2, -1)), 0.0)
-
-    # P- = I - P+, so P+ D P- = P+ D - P+ D P+ and P- D P+ = D P+ - P+ D P+
-    return g, norm_sq(plus_d - plus_d_plus), norm_sq(mm(D, plus) - plus_d_plus)
+    safe_g = np.where(split, g, 1.0)
+    u = half_diff / safe_g
+    # for u < 0 the pair is the u >= 0 pair of (u, -w) with e+ and e- swapped
+    p, w = 1.0 + np.abs(u), np.where(u >= 0, b, -b) / safe_g
+    d01, d10, diag = D[..., 0, 1], D[..., 1, 0], D[..., 1, 1] - D[..., 0, 0]
+    p2, pw, w2 = p * p, p * w, w * w
+    first = p2 * d01 - w2 * d10 + pw * diag
+    second = p2 * d10 - np.conj(w2) * d01 + np.conj(pw) * diag
+    scale = np.where(split, 0.25 / p2, 0.0)
+    first, second = (scale * (X.real ** 2 + X.imag ** 2) for X in (first, second))
+    return g, np.where(u >= 0, first, second), np.where(u >= 0, second, first)
 
 
 def _require_positive(lam_min: np.ndarray):

@@ -101,9 +101,9 @@ def _pairing(s_hat: np.ndarray, dbar_hat: np.ndarray) -> np.ndarray:
     diag(l) P^dag and D = dbar_hat.
 
     phi(0) = 1/2, so rank 1 is |D|^2/2.  At rank 2, with P+- the spectral
-    projectors of s_hat onto m +- g (`fiber.cross_block_norms`), the pairing
-    is |D|_F^2/2 + (phi(2g) - 1/2)|P+ D P-|_F^2 + (phi(-2g) - 1/2)|P- D P+|_F^2.
-    Rank >= 3 diagonalizes s_hat.
+    projectors of s_hat onto m +- g, the pairing is |D|_F^2/2 + (phi(2g) - 1/2)
+    |P+ D P-|_F^2 + (phi(-2g) - 1/2)|P- D P+|_F^2, with both norms from s_hat's
+    eigenvector pair (`fiber.cross_block_norms`); rank >= 3 diagonalizes s_hat.
     """
     r = s_hat.shape[-1]
     if r >= 3:
@@ -165,6 +165,8 @@ class FlowResult:
     steps: list[float]
     iterations: int
     converged: bool
+    evaluations: int   # donaldson_functional calls: accepted steps + rejected
+    rejected: int      # evaluated trials halved because M rose (not the non-metrics)
 
     @property
     def final_residual(self) -> float:
@@ -220,6 +222,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
     functional: list[float] = []
     steps: list[float] = []
     m_cur = 0.0
+    evaluations = rejected = 0
     H, defect = K0, source
 
     for it in range(max_iter + 1):
@@ -241,8 +244,10 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
                 step *= 0.5
                 continue
             m_new = donaldson_functional(K0, s_new, source)
+            evaluations += 1
             if m_new <= m_cur + DESCENT_SLACK * max(1.0, abs(m_cur)):
                 break
+            rejected += 1
             step *= 0.5
         else:
             raise RuntimeError(
@@ -254,7 +259,7 @@ def donaldson_flow(K0: MetricField, mu, conn, *, max_iter: int, tol: float) -> F
         step = min(step * 1.3, STEP_MAX)
 
     return FlowResult(MetricField(grid, twist, H.data), residuals, functional, steps, it,
-                      res < tol)
+                      res < tol, evaluations, rejected)
 
 
 def random_twisted_hermitian(grid, twist, seed: int, amplitude: float) -> EndoField:

@@ -143,6 +143,19 @@ def test_zero_denominator_L_journals_an_error(tmp_path, sub):
     assert rec["outputs"] == {"error": "ZeroDivisionError: Fraction(1, 0)"}
 
 
+def test_overflow_journals_an_error(tmp_path, capsys):
+    # the exact product L |theta - p/q| q^2 of a late golden-ratio
+    # convergent is a surd whose float conversion overflows; the run still
+    # leaves a record
+    j = str(tmp_path / "j.jsonl")
+    assert main(["--out", j, "sequence", "--theta", "periodic:1|1", "--L", "1",
+                 "--count", "370"]) == 2
+    assert "numerical failure: int too large to convert to float" in capsys.readouterr().err
+    rec, = read_journal(j)
+    assert rec["verdict"] == "error" and rec["op"] == "sequence"
+    assert rec["outputs"] == {"error": "OverflowError: int too large to convert to float"}
+
+
 def test_lagrange_without_a_term_journals_an_error(tmp_path):
     # decimal:0.5 expands to [0] alone: even term 0 needs a_1 and a_2
     j = str(tmp_path / "j.jsonl")
@@ -368,6 +381,7 @@ def test_donaldson_record_trace_and_timings(tmp_path):
     rises = [y - x for x, y in zip(trace["functional"], trace["functional"][1:]) if y > x]
     assert trace["uphill_steps"] == len(rises)
     assert trace["uphill_rise"] == sum(rises)
+    assert trace["evaluations"] == n + trace["rejected"]
     assert rises and max(rises) == a["residuals"]["monotone_defect"]
     assert set(a["timings"]) == {"setup_s", "flow_s"}
     assert all(v >= 0 for v in a["timings"].values())

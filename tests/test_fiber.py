@@ -273,15 +273,43 @@ def test_op_norm_matches_svd(seed, r, batch, kind):
     assert np.all(np.abs(got - want) <= 20 * r * EPS * want)
 
 
+# (a, d, |b|) of H = [[a, b], [conj b, d]] at the branch edges of
+# cross_block_norms, where u = (a - d) / (2 g) and |w| = |b| / g
+EDGES = {"u=+0": (0.0, -0.0, 1.0), "u=-0": (-0.0, 0.0, 1.0),
+         "u~+0": (1e-17, -1e-17, 1.0), "u~-0": (-1e-17, 1e-17, 1.0),
+         "u~-1": (0.0, 2.0, 1e-9), "w=0,u>0": (2.0, -1.0, 0.0), "w=0,u<0": (-1.0, 2.0, 0.0)}
+
+
+def _edge(rng, batch, kind):
+    """(H, eigenvalues) at a branch edge; b has a random phase per node."""
+    a, d, size = EDGES[kind]
+    H = np.zeros(batch + (2, 2), complex)
+    H[..., 0, 0], H[..., 1, 1] = a, d
+    H[..., 0, 1] = size * np.exp(2j * np.pi * rng.random(batch))
+    H[..., 1, 0] = np.conj(H[..., 0, 1])
+    return H, np.linalg.eigvalsh(H)
+
+
 @settings(deadline=None, max_examples=80)
 @given(seed=st.integers(0, 2 ** 32 - 1), batch=st.sampled_from(BATCHES),
        kind=st.sampled_from(["signed", "separated", "ill"]))
+@example(seed=8, batch=(3,), kind="u=+0")
+@example(seed=8, batch=(3,), kind="u=-0")
+@example(seed=9, batch=(2, 3), kind="u~+0")
+@example(seed=9, batch=(2, 3), kind="u~-0")
+@example(seed=10, batch=(4, 1, 2), kind="u~-1")
+@example(seed=11, batch=(), kind="w=0,u>0")
+@example(seed=11, batch=(), kind="w=0,u<0")
 def test_cross_block_norms_match_eigh_projectors(seed, batch, kind):
     """|P+ D P-|^2 and |P- D P+|^2 against projectors built from eigh, with
-    the tolerance scaled by the eigenvector condition |H| / gap."""
+    the tolerance scaled by the eigenvector condition |H| / gap; the examples
+    sit at the edges of the kernel's two eigenvector branches (u >= 0, u < 0)."""
     rng = np.random.default_rng(seed)
-    lam = _spectrum(rng, batch, 2, kind)
-    H = _hermitian(lam, _unitary(rng, batch, 2))
+    if kind in EDGES:
+        H, lam = _edge(rng, batch, kind)
+    else:
+        lam = _spectrum(rng, batch, 2, kind)
+        H = _hermitian(lam, _unitary(rng, batch, 2))
     D = _general(rng, batch, 2, "complex")
     _, P = np.linalg.eigh(H)
     low, high = (np.einsum("...a,...b->...ab", P[..., k], P[..., k].conj()) for k in (0, 1))
@@ -307,6 +335,32 @@ def test_cross_block_norms_at_and_next_to_scalars():
     assert g[0] == plus_minus[0] == minus_plus[0] == 0.0
     assert g[1] == EPS / 2 and plus_minus[1] == 16.0 and minus_plus[1] == 9.0
     assert 0.0 < g[2] < np.finfo(float).tiny and plus_minus[2] == minus_plus[2] == 0.0
+
+
+def _signed_zeros(rng, F):
+    """F with a fifth of its real and imaginary parts set to +0 or -0, and
+    its first row of nodes -0."""
+    F = F.copy()
+    for part in (F.real, F.imag):
+        hit = rng.random(part.shape) < 0.2
+        part[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+    F[0] = -0.0
+    return F
+
+
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_hermitize_matches_the_generic_form_bytewise(r):
+    """Rank 2 is written out entry by entry; every rank equals
+    0.5 (A + A^dag) byte for byte, on fields with signed zeros and on views
+    that are not C-contiguous."""
+    rng = np.random.default_rng(40 + r)
+    F = _signed_zeros(rng, _general(rng, (6, 8), r, "complex"))
+    for A in (F, F.real.copy(), np.swapaxes(F, 0, 1), np.swapaxes(F, -1, -2),
+              np.broadcast_to(F[1, 2], F.shape), F[1::2, ::3]):
+        want = 0.5 * (A + fiber.dagger(A))
+        got = fiber.hermitize(A)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_inv_rank2_rejects_with_measured_condition():

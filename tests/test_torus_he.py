@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -459,6 +461,20 @@ def test_chern_weil_line_subbundle(model21):
     assert rhs == pytest.approx(math.pi, abs=1e-14)
     assert rel < 1e-4
     assert sff.holomorphy_residual < 1e-4
+
+
+
+def test_benchmark_theta_line_matches_the_references():
+    """The theta-line Chern-Weil integral at the N = 128 and 256 grids of
+    perfbench's torus_geometry, against its `lhs` references."""
+    refs = json.loads((Path(__file__).resolve().parent.parent / "perfbench" /
+                       "references.json").read_text())["torus_geometry"]["lhs"]
+    for N, want in zip((128, 256), refs, strict=True):
+        g = TorusGrid(1j, N)
+        tw, conn, H0 = build_model_bundle(2, 1, g)
+        sff = second_fundamental_form(theta_section(tw, g, (0, 0)), H0, conn)
+        lhs, _, _ = chern_weil_check(sff, H0, Fraction(1, 2), 0, 1)
+        assert lhs == pytest.approx(want, rel=1e-9, abs=0), N
 
 
 def test_chern_weil_zero_beta(model21):
