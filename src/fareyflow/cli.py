@@ -191,16 +191,18 @@ def _run_chern_weil(p):
     grid, (twist, conn, H0) = _torus_setup(p)
     t1 = time.perf_counter()
     sec = theta_section(twist, grid, (0, 0))
+    t2 = time.perf_counter()
     sff = second_fundamental_form(sec, H0, conn)
     lhs, rhs, rel = chern_weil_check(sff, H0, twist.mu, 0, 1)
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
     probe = threshold_probe(sff)
     if p.get("dump_grid"):
         dump_grid_csv(p["dump_grid"], sff.beta, grid, twist)
     out = {"rank": twist.rank, "degree": twist.degree, "N": grid.N,
            "lhs": lhs, "rhs": rhs, "sup_over_mean": probe.ratio}
     verdict = "pass" if rel < p["tol"] else "fail"
-    extra = {"timings": {"setup_s": round(t1 - t0, 4), "sff_s": round(t2 - t1, 4)}}
+    extra = {"timings": {"setup_s": round(t1 - t0, 4), "section_s": round(t2 - t1, 4),
+                         "sff_s": round(t3 - t2, 4)}}
     return out, {"relative_error": rel,
                  "section_automorphy": sec.automorphy_residual}, verdict, \
         "integral of |beta|^2 equals 2 pi (mu_E - mu_S) rk S", extra

@@ -75,9 +75,8 @@ _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 def diff4(F: np.ndarray, axis: int, h: float) -> np.ndarray:
     """4th-order first derivative: centered inside (`fiber.centred_sum`, as in
     `torus_he.twist.d4`), one-sided with Fornberg's weights at the edges."""
-    out = fiber.centred_sum(F, axis, np.result_type(F, 1.0))
+    out = fiber.centred_sum(F, axis, h, np.result_type(F, 1.0))
     F, rows = np.moveaxis(F, axis, 0), np.moveaxis(out, axis, 0)
-    rows[2:-2] /= 12 * h
     rows[0] = sum(c * F[i] for i, c in enumerate(_EDGE0)) / h
     rows[1] = sum(c * F[i] for i, c in enumerate(_EDGE1)) / h
     rows[-1] = -sum(c * F[-1 - i] for i, c in enumerate(_EDGE0)) / h

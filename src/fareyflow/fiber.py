@@ -15,7 +15,17 @@ eigenvalue of A^dag A; it needs no self-adjointness of A, so it is the
 operator norm of any field (at rank 2 in closed form).  `cross_block_norms`
 splits a rank-2 field by the spectral projectors of a Hermitian one.
 `centred_sum` is the 5-point sum of the 4th-order stencils `torus_he.twist.d4`
-and `coulomb.diff4`.
+and `coulomb.diff4`, divided by their 12 h.
+
+Row blocks.  `mm` at rank 2 and `centred_sum` fill their one output array a
+block of leading rows at a time (`row_blocks`), as do `torus_he.EndoField`'s
+`wirtinger` combination and the second fundamental form's trace and
+holomorphy residual (`torus_he.hermitian`).  A block holds at most
+_BLOCK_BYTES, so its temporaries stay in the L2 cache and are reused from
+block to block; a full-size temporary per operation instead streams the
+field through memory once more and, at N = 256, takes fresh pages from the
+allocator each time.  Every element goes through the same operations in the
+same order as in one whole-field pass, so blocking changes no bytes.
 
 Rank-2 matrix functions.  For Hermitian H = [[a, b], [conj b, d]] put
 m = (a + d)/2 and T = H - m I, so T^2 = g^2 I with g = sqrt(((a - d)/2)^2 +
@@ -44,6 +54,10 @@ _SERIES = 1e-4
 # smallest reciprocal condition |det A| / |A|_F^2 a rank-2 inverse accepts;
 # below it the adjugate formula (like any inverse) keeps fewer than 2 digits
 INV_RCOND = 1e-14
+# most bytes of a row block: a complex rank-2 field on the 65 x 65 Coulomb
+# grid (270,400 bytes), so every rank <= 2 field at N = 64/65 is one block,
+# and a block's few temporaries fit the 2 MiB per-core L2 cache
+_BLOCK_BYTES = 9 << 15
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
@@ -67,19 +81,33 @@ def _is_rank(A: np.ndarray, B: np.ndarray, r: int) -> bool:
     return A.shape[-2:] == B.shape[-2:] == (r, r)
 
 
+def row_blocks(F: np.ndarray) -> list[slice]:
+    """Slices that cut the leading axis of F into blocks of whole rows, each
+    of at most _BLOCK_BYTES bytes (or one row), the last one partial."""
+    n = F.shape[0]
+    step = max(1, _BLOCK_BYTES * n // max(1, F.nbytes))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Fiberwise product A B (leading axes broadcast)."""
+    """Fiberwise product A B (leading axes broadcast).  At rank 2 the product
+    is formed in row blocks of the output; an operand broadcast along the
+    leading axis is passed whole."""
     if _is_rank(A, B, 1):
         return A * B
     if not _is_rank(A, B, 2):
         return np.matmul(A, B)
-    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-    e, f, g, h = B[..., 0, 0], B[..., 0, 1], B[..., 1, 0], B[..., 1, 1]
     out = np.empty(np.broadcast_shapes(A.shape, B.shape), np.result_type(A, B))
-    out[..., 0, 0] = a * e + b * g
-    out[..., 0, 1] = a * f + b * h
-    out[..., 1, 0] = c * e + d * g
-    out[..., 1, 1] = c * f + d * h
+    cut_a, cut_b = (X.ndim == out.ndim and len(X) > 1 for X in (A, B))
+    for rows in row_blocks(out):
+        X, Y = A[rows] if cut_a else A, B[rows] if cut_b else B
+        a, b, c, d = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+        e, f, g, h = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 0], Y[..., 1, 1]
+        block = out[rows]
+        block[..., 0, 0] = a * e + b * g
+        block[..., 0, 1] = a * f + b * h
+        block[..., 1, 0] = c * e + d * g
+        block[..., 1, 1] = c * f + d * h
     return out
 
 
@@ -114,21 +142,39 @@ def inv(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def centred_sum(F: np.ndarray, axis: int, dtype) -> np.ndarray:
-    """((0 + F(-2)) - 8 F(-1) + 8 F(+1)) - F(+2) along `axis`, summed in that
-    order over the flattened field into a new C-ordered array of `dtype`; it
-    is right at nodes 2..n-3, and callers overwrite the two rows at each end.
-    Starting from 0 makes every zero of the sum +0, whatever the signs of zero
-    in F and in the products by 8."""
+def centred_sum(F: np.ndarray, axis: int, h: float, dtype) -> np.ndarray:
+    """(((0 + F(-2)) - 8 F(-1) + 8 F(+1)) - F(+2)) / 12 h along `axis`, formed
+    in that order over the flattened field into a new C-ordered array of
+    `dtype`; it is right at nodes 2..n-3, and callers overwrite the two rows at
+    each end.  Starting from 0 makes every zero of the sum +0, whatever the
+    signs of zero in F and in the products by 8.  The flattened sum is formed
+    in row blocks with one block-sized scratch, each block divided as soon as
+    it is summed.
+
+    numpy divides a complex x by the real w = 12 h as (Re x + 0 Im x, Im x -
+    0 Re x) times 1/w.  On a finite sum, which is never -0, the terms 0 Im x
+    and 0 Re x change nothing, so a complex sum is multiplied part by part by
+    1/w instead, with the same bits.  Where a part is inf or NaN the division
+    also made the other part NaN; the product leaves that part as it is."""
     F = np.ascontiguousarray(F)
     out, step = np.empty(F.shape, dtype), F.strides[axis] // F.itemsize
     n = F.size - 4 * step
-    row = [F.reshape(-1)[k * step:k * step + n] for k in range(5)]     # F(-2) .. F(+2)
-    sums, scratch = out.reshape(-1)[2 * step:2 * step + n], np.empty(n, dtype)
-    np.add(row[0], 0, out=sums)
-    sums -= np.multiply(row[1], 8, out=scratch)
-    sums += np.multiply(row[3], 8, out=scratch)
-    sums -= row[4]
+    flat, sums, width = F.reshape(-1), out.reshape(-1)[2 * step:2 * step + n], 12 * h
+    blocks = row_blocks(sums)
+    scratch = np.empty(blocks[0].stop, dtype)
+    for rows in blocks:
+        lo, hi = rows.start, rows.stop
+        row = [flat[lo + k * step:hi + k * step] for k in range(5)]    # F(-2) .. F(+2)
+        block, tmp = sums[rows], scratch[:hi - lo]
+        np.add(row[0], 0, out=block)
+        block -= np.multiply(row[1], 8, out=tmp)
+        block += np.multiply(row[3], 8, out=tmp)
+        block -= row[4]
+        if np.iscomplexobj(block):
+            parts = block.view(block.real.dtype)
+            np.multiply(parts, 1 / width, out=parts)
+        else:
+            block /= width
     return out
 
 

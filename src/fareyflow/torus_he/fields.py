@@ -34,29 +34,36 @@ class EndoField:
         if self.data.shape != (N, N, r, r):
             raise ValueError("expected shape %r, got %r" % ((N, N, r, r), self.data.shape))
 
-    def _derivatives(self, *coeffs: tuple) -> list[np.ndarray]:
-        """c[0] d_x + c[1] d_y for each coefficient pair c, from one pair of
-        stencils: d_x is folded into every combination before d_y is formed,
-        and the last combination is formed in the stencils' own outputs."""
+    def _derivative(self, c: tuple) -> np.ndarray:
+        """c[0] d_x + c[1] d_y in d_x's own array, d_x scaled before d_y is
+        formed: no temporary, so no row blocks."""
         g, seam = self.grid, endo_seam(self.twist)
-        *first, last = coeffs
         dx = d4(self.data, 0, g.h, seam)
-        outs = [c[0] * dx for c in first] + [np.multiply(last[0], dx, out=dx)]
+        np.multiply(c[0], dx, out=dx)
         dy = d4(self.data, 1, g.h, seam)
-        for out, c in zip(outs, first):
-            out += c[1] * dy
-        outs[-1] += np.multiply(last[1], dy, out=dy)
-        return outs
+        dx += np.multiply(c[1], dy, out=dy)
+        return dx
 
     def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d_z, d_zbar) from one pair of stencils."""
-        return tuple(self._derivatives(self.grid.cz, self.grid.czb))
+        """(d_z, d_zbar) from one pair of stencils, combined in row blocks in
+        their own arrays, d_z in d_x's and d_zbar in d_y's; each product is
+        formed before its operand is overwritten."""
+        g, seam = self.grid, endo_seam(self.twist)
+        (a, b), (c, d) = g.cz, g.czb
+        dx, dy = (d4(self.data, axis, g.h, seam) for axis in (0, 1))
+        for rows in fiber.row_blocks(dx):
+            x, y = dx[rows], dy[rows]
+            by, cx = b * y, c * x
+            np.add(cx, np.multiply(d, y, out=y), out=y)
+            np.multiply(a, x, out=x)
+            x += by
+        return dx, dy
 
     def d_z(self) -> np.ndarray:
-        return self._derivatives(self.grid.cz)[0]
+        return self._derivative(self.grid.cz)
 
     def d_zbar(self) -> np.ndarray:
-        return self._derivatives(self.grid.czb)[0]
+        return self._derivative(self.grid.czb)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -72,11 +79,12 @@ class MetricField(EndoField):
     metric is in use), or a broadcast of one r x r block, the one value the
     Hermiticity check then reads.  The per-node factors `inv`, `sqrt_pair`
     and `gamma` are computed on first use, kept and returned read-only.
-    `is_identity` holds only for the metric `identity_metric` builds; four
-    products below (`apply`, `apply_inv`, `dual`, `chern_dz`) then skip the
-    factor I and return their other operand, C-ordered as a product would be
-    (`hermitian._form_norm_sq` and matmul read memory order, so this keeps the
-    results bit-identical).  `conjugate_half` multiplies by the exact I.
+    `is_identity` holds only for the metric `identity_metric` builds; three
+    products below (`apply`, `dual`, `chern_dz`) then skip the factor I and
+    return their other operand, C-ordered as a product would be (matmul
+    reads memory order, so this keeps the results bit-identical), and so does
+    the trace of `hermitian._form_norm_sq`.  `conjugate_half` multiplies by
+    the exact I.
     """
 
     def __post_init__(self):
@@ -116,10 +124,6 @@ class MetricField(EndoField):
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x per node."""
         return np.ascontiguousarray(x) if self._identity else mm(self.data, x)
-
-    def apply_inv(self, x: np.ndarray) -> np.ndarray:
-        """H^-1 x per node."""
-        return np.ascontiguousarray(x) if self._identity else mm(self.inv(), x)
 
     def dual(self, cols: np.ndarray) -> np.ndarray:
         """C^dag H for a column block C: the H-dual rows."""

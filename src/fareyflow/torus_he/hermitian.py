@@ -17,10 +17,10 @@ contraction becomes
 For the constant-curvature model, i Lambda F = 2 pi mu Id exactly.
 
 The model's reference metric is `identity_metric`, flagged `is_identity`.
-On it four metric products (`MetricField.apply`, `apply_inv`, `dual`,
-`chern_dz`) skip the factor I, so the second fundamental form is
-bit-identical to the general path at a fraction of its cost.  The residual
-there forms no matrix field at all: the defect is the scalar
+On it three metric products (`MetricField.apply`, `dual`, `chern_dz`) and
+the trace of `_form_norm_sq` skip the factor I, so the second fundamental
+form is bit-identical to the general path at a fraction of its cost.  The
+residual there forms no matrix field at all: the defect is the scalar
 i F_xy - 2 pi mu times Id, and its norm is read from that (N, N) scalar.
 Everything else, the curvature `i_lambda_F_metric` included, takes the
 general path on it: products with the exact I and stencils of the exact
@@ -87,9 +87,22 @@ def he_residual(conn: ConnectionField, H: MetricField, mu) -> float:
 
 def _form_norm_sq(b: np.ndarray, H: MetricField) -> np.ndarray:
     """Pointwise |b dz|_H^2 = 2 v tr(H^-1 b^dag H b) (nonnegative) of an
-    endomorphism-valued (1,0)-form, the trace taken without the product."""
-    A, B = H.apply_inv(dagger(b)), H.apply(b)
-    return 2 * H.grid.v * np.sum(A * np.swapaxes(B, -1, -2), axis=(-2, -1)).real
+    endomorphism-valued (1,0)-form, the trace taken without the product.
+
+    It is formed in row blocks: a block's products (H^-1 b^dag)_ac (H b)_ca
+    go C-ordered into one block-sized buffer, so the sum reads them in the
+    same order whatever the operands' memory layout, and the identity metric
+    skips its factors I bit for bit."""
+    out, scale = np.empty(b.shape[:-2]), 2 * H.grid.v
+    blocks = fiber.row_blocks(b)
+    prod = np.empty(b[blocks[0]].shape, np.result_type(b, H.data))
+    for rows in blocks:
+        x = b[rows]
+        A, B = (dagger(x), x) if H.is_identity else \
+            (mm(H.inv()[rows], dagger(x)), mm(H.data[rows], x))
+        products = np.multiply(A, np.swapaxes(B, -1, -2), out=prod[:len(x)])
+        np.multiply(scale, np.sum(products, axis=(-2, -1)).real, out=out[rows])
+    return out
 
 
 @dataclass
@@ -110,8 +123,9 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
     norm field |beta|^2 = 2 v tr(H^-1 b^dag H b).  The central background
     `conn` commutes with pi, so only the metric's gamma enters d_H pi.
     """
-    # each operand is dropped once read, so the form holds at most about 5.5
-    # (N, N, r, r) fields at a time
+    # each operand is dropped once read, and (1 - pi) d_zbar pi is measured
+    # block by block, never held whole, so the form holds about 4.5 (N, N, r, r)
+    # fields at a time
     cols = incl.columns
     svals = incl.sigma_min_field()
     worst = np.unravel_index(np.argmin(svals), svals.shape)
@@ -126,8 +140,8 @@ def second_fundamental_form(incl: SectionField, H: MetricField,
 
     dz, dzb = pi_field.wirtinger()
     one_minus = np.eye(H.twist.rank) - pi
-    dzb = mm(one_minus, dzb)
-    holo = float(np.abs(dzb).max())
+    holo = float(np.max([np.abs(mm(one_minus[rows], dzb[rows])).max()
+                         for rows in fiber.row_blocks(dzb)]))
     del dzb
     b = mm(one_minus, H.chern_dz(dz, pi))
     del dz, one_minus

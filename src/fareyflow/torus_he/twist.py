@@ -126,17 +126,17 @@ def d4(F: np.ndarray, axis: int, h: float, seam) -> np.ndarray:
     """4th-order centered d/dx (axis 0) or d/dy (axis 1), reading ghosts past
     the seams: (F(node - 2) - 8 F(node - 1) + 8 F(node + 1) - F(node + 2)) / 12 h.
 
-    `fiber.centred_sum` forms the sum from F in place away from the seams, and
-    from the 8 edge rows padded with their ghosts for the two rows on each side.
+    `fiber.centred_sum` forms the quotient from F in place away from the seams,
+    and from the 8 edge rows padded with their ghosts for the two rows on each
+    side.
     """
     N = F.shape[axis]
     edges = ghost_pad(np.concatenate([_rows(F, axis, 0, 4), _rows(F, axis, N - 4, N)], axis),
                       axis, 2, seam)
-    out = centred_sum(F, axis, np.result_type(F, edges))
-    sums = centred_sum(edges, axis, edges.dtype)    # rows 0, 1 and N-2, N-1 at 2, 3, 8, 9
+    out = centred_sum(F, axis, h, np.result_type(F, edges))
+    sums = centred_sum(edges, axis, h, edges.dtype)  # rows 0, 1 and N-2, N-1 at 2, 3, 8, 9
     _rows(out, axis, 0, 2)[...] = _rows(sums, axis, 2, 4)
     _rows(out, axis, N - 2, N)[...] = _rows(sums, axis, 8, 10)
-    out /= 12 * h
     return out
 
 

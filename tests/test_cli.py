@@ -311,7 +311,7 @@ def test_chern_weil_subcommand_with_dump(tmp_path):
 
 @pytest.mark.parametrize("argv, phases", [
     (["torus-he", "--rank", "3", "--N", "32"], {"setup_s", "residual_s"}),
-    (["chern-weil", "--N", "32", "--tol", "0.01"], {"setup_s", "sff_s"}),
+    (["chern-weil", "--N", "32", "--tol", "0.01"], {"setup_s", "section_s", "sff_s"}),
 ])
 def test_torus_records_carry_timings(tmp_path, argv, phases):
     recs = []
