@@ -239,6 +239,7 @@ def _run_coulomb(p):
     import scipy.fft    # loaded before the timed fixes: each fix_s times only its fix
     grid = coulomb.SquareGrid(p["N"])
     rows, ratios, histories, compat, fix_s = [], [], [], [], []
+    phase_s = {phase: [] for phase in coulomb.PHASES}
     ok = True
     for k in range(p["samples"]):
         seed = p["seed"] + k
@@ -252,6 +253,8 @@ def _run_coulomb(p):
             rows.append({"seed": seed, "rank": p["rank"], "error": str(exc)})
             ok = False
         fix_s.append(round(time.perf_counter() - t0, 4))
+        for phase, spent in phase_s.items():
+            spent.append(None if rep is None else round(rep.phase_s[phase], 4))
         if rep is None:
             histories.append(None)
             compat.append(None)
@@ -271,7 +274,7 @@ def _run_coulomb(p):
            "ratio_max_over_median": spread}
     verdict = "pass" if ok and spread < 5 else "fail"
     extra = {"trace": {"history": histories, "compat_defect": compat},
-             "timings": {"fix_s": fix_s}}
+             "timings": {"fix_s": fix_s, **phase_s}}
     return out, {"ratio_spread": spread}, verdict, \
         "gauge-fixed field obeys the divergence-free and normal-trace conditions " \
         "with a sample-stable norm ratio", extra

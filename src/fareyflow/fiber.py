@@ -17,6 +17,35 @@ splits a rank-2 field by the spectral projectors of a Hermitian one.
 `centred_sum` is the 5-point sum of the 4th-order stencils `torus_he.twist.d4`
 and `coulomb.diff4`, divided by their 12 h.
 
+Spectral radius.  `spectral_radius` is max |eigenvalue| per node of a
+Hermitian field: from the closed-form `eigvalsh` at ranks 1 and 2 (|H_00|;
+m -+ g as below), from `np.linalg.eigvalsh` at ranks 3 and >= 5, and at
+rank 4 from the characteristic polynomial, which costs about a third of a
+LAPACK call per node.  There T = H - m I, m the mean of the diagonal, is
+scaled by the power of two that brings its largest real or imaginary part
+into [1/2, 1), so that no square or fourth power over- or underflows.  With
+s_k = tr T^k (s_2 = |T|_F^2; s_3 and s_4 = |T^2|_F^2 from one product T^2,
+entry by entry), the eigenvalues of T / |T|_F are the roots of
+
+    q(z) = z^4 - z^2/2 - a_3 z + a_4,   a_3 = s_3 / (3 s_2^(3/2)),
+                                        a_4 = 1/8 - s_4 / (4 s_2^2)
+
+(Newton's identities with e_1 = 0), all in [-sqrt(3/4), sqrt(3/4)]
+(Samuelson's bound).  Laguerre's method (B. N. Parlett, Math. Comp. 18
+(1964) 464-485) from sqrt(3/4) descends monotonically onto the largest root
+of q(z), and of q(-z) for the smallest, both at once; one Newton step
+polishes.  A node keeps max(|m + top|, |m + bottom|) only with a proof at
+y -+ _RADIUS_DELTA around each root y: at y + DELTA, q and its first three
+derivatives are all above _RADIUS_MARGIN, the bound on their rounding, so by
+Taylor's formula (Budan-Fourier) no root lies above; at y - DELTA, q is below
+-MARGIN, so a root lies in between.  As rho >= |H|_F / 2 >= |T|_F / 2, a
+proven node is within 2 DELTA + 8 u = 9.1e-13 (u = 2^-53) of the spectral
+radius, relative (for a radius in the normal range).  The nodes without a
+proof (an extreme pair closer than about 0.03 |T|_F, a double root) go to
+`np.linalg.eigvalsh` in one call, made even on an empty stack; a node with a
+NaN entry is NaN.  Rank 4 reads every entry and LAPACK the lower triangle,
+so the field must be Hermitian, as `coulomb._rho_skew` checks its input is.
+
 Row blocks.  `mm` at rank 2 and `centred_sum` fill their one output array a
 block of leading rows at a time (`row_blocks`), as do `torus_he.EndoField`'s
 `wirtinger` combination and the second fundamental form's trace and
@@ -58,6 +87,18 @@ INV_RCOND = 1e-14
 # grid (270,400 bytes), so every rank <= 2 field at N = 64/65 is one block,
 # and a block's few temporaries fit the 2 MiB per-core L2 cache
 _BLOCK_BYTES = 9 << 15
+# half-width of the bracket the rank-4 certificate proves a root in; a root
+# within it moves the spectral radius by at most 2 _RADIUS_DELTA relative
+# (rho >= |T|_F / 2), so with rounding the bound is 9.1e-13
+_RADIUS_DELTA = 2.0 ** -41
+# twice a bound on the rounding error of q, q', q'' and q''' at |z| <= 1:
+# the coefficients from the products and sums of T, and Horner's rule, add
+# up to about 60 ulps of 1 (measured against exact rational arithmetic: at
+# most 16), so a value above it in floats is above 0 in exact arithmetic
+_RADIUS_MARGIN = 2.0 ** -46
+# Laguerre steps from Samuelson's bound: every root the certificate can prove
+# (its neighbours at least about 0.03 |T|_F away) is within 1e-14 after five
+_LAGUERRE_STEPS = 6
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
@@ -261,6 +302,73 @@ def eigvalsh(H: np.ndarray) -> np.ndarray:
         m, g, _, _ = _rank2_parts(H)
         return np.stack([m - g, m + g], axis=-1)
     return np.linalg.eigvalsh(H)
+
+
+def spectral_radius(H: np.ndarray) -> np.ndarray:
+    """Largest |eigenvalue| per node of a Hermitian field, shape (...); the
+    dispatch and the rank-4 certificate are in the module docstring."""
+    r = H.shape[-1]
+    if r <= 2:
+        return np.abs(eigvalsh(H)).max(axis=-1)
+    stack = H.reshape((-1, r, r))
+    n = len(stack)
+    rho, done = _radius4(stack) if r == 4 else (np.empty(n), np.zeros(n, bool))
+    rest = ~done
+    rho[rest] = np.abs(np.linalg.eigvalsh(stack[rest])).max(axis=-1)
+    return rho.reshape(H.shape[:-2])
+
+
+def _quartic(z, a, b):
+    """(q, q', q'') of q(z) = z^4 - z^2/2 - a z + b, by Horner's rule."""
+    z2 = z * z
+    return ((z2 - 0.5) * z - a) * z + b, (4 * z2 - 1) * z - a, 12 * z2 - 1
+
+
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def _radius4(H: np.ndarray):
+    """(rho, done) for a stack (n, 4, 4) of Hermitian matrices: where `done`,
+    rho is the spectral radius, proven as the module docstring says (a node
+    with a NaN entry is NaN); elsewhere it is to be computed another way.
+
+    The stack is worked on as planes (4, 4, n), so that each entry of T and
+    of T^2 is one contiguous array over the nodes."""
+    P = np.array(np.moveaxis(H, 0, -1), complex, order="C")    # a copy, always
+    m = (P[0, 0].real + P[1, 1].real + P[2, 2].real + P[3, 3].real) * 0.25
+    for i in range(4):
+        P[i, i] -= m                                 # P is T = H - m I from here
+    parts = P.view(float)                            # Re and Im of each node, interleaved
+    big = np.maximum(parts.max(axis=(0, 1)), -parts.min(axis=(0, 1)))
+    big = np.maximum(big[0::2], big[1::2])           # largest |Re| or |Im| per node
+    e = np.maximum(np.frexp(big)[1], -1023)          # 2^-e stays finite
+    P *= np.ldexp(1.0, -e)                           # exact: largest part in [1/2, 1)
+    sums = np.einsum("ijk,ijk->k", parts, parts)
+    s2 = sums[0::2] + sums[1::2]                     # tr T^2 = |T|_F^2
+    s3 = s4 = 0.0                                    # tr T^3, and tr T^4 = |T^2|_F^2
+    for i in range(4):
+        for j in range(i, 4):                        # (T^2)_ji is conj (T^2)_ij
+            sq = P[i, 0] * P[0, j] + P[i, 1] * P[1, j] + P[i, 2] * P[2, j] + P[i, 3] * P[3, j]
+            w = 1.0 if i == j else 2.0
+            s3 = s3 + w * (sq.real * P[i, j].real + sq.imag * P[i, j].imag)
+            s4 = s4 + w * (sq.real * sq.real + sq.imag * sq.imag)
+    safe = np.where(s2 > 0, s2, 1.0)                 # T = 0 leaves q = z^4 - z^2/2
+    a3 = s3 / (3 * safe * np.sqrt(safe))
+    a4 = (0.125 * s2 * s2 - 0.25 * s4) / (safe * safe)
+    a = np.stack([a3, -a3])                          # q(z) and q(-z): top and -bottom
+    z = np.full(a.shape, np.sqrt(0.75))
+    # Laguerre's step n / (G + sqrt((n - 1) (n (G^2 - q''/q) - G^2))), G = q'/q,
+    # n = 4, with numerator and denominator multiplied by q
+    for _ in range(_LAGUERRE_STEPS):
+        q, q1, q2 = _quartic(z, a, a4)
+        z -= 4 * q / (q1 + np.sqrt(np.maximum(9 * q1 * q1 - 12 * q * q2, 0.0)))
+    q, q1, _ = _quartic(z, a, a4)
+    z -= q / q1                                      # one Newton step
+    hi, lo = z + _RADIUS_DELTA, z - _RADIUS_DELTA
+    q, q1, q2 = _quartic(hi, a, a4)
+    proven = ((q > _RADIUS_MARGIN) & (q1 > _RADIUS_MARGIN) & (q2 > _RADIUS_MARGIN)
+              & (24 * hi > _RADIUS_MARGIN) & (_quartic(lo, a, a4)[0] < -_RADIUS_MARGIN))
+    x = np.ldexp(z * np.sqrt(s2), e)                 # top and -bottom eigenvalue of T
+    rho = np.maximum(np.abs(m + x[0]), np.abs(m - x[1]))
+    return rho, (proven[0] & proven[1]) | np.isnan(big)
 
 
 def op_norm(A: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fareyflow.cli import UsageError, load_config, main, parse_theta
-from fareyflow.coulomb import COMPAT_TOL
+from fareyflow.coulomb import COMPAT_TOL, PHASES
 from fareyflow.reporting import ReportRecord, read_journal, stable_view, write_report
 
 
@@ -356,6 +356,13 @@ def test_coulomb_record_trace_and_timings(tmp_path):
         # the worst Neumann compatibility defect the sweeps measured, under COMPAT_TOL
         assert row["iterations"] >= 1 and 0 < defect <= COMPAT_TOL
     assert all(t >= 0 for t in fix_s)
+    # each phase per sample; the laps lie inside the fix (4-decimal rounding)
+    phases = {k: a["timings"][k] for k in PHASES}
+    assert set(a["timings"]) == {"fix_s", *PHASES}
+    for i, total in enumerate(fix_s):
+        laps = [phases[k][i] for k in PHASES]
+        assert all(t >= 0 for t in laps) and sum(laps) <= total + 5e-4
+    assert phases["norms_s"][0] > 0 and phases["solve_s"][0] > 0
     assert a["trace"] == b["trace"]
     # the volatile fields leave the stable view and the config hash as before
     assert set(stable_view(a)) == {"schema", "op", "config_hash", "config", "outputs",

@@ -402,3 +402,127 @@ def test_operator_norm_is_not_a_spectral_radius(r):
     assert np.abs(M - fiber.dagger(M)).max() > 1e-6 * np.abs(M).max()
     svd = float(np.linalg.svd(M, compute_uv=False)[..., 0].max())
     assert he_residual(conn, H, Fraction(1, r)) == pytest.approx(svd, rel=1e-14)
+
+
+# ----------------------------------------------------------------------------
+# spectral radius
+#
+# `spectral_radius` against max |np.linalg.eigvalsh| (LAPACK).  Ranks 1 and 2
+# must keep the bits of the closed-form `eigvalsh`; the rank-4 characteristic-
+# polynomial path states a relative bound of 9.1e-13 on every node it keeps,
+# and RADIUS_RTOL checks the bound.  The worst deviation measured over these
+# tests is 2.5e-15 relative; over the 1,058,502 rank-4 node evaluations of
+# the 17 rank-4 fixes of criterion 12 it is 2.4e-15.
+
+RADIUS_RTOL = 1e-12
+
+
+def _radius_oracle(H):
+    return np.abs(np.linalg.eigvalsh(H)).max(axis=-1)
+
+
+def _assert_radius(H, want=None):
+    want = _radius_oracle(H) if want is None else want
+    before = H.copy()
+    got = fiber.spectral_radius(H)
+    assert np.array_equal(H, before, equal_nan=True)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= RADIUS_RTOL * want)
+    return got
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.sampled_from(RANKS),
+       batch=st.sampled_from(BATCHES + ((40, 25),)),
+       kind=st.sampled_from(["signed", "separated", "degenerate", "ill"]))
+@example(seed=11, r=4, batch=(40, 25), kind="signed")
+@example(seed=12, r=4, batch=(40, 25), kind="separated")
+def test_spectral_radius_matches_eigvalsh(seed, r, batch, kind):
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], size=batch + (1,))     # all-negative spectra too
+    H = _hermitian(sign * _spectrum(rng, batch, r, kind), _unitary(rng, batch, r))
+    if r <= 2:
+        got = fiber.spectral_radius(H)
+        assert got.tobytes() == np.abs(fiber.eigvalsh(H)).max(axis=-1).tobytes()
+    else:
+        _assert_radius(H)
+
+
+def _rank4(lam, rng, nodes=64):
+    """A stack of Hermitian 4 x 4 matrices with the spectrum lam, rotated at
+    random; the first node is diagonal."""
+    U = _unitary(rng, (nodes,), 4)
+    U[0] = np.eye(4)
+    return _hermitian(np.broadcast_to(np.asarray(lam, float), (nodes, 4)), U)
+
+
+@pytest.mark.parametrize("gap", (1e-1, 1e-3, 1e-6, 0.0))
+@pytest.mark.parametrize("mean", (0.0, 3.0, -40.0))
+@pytest.mark.parametrize("end", ("top", "bottom"))
+def test_spectral_radius_near_double_extremes(gap, mean, end):
+    """An extreme pair with relative gap 1e-1 .. 0, under a mean that makes
+    either end the larger in modulus.  Close pairs are not proven (a Laguerre
+    run converges slowly onto a double root) and come from LAPACK."""
+    lam = np.array([-1.3, 0.2, 1.0, 1.0 + gap])
+    lam = (lam if end == "top" else -lam[::-1]) + mean
+    H = _rank4(lam, np.random.default_rng(int(gap * 1e6) + 7))
+    _assert_radius(H)
+    assert fiber.spectral_radius(H[0]) == pytest.approx(np.abs(lam).max(), rel=RADIUS_RTOL)
+    if gap < 1e-2:          # the pair is closer than about 0.03 |T|_F: not proven
+        assert not fiber._radius4(H)[1].any()
+
+
+@pytest.mark.parametrize("lam", [
+    (-2.0, -0.5, 0.7, 2.0),            # mirrored extremes, lambda_1 = -lambda_4
+    (-2.0, 0.1, 0.3, 2.0),
+    (1.0, 4.0, 4.5, 5.0),              # the bottom of T is larger, the top of H
+    (-5.0, -4.5, -4.0, -1.0),
+    (1e8 - 1e-6, 1e8, 1e8 + 2e-6, 1e8 + 5e-6),   # a large mean over a tiny T
+])
+def test_spectral_radius_picks_the_extreme_of_h(lam):
+    H = _rank4(lam, np.random.default_rng(3))
+    _assert_radius(H, np.full(len(H), np.abs(lam).max()))
+    assert fiber._radius4(H)[1].all()
+
+
+def test_spectral_radius_of_repeated_blocks_scalars_and_zero():
+    """diag(B, B) has every eigenvalue twice; scalar and zero matrices have
+    T = 0 and keep their value exactly."""
+    rng = np.random.default_rng(5)
+    B = _hermitian(rng.uniform(-2, 2, size=(32, 2)), _unitary(rng, (32,), 2))
+    H = np.zeros((32, 4, 4), complex)
+    H[:, :2, :2] = H[:, 2:, 2:] = B
+    _assert_radius(H)
+    U = _unitary(rng, (32,), 4)
+    _assert_radius(np.einsum("nab,nbc,ndc->nad", U, H, U.conj()))
+    scalars = np.array([2.5, -3.0, 0.0, -0.0, 1e-300, 1e300])[:, None, None] * np.eye(4)
+    got = fiber.spectral_radius(scalars)
+    assert got.tolist() == [2.5, 3.0, 0.0, 0.0, 1e-300, 1e300]
+    assert fiber._radius4(scalars)[1].all()
+
+
+@pytest.mark.parametrize("scale", (2.0 ** 1000, 2.0 ** -1000))
+def test_spectral_radius_far_from_one(scale):
+    """Entries near 1e+-301: their squares over- or underflow, so the path
+    scales T by a power of two before it forms T^2."""
+    rng = np.random.default_rng(6)
+    H = _hermitian(rng.uniform(-3, 3, size=(64, 4)), _unitary(rng, (64,), 4))
+    _assert_radius(H * scale)
+    rho, done = fiber._radius4(H * scale)
+    assert done.sum() >= 60
+    assert np.array_equal(rho[done], fiber._radius4(H)[0][done] * scale)
+
+
+@pytest.mark.parametrize("r", (1, 2, 4))
+@pytest.mark.parametrize("where", ((0, 0), (1, 2), (3, 1)))
+def test_spectral_radius_of_nan_is_nan(r, where):
+    """A node with a NaN entry is NaN and the other nodes keep their values
+    (LAPACK reads one triangle only, and a NaN can vanish from its result)."""
+    rng = np.random.default_rng(r)
+    H = _hermitian(rng.uniform(-3, 3, size=(5, r)), _unitary(rng, (5,), r))
+    want = fiber.spectral_radius(H)
+    i, j = min(where[0], r - 1), min(where[1], r - 1)
+    H[2, i, j] = np.nan
+    got = fiber.spectral_radius(H)
+    assert np.isnan(got[2])
+    assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
